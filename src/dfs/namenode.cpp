@@ -51,6 +51,11 @@ bool NameNode::available(NodeId id) const {
   return silence <= opts_.heartbeat_interval * opts_.heartbeat_miss_limit;
 }
 
+bool NameNode::serving(NodeId id) const {
+  auto it = datanodes_.find(id);
+  return it != datanodes_.end() && available(id) && it->second->serving();
+}
+
 const FileMeta& NameNode::create_file(const std::string& name, Bytes size) {
   DYRS_CHECK_MSG(!datanodes_.empty(), "no datanodes registered");
   const FileMeta& meta = ns_.create_file(name, size);
@@ -89,8 +94,7 @@ std::vector<NodeId> NameNode::block_locations(BlockId block) const {
   const auto& all = raw_replicas(block);
   std::vector<NodeId> out;
   for (NodeId n : all) {
-    auto it = datanodes_.find(n);
-    if (it != datanodes_.end() && available(n) && it->second->serving()) out.push_back(n);
+    if (serving(n)) out.push_back(n);
   }
   return out;
 }
@@ -127,11 +131,17 @@ std::vector<NodeId> NameNode::memory_locations(BlockId block) const {
   auto it = memory_.find(block);
   if (it == memory_.end()) return out;
   for (NodeId n : it->second) {
-    auto dn = datanodes_.find(n);
-    if (dn != datanodes_.end() && available(n) && dn->second->serving()) out.push_back(n);
+    if (serving(n)) out.push_back(n);
   }
   std::sort(out.begin(), out.end());  // deterministic order
   return out;
+}
+
+bool NameNode::has_replica_on(BlockId block, NodeId node) const {
+  const auto& disk = raw_replicas(block);
+  if (std::find(disk.begin(), disk.end(), node) != disk.end()) return true;
+  auto it = memory_.find(block);
+  return it != memory_.end() && it->second.count(node) > 0;
 }
 
 std::vector<BlockId> NameNode::under_replicated_blocks() const {

@@ -49,6 +49,10 @@ class NameNode {
   /// A just-registered node is considered available.
   bool available(NodeId id) const;
 
+  /// Registered, available and its process serving: the only filter the
+  /// location queries below apply to a replica holder.
+  bool serving(NodeId id) const;
+
   // --- namespace & placement -------------------------------------------
   /// Creates a file and places replicas of each block on available
   /// datanodes. The dataset pre-exists when experiments start, so creation
@@ -86,6 +90,10 @@ class NameNode {
 
   /// Available nodes currently holding `block` in memory.
   std::vector<NodeId> memory_locations(BlockId block) const;
+  /// Whether `node` holds a disk or in-memory replica of `block`, whatever
+  /// its state: `serving(node) && has_replica_on(block, node)` is membership
+  /// in block_locations or memory_locations, without building either.
+  bool has_replica_on(BlockId block, NodeId node) const;
   bool in_memory(BlockId block) const { return !memory_locations(block).empty(); }
   std::size_t memory_replica_count() const;
   /// Every registered (block, node) in-memory replica pair, unfiltered and

@@ -18,9 +18,8 @@ Engine::Engine(cluster::Cluster& cluster, dfs::NameNode& namenode, dfs::DFSClien
   DYRS_CHECK(options_.map_slots_per_node > 0);
   DYRS_CHECK(options_.reduce_slots_per_node >= 0);
   DYRS_CHECK(options_.output_replication >= 1);
-  for (NodeId id : cluster_.node_ids()) {
-    slots_[id] = {options_.map_slots_per_node, options_.reduce_slots_per_node};
-  }
+  slots_.assign(static_cast<std::size_t>(cluster_.size()),
+                {options_.map_slots_per_node, options_.reduce_slots_per_node});
   if (options_.speculative_execution) {
     DYRS_CHECK(options_.speculation_slowdown > 1.0);
     speculation_timer_ = cluster_.simulator().every(options_.speculation_check_interval,
@@ -45,6 +44,7 @@ void Engine::set_observability(const obs::ObsContext& obs) {
   ctr_jobs_submitted_ = obs.counter("exec.jobs.submitted");
   ctr_jobs_done_ = obs.counter("exec.jobs.completed");
   ctr_maps_done_ = obs.counter("exec.maps.completed");
+  ctr_tasks_scanned_ = obs.counter("exec.sched.tasks_scanned");
   ctr_reduces_done_ = obs.counter("exec.reduces.completed");
   hist_job_duration_s_ = obs.histogram("exec.job.duration_s");
 }
@@ -84,13 +84,14 @@ void Engine::begin_submission(JobId id, JobSpec spec) {
     task.id = TaskId(next_task_++);
     task.block = block;
     task.size = namenode_.ns().block(block).size;
+    task.next_unscheduled = job.maps.size() + 1;
     job.record.input_size += task.size;
     job.maps.push_back(task);
   }
   job.maps_remaining = static_cast<int>(job.maps.size());
   job.record.num_maps = job.maps_remaining;
   for (int i = 0; i < spec.num_reducers; ++i) {
-    job.reduces.push_back({TaskId(next_task_++), false});
+    job.reduces.push_back(TaskId(next_task_++));
   }
   job.reduces_remaining = spec.num_reducers;
   job.record.num_reduces = spec.num_reducers;
@@ -123,65 +124,68 @@ void Engine::make_eligible(JobId id) {
   if (tracing()) {
     obs_.emit(obs::TraceEvent(job.record.eligible, "job_eligible").with("job", id.value()));
   }
-  runnable_.push_back(id);
+  job.eligible_seq = next_eligible_seq_++;
+  if (!job.maps.empty()) map_queue_.emplace(job.eligible_seq, &job);
   try_schedule();
 }
 
 void Engine::try_schedule() {
   // Keep assigning until no node can take another task this round.
   bool progress = true;
-  while (progress) {
+  while (progress && !(map_queue_.empty() && reduce_queue_.empty())) {
     progress = false;
-    for (NodeId node : cluster_.node_ids()) {
+    for (int i = 0; i < cluster_.size(); ++i) {
+      const NodeId node(i);
       if (!cluster_.node(node).alive()) continue;
-      if (slots_[node].map_free > 0 && schedule_map_on(node)) progress = true;
-      if (slots_[node].reduce_free > 0 && schedule_reduce_on(node)) progress = true;
+      if (slots(node).map_free > 0 && schedule_map_on(node)) progress = true;
+      if (slots(node).reduce_free > 0 && schedule_reduce_on(node)) progress = true;
     }
   }
-}
-
-bool Engine::map_is_local(NodeId node, BlockId block) const {
-  const auto memory = namenode_.memory_locations(block);
-  if (std::find(memory.begin(), memory.end(), node) != memory.end()) return true;
-  const auto disk = namenode_.block_locations(block);
-  return std::find(disk.begin(), disk.end(), node) != disk.end();
 }
 
 bool Engine::schedule_map_on(NodeId node) {
-  // Pass 1: data-local task, FIFO across jobs. Pass 2: any task.
-  for (const bool require_local : {true, false}) {
-    for (JobId jid : runnable_) {
-      auto it = active_.find(jid);
-      if (it == active_.end()) continue;
-      Job& job = it->second;
-      for (MapTask& task : job.maps) {
-        if (task.scheduled) continue;
-        if (require_local && !map_is_local(node, task.block)) continue;
-        task.scheduled = true;
-        --slots_[node].map_free;
-        run_map(job, task, node, /*speculative=*/false);
-        return true;
+  if (map_queue_.empty()) return false;
+  // Pass 1: the first unscheduled map, FIFO across jobs, with a disk or
+  // memory replica on this node; a node whose datanode is not serving holds
+  // no readable replica. Pass 2: the oldest job's first unscheduled map.
+  // `link` is the list slot that points at the chosen map.
+  auto pick = map_queue_.begin();
+  std::size_t* link = &pick->second->next_map;
+  if (namenode_.serving(node)) {
+    std::int64_t scanned = 0;
+    for (auto it = map_queue_.begin(); it != map_queue_.end(); ++it) {
+      Job& job = *it->second;
+      std::size_t* l = &job.next_map;
+      for (; *l < job.maps.size(); l = &job.maps[*l].next_unscheduled) {
+        ++scanned;
+        if (namenode_.has_replica_on(job.maps[*l].block, node)) break;
+      }
+      if (*l < job.maps.size()) {
+        pick = it;
+        link = l;
+        break;
       }
     }
+    if (ctr_tasks_scanned_ != nullptr) ctr_tasks_scanned_->add(scanned);
   }
-  return false;
+  Job& job = *pick->second;
+  MapTask& task = job.maps[*link];
+  *link = task.next_unscheduled;
+  if (job.next_map == job.maps.size()) map_queue_.erase(pick);
+  --slots(node).map_free;
+  run_map(job, task, node, /*speculative=*/false);
+  return true;
 }
 
 bool Engine::schedule_reduce_on(NodeId node) {
-  for (JobId jid : runnable_) {
-    auto it = active_.find(jid);
-    if (it == active_.end()) continue;
-    Job& job = it->second;
-    if (!job.reduces_runnable) continue;
-    for (ReduceTask& task : job.reduces) {
-      if (task.scheduled) continue;
-      task.scheduled = true;
-      --slots_[node].reduce_free;
-      run_reduce(job, task, node);
-      return true;
-    }
-  }
-  return false;
+  if (reduce_queue_.empty()) return false;
+  auto front = reduce_queue_.begin();
+  Job& job = *front->second;
+  const TaskId task = job.reduces[job.next_reduce++];
+  if (job.next_reduce == job.reduces.size()) reduce_queue_.erase(front);
+  --slots(node).reduce_free;
+  run_reduce(job, task, node);
+  return true;
 }
 
 void Engine::run_map(Job& job, MapTask& task, NodeId node, bool speculative) {
@@ -223,7 +227,7 @@ void Engine::run_map(Job& job, MapTask& task, NodeId node, bool speculative) {
           static_cast<double>(size) / compute_rate * 1e6);
       cluster_.simulator().schedule_after(
           compute, [this, jid, node, record, done_flag, speculative]() {
-            ++slots_[node].map_free;
+            ++slots(node).map_free;
             if (*done_flag) {
               // The other attempt won; this one just releases its slot.
               try_schedule();
@@ -266,14 +270,14 @@ void Engine::speculation_pass() {
     const double median = *mid;
     const double threshold = median * options_.speculation_slowdown;
     for (MapTask& task : job.maps) {
-      if (!task.scheduled || task.attempts != 1 || (task.done && *task.done)) continue;
+      if (task.attempts != 1 || (task.done && *task.done)) continue;
       const double elapsed = to_seconds(cluster_.simulator().now() - task.first_started);
       if (elapsed < threshold) continue;
       // Find a free slot on a different node.
       for (NodeId node : cluster_.node_ids()) {
         if (node == task.first_node || !cluster_.node(node).alive()) continue;
-        if (slots_[node].map_free <= 0) continue;
-        --slots_[node].map_free;
+        if (slots(node).map_free <= 0) continue;
+        --slots(node).map_free;
         ++speculative_launches_;
         run_map(job, task, node, /*speculative=*/true);
         break;
@@ -310,7 +314,7 @@ void Engine::on_maps_complete(Job& job) {
                     .with("reducers", static_cast<int>(job.reduces.size())));
     }
   }
-  job.reduces_runnable = true;
+  reduce_queue_.emplace(job.eligible_seq, &job);
   try_schedule();
 }
 
@@ -327,10 +331,10 @@ void Engine::on_shuffle_fetch_done(JobId id) {
   }
 }
 
-void Engine::run_reduce(Job& job, ReduceTask& task, NodeId node) {
+void Engine::run_reduce(Job& job, TaskId task, NodeId node) {
   auto& sim = cluster_.simulator();
   auto record = std::make_shared<TaskRecord>();
-  record->id = task.id;
+  record->id = task;
   record->job = job.id;
   record->phase = TaskPhase::Reduce;
   record->node = node;
@@ -358,7 +362,7 @@ void Engine::run_reduce(Job& job, ReduceTask& task, NodeId node) {
                           .with("node", node.value())
                           .with("phase", "reduce"));
       }
-      ++slots_[node].reduce_free;
+      ++slots(node).reduce_free;
       auto it = active_.find(jid);
       if (it != active_.end()) {
         Job& j = it->second;
@@ -371,15 +375,17 @@ void Engine::run_reduce(Job& job, ReduceTask& task, NodeId node) {
       // output_replication-1 copies on distinct random remote disks. The
       // reducer completes when the slowest pipeline member finishes.
       std::vector<NodeId> writers{node};
-      std::vector<NodeId> others;
-      for (NodeId n : cluster_.node_ids()) {
-        if (n != node && cluster_.node(n).alive()) others.push_back(n);
-      }
-      std::shuffle(others.begin(), others.end(), rng_.engine());
-      for (int r = 1; r < options_.output_replication &&
-                      static_cast<std::size_t>(r - 1) < others.size();
-           ++r) {
-        writers.push_back(others[static_cast<std::size_t>(r - 1)]);
+      if (options_.output_replication > 1) {
+        std::vector<NodeId> others;
+        for (NodeId n : cluster_.node_ids()) {
+          if (n != node && cluster_.node(n).alive()) others.push_back(n);
+        }
+        std::shuffle(others.begin(), others.end(), rng_.engine());
+        for (int r = 1; r < options_.output_replication &&
+                        static_cast<std::size_t>(r - 1) < others.size();
+             ++r) {
+          writers.push_back(others[static_cast<std::size_t>(r - 1)]);
+        }
       }
       auto remaining = std::make_shared<int>(static_cast<int>(writers.size()));
       for (NodeId w : writers) {
@@ -428,7 +434,6 @@ void Engine::finish_job(Job& job) {
                       .with("job", id.value())
                       .with("duration_s", duration_s));
   }
-  runnable_.erase(std::remove(runnable_.begin(), runnable_.end(), id), runnable_.end());
   metrics_.add_job(record);
   active_.erase(id);
   if (service_) service_->on_job_finished(id);

@@ -14,8 +14,8 @@
 //    implicit eviction signals.
 #pragma once
 
-#include <deque>
 #include <functional>
+#include <map>
 #include <unordered_map>
 
 #include "cluster/cluster.h"
@@ -82,26 +82,27 @@ class Engine {
     TaskId id;
     BlockId block;
     Bytes size = 0;
-    bool scheduled = false;
-    int attempts = 0;
+    /// Index of the job's next unscheduled map while this one is unscheduled
+    /// (maps.size() ends the list).
+    std::size_t next_unscheduled = 0;
+    int attempts = 0;  // 0 until placed
     SimTime first_started = 0;
     NodeId first_node;
     /// Shared by all attempts of this task; the first finisher sets it.
     std::shared_ptr<bool> done;
-  };
-  struct ReduceTask {
-    TaskId id;
-    bool scheduled = false;
   };
   struct Job {
     JobId id;
     JobSpec spec;
     JobRecord record;
     std::vector<MapTask> maps;
-    std::vector<ReduceTask> reduces;
+    std::vector<TaskId> reduces;
+    /// Dispatch cursors: head of the unscheduled-map list, next reduce.
+    std::size_t next_map = 0;
+    std::size_t next_reduce = 0;
+    std::int64_t eligible_seq = 0;  // eligibility order; keys the queues
     int maps_remaining = 0;
     int reduces_remaining = 0;
-    bool reduces_runnable = false;
     /// Shuffle-phase span accounting: NIC fetches still in flight and when
     /// the phase opened (maps done), for `shuffle_start`/`shuffle_done`.
     int shuffle_fetches_remaining = 0;
@@ -118,10 +119,9 @@ class Engine {
   void try_schedule();
   bool schedule_map_on(NodeId node);
   bool schedule_reduce_on(NodeId node);
-  bool map_is_local(NodeId node, BlockId block) const;
   void run_map(Job& job, MapTask& task, NodeId node, bool speculative);
   void speculation_pass();
-  void run_reduce(Job& job, ReduceTask& task, NodeId node);
+  void run_reduce(Job& job, TaskId task, NodeId node);
   void on_maps_complete(Job& job);
   void on_shuffle_fetch_done(JobId id);
   /// Total bytes the job's reducers fetch over the network.
@@ -129,6 +129,7 @@ class Engine {
   void finish_job(Job& job);
   Job& job_state(JobId id);
   bool tracing() const { return obs_.tracing(); }
+  Slots& slots(NodeId node) { return slots_[static_cast<std::size_t>(node.value())]; }
 
   cluster::Cluster& cluster_;
   dfs::NameNode& namenode_;
@@ -137,8 +138,14 @@ class Engine {
   core::MigrationService* service_ = nullptr;
 
   std::unordered_map<JobId, Job> active_;
-  std::deque<JobId> runnable_;  // FIFO eligibility order
-  std::unordered_map<NodeId, Slots> slots_;
+  // Dispatch queues in eligibility order: eligible jobs with a map left to
+  // place, and jobs whose maps are done with a reduce left to place. A job
+  // leaves each queue once that phase is fully placed, so before it
+  // finishes and its active_ entry (which never moves) is erased.
+  std::map<std::int64_t, Job*> map_queue_;
+  std::map<std::int64_t, Job*> reduce_queue_;
+  std::int64_t next_eligible_seq_ = 0;
+  std::vector<Slots> slots_;  // indexed by NodeId
   Metrics metrics_;
   Rng rng_{21};
   std::int64_t next_job_ = 0;
@@ -152,6 +159,7 @@ class Engine {
   obs::Counter* ctr_jobs_submitted_ = nullptr;
   obs::Counter* ctr_jobs_done_ = nullptr;
   obs::Counter* ctr_maps_done_ = nullptr;
+  obs::Counter* ctr_tasks_scanned_ = nullptr;
   obs::Counter* ctr_reduces_done_ = nullptr;
   obs::Histogram* hist_job_duration_s_ = nullptr;
 

@@ -100,6 +100,36 @@ TEST(NameNode, MemoryLocationsFilterUnavailableNodes) {
   EXPECT_FALSE(t.namenode->in_memory(b));
 }
 
+// The exec scheduler's allocation-free locality test must agree with the
+// two location queries through every kind of outage.
+TEST(NameNode, ServingAndHasReplicaOnMatchLocationQueries) {
+  MiniDfs t;
+  const auto& f = t.namenode->create_file("/input", mib(64) * 8);
+  for (std::size_t i = 0; i < f.blocks.size(); ++i) {
+    t.namenode->register_memory_replica(f.blocks[i], NodeId(static_cast<std::int64_t>(i % 4)));
+  }
+  auto expect_agree = [&](const char* state) {
+    for (BlockId b : f.blocks) {
+      const auto disk = t.namenode->block_locations(b);
+      const auto memory = t.namenode->memory_locations(b);
+      for (NodeId n : t.cluster->node_ids()) {
+        const bool listed = std::count(disk.begin(), disk.end(), n) > 0 ||
+                            std::count(memory.begin(), memory.end(), n) > 0;
+        EXPECT_EQ(t.namenode->serving(n) && t.namenode->has_replica_on(b, n), listed)
+            << state << ": block " << b << " node " << n;
+      }
+    }
+  };
+  expect_agree("healthy");
+  t.datanodes[0]->crash_process();
+  expect_agree("process crash");
+  t.cluster->node(NodeId(1)).set_alive(false);
+  t.sim.run_until(seconds(15));
+  EXPECT_FALSE(t.namenode->available(NodeId(1)));
+  expect_agree("server death");
+  EXPECT_FALSE(t.namenode->serving(NodeId(99)));  // never registered
+}
+
 TEST(NameNode, DropMemoryReplicasOnNode) {
   MiniDfs t;
   const auto& f = t.namenode->create_file("/input", mib(192));

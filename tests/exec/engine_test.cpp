@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "exec/testbed.h"
+#include "obs/observability.h"
+#include "testing/fixture.h"
 
 namespace dyrs::exec {
 namespace {
@@ -230,6 +233,82 @@ TEST(Engine, OutputReplicationWritesToMultipleDisks) {
   const double single = run_with_replication(1);
   const double triple = run_with_replication(3);
   EXPECT_NEAR(triple, single * 3.0, single * 0.01);
+}
+
+std::int64_t tasks_scanned(Testbed& tb) {
+  const obs::Counter* c = tb.registry().find_counter("exec.sched.tasks_scanned");
+  return c != nullptr ? c->value() : -1;
+}
+
+TEST(EngineDispatch, ScansNothingOnceNoEligibleJobHasUnscheduledMaps) {
+  Testbed tb(small_config());
+  tb.load_file("/a", mib(64) * 6);
+  tb.load_file("/b", mib(64) * 6);
+  tb.submit(simple_job("/a", /*reducers=*/2));  // eligible at 2 s, fits in one wave
+  tb.submit_at(simple_job("/b"), seconds(60));
+  tb.simulator().run_until(seconds(2) + milliseconds(1));
+  const std::int64_t placed = tasks_scanned(tb);
+  EXPECT_GT(placed, 0);
+  // Map completions, reduce placements and reduce completions all call the
+  // scheduler; with no map left to place none of them scans anything.
+  tb.simulator().run_until(seconds(59));
+  ASSERT_FALSE(tb.engine().job_active(JobId(0)));
+  EXPECT_EQ(tasks_scanned(tb), placed);
+  tb.run();
+  EXPECT_GT(tasks_scanned(tb), placed);  // job b's placements do scan
+}
+
+TEST(EngineDispatch, EveryMapLocalEverywhereScansEachMapOnce) {
+  TestbedConfig c = small_config();
+  c.replication = c.num_nodes;
+  Testbed tb(c);
+  constexpr int kMaps = 20;  // fits the 32 free map slots
+  tb.load_file("/in", mib(64) * kMaps);
+  tb.submit(simple_job("/in", /*reducers=*/1));
+  tb.run();
+  EXPECT_EQ(tasks_scanned(tb), kMaps);
+  for (const auto& t : tb.metrics().tasks()) {
+    if (t.phase == TaskPhase::Map) {
+      EXPECT_EQ(t.medium, dfs::ReadMedium::LocalDisk);
+    }
+  }
+}
+
+// Every migration scheme buffers blocks on their disk-replica holders, so
+// only a hand-registered replica shows the memory registry deciding locality.
+TEST(EngineDispatch, MemoryReplicaAloneMakesMapLocal) {
+  TestbedConfig c = small_config();
+  c.replication = 1;
+  Testbed tb(c);
+  const std::vector<BlockId> blocks = tb.load_file("/in", mib(64) * 8).blocks;
+  const NodeId node(0);
+  BlockId block;
+  for (BlockId b : blocks) {
+    if (tb.namenode().raw_replicas(b).front() != node) block = b;
+  }
+  ASSERT_TRUE(block.valid());
+  tb.namenode().register_memory_replica(block, node);
+  tb.submit(simple_job("/in"));
+  tb.run();
+  const auto& tasks = tb.metrics().tasks();
+  const auto it = std::find_if(tasks.begin(), tasks.end(),
+                               [&](const TaskRecord& t) { return t.block == block; });
+  ASSERT_NE(it, tasks.end());
+  EXPECT_EQ(it->node, node);
+  EXPECT_EQ(it->medium, dfs::ReadMedium::LocalMemory);
+}
+
+TEST(EngineDispatch, ScanCounterAbsentWithoutObservability) {
+  testing::MiniDfs dfs;
+  obs::Observability obs;
+  dfs.client->set_observability(obs.context());  // the registry is live
+  Engine engine(*dfs.cluster, *dfs.namenode, *dfs.client, Engine::Options{});
+  dfs.namenode->create_file("/in", mib(64) * 4);
+  engine.submit(simple_job("/in", /*reducers=*/1));
+  dfs.sim.run_until(seconds(60));
+  EXPECT_TRUE(engine.all_done());
+  EXPECT_EQ(engine.metrics().tasks().size(), 5u);
+  EXPECT_EQ(obs.registry().find_counter("exec.sched.tasks_scanned"), nullptr);
 }
 
 TEST(Engine, EmptyInputFilesThrow) {
