@@ -39,7 +39,6 @@
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/common/bench_util.h"
@@ -119,8 +118,8 @@ Result run(const ModeSpec& mode, int slaves, int depth, int blocks) {
 
 /// One small traced run on the full throughput path, written as merged
 /// JSONL for `dyrsctl trace`. Deterministic by the equivalence-test recipe:
-/// a single Algorithm 1 pass against the cold-estimator snapshot (long
-/// retarget interval, startup pass allowed to land first) makes the
+/// a single Algorithm 1 pass against the cold-estimator snapshot (migrate()'s
+/// own; the retargeter's first pass is an interval away) makes the
 /// bindings a pure policy outcome, so two invocations of this binary must
 /// produce byte-identical `--span-seq` output.
 void write_trace(const std::string& path) {
@@ -156,10 +155,6 @@ void write_trace(const std::string& path) {
     blocks.push_back(std::move(b));
   }
 
-  // Let the retargeter's startup pass land before the workload does (see
-  // tests/rt/rt_batch_equivalence_test for why a pass racing in after
-  // migrate() would re-target by timing, not policy).
-  std::this_thread::sleep_for(10ms);
   master.migrate(blocks);
   if (!master.wait_idle(30s)) {
     std::cerr << "traced run did not drain\n";

@@ -1,7 +1,6 @@
 #include "core/control_plane.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 namespace dyrs::core {
 
@@ -29,8 +28,7 @@ ControlPlane::Enqueued ControlPlane::enqueue(JobId job, EvictionMode mode, Block
 }
 
 TargetingStats ControlPlane::retarget(const std::vector<SlaveSnapshot>& snapshots, SimTime now) {
-  TargetingStats stats;
-  if (queue_.empty() || snapshots.empty()) return stats;
+  if (queue_.empty() || snapshots.empty()) return {};
   const bool trace = emitter_.tracing() &&
                      config_.target_trace == ControlPlaneConfig::TargetTrace::AtRetarget;
   if (config_.retarget.mode == RetargetConfig::Mode::Incremental) {
@@ -39,32 +37,18 @@ TargetingStats ControlPlane::retarget(const std::vector<SlaveSnapshot>& snapshot
   }
   // Reference sweep. Target in the same order binding will consider
   // entries, so the greedy finish-time accounting matches the eventual
-  // assignment order.
-  std::vector<PendingMigration*> ptrs;
-  ptrs.reserve(queue_.size());
-  for (auto it : queue_.in_order(config_.ordering)) ptrs.push_back(&*it);
-  if (!trace) return assign_targets(ptrs, snapshots);
-  std::vector<NodeId> before;
-  before.reserve(ptrs.size());
-  for (const PendingMigration* pm : ptrs) before.push_back(pm->target);
-  stats = assign_targets(ptrs, snapshots);
-  std::unordered_map<NodeId, double> sec_per_byte;
-  for (const SlaveSnapshot& s : snapshots) sec_per_byte[s.node] = s.sec_per_byte;
-  for (std::size_t i = 0; i < ptrs.size(); ++i) {
-    const PendingMigration& pm = *ptrs[i];
-    if (pm.target == before[i] || !pm.target.valid()) continue;
-    // A target can out-live its node's snapshot membership (assigned while
-    // the node was reporting, node since declared dead). Never default-
-    // insert a 0.0 estimate for it: use the last-known value, else skip
-    // the event.
-    auto rate = sec_per_byte.find(pm.target);
-    if (rate != sec_per_byte.end()) {
-      emitter_.target(now, pm.block, pm.target, rate->second);
-    } else if (const double last = index_.basis_sec_per_byte(pm.target); last > 0.0) {
-      emitter_.target(now, pm.block, pm.target, last);
+  // assignment order. A sweep targets only snapshot nodes, so each
+  // emission carries the estimate that scored it.
+  TargetScorer scorer(snapshots);
+  queue_.visit(config_.ordering, [&](PendingQueue::iterator it) {
+    const NodeId before = it->target;
+    const double sec_per_byte = scorer.assign(*it);
+    if (trace && it->target.valid() && it->target != before) {
+      emitter_.target(now, it->block, it->target, sec_per_byte);
     }
-  }
-  return stats;
+    return true;
+  });
+  return scorer.stats();
 }
 
 BoundMigration ControlPlane::bind_entry(PendingQueue::iterator it, NodeId node,
@@ -92,22 +76,24 @@ std::vector<BoundMigration> ControlPlane::bind_for(NodeId node, int free_slots,
   std::vector<BoundMigration> out;
   if (free_slots <= 0 || queue_.empty() || config_.binding == Binding::EagerRandom) return out;
   const bool targeted = config_.binding == Binding::LateTargeted;
-  for (auto it : queue_.in_order(config_.ordering)) {
-    if (free_slots <= 0) break;
+  std::int64_t scanned = 0;
+  queue_.visit(config_.ordering, [&](PendingQueue::iterator it) {
+    ++scanned;
     // The avoid list gates both modes: a LateTargeted entry can carry a
     // stale target pointing at a node that has since failed on it (the
     // target was assigned before the failure, or by an incremental pass
     // scoring against a held basis) — binding there anyway would hand the
     // block back to the replica that just proved unable to serve it.
-    if (std::find(it->avoid.begin(), it->avoid.end(), node) != it->avoid.end()) continue;
+    if (std::find(it->avoid.begin(), it->avoid.end(), node) != it->avoid.end()) return true;
     const bool eligible =
         targeted ? it->target == node
                  : std::find(it->replicas.begin(), it->replicas.end(), node) !=
                        it->replicas.end();
-    if (!eligible) continue;
+    if (!eligible) return true;
     out.push_back(bind_entry(it, node, sec_per_byte, now));
-    --free_slots;
-  }
+    return --free_slots > 0;
+  });
+  if (ctr_bind_scanned_ != nullptr) ctr_bind_scanned_->add(scanned);
   return out;
 }
 

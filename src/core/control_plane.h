@@ -73,7 +73,13 @@ class ControlPlane {
  public:
   explicit ControlPlane(ControlPlaneConfig config = {}) : config_(config) {}
 
-  void set_emitter(LifecycleEmitter emitter) { emitter_ = std::move(emitter); }
+  /// Wires lifecycle tracing (with the backend's merge-key stamper, if any)
+  /// and `ctrl.bind.entries_scanned`, the entries bind_for's walks visited.
+  void set_observability(const obs::ObsContext& obs,
+                         LifecycleEmitter::Stamper stamper = nullptr) {
+    emitter_ = LifecycleEmitter(obs, std::move(stamper));
+    ctr_bind_scanned_ = obs.counter("ctrl.bind.entries_scanned");
+  }
   LifecycleEmitter& emitter() { return emitter_; }
   PendingQueue& queue() { return queue_; }
   const PendingQueue& queue() const { return queue_; }
@@ -103,7 +109,8 @@ class ControlPlane {
   /// the configured binding mode (target match for LateTargeted; replica
   /// holder not on the avoid list for LateAnyReplica; nothing for
   /// EagerRandom — eager strategies pick nodes themselves via bind_entry).
-  /// Emits `mig_bind` (and `mig_target` in AtBind mode) per binding.
+  /// The walk stops once the slots are filled. Emits `mig_bind` (and
+  /// `mig_target` in AtBind mode) per binding.
   std::vector<BoundMigration> bind_for(NodeId node, int free_slots, double sec_per_byte,
                                        SimTime now);
 
@@ -131,6 +138,7 @@ class ControlPlane {
   PendingQueue queue_;
   RetargetIndex index_;
   LifecycleEmitter emitter_;
+  obs::Counter* ctr_bind_scanned_ = nullptr;
   std::vector<std::pair<BlockId, NodeId>> binding_log_;
 };
 

@@ -1,7 +1,7 @@
 // Indexed pending-migration queue with pluggable consideration order.
 //
 // The master-side half of late binding (§III-A1): blocks wait here until a
-// slave pulls for work. Insertion order is FIFO; `in_order` additionally
+// slave pulls for work. Insertion order is FIFO; `visit` additionally
 // offers SmallestJobFirst. The index gives O(1) lookup by block, which the
 // hot paths (merge on enqueue, missed-read cancellation, deletion) rely on.
 //
@@ -55,13 +55,29 @@ class PendingQueue {
   /// cancellation and eviction paths) and fall back to a full re-score.
   std::uint64_t mutation_count() const { return mutations_; }
 
-  /// Entries in binding-consideration order. Fifo is insertion order. For
+  /// Calls `visit(iterator)` in binding-consideration order until it
+  /// returns false: in place along the list for Fifo, over the `in_order`
+  /// copy otherwise. The visitor may erase the visited entry, no other.
+  template <typename Visit>
+  void visit(Ordering ordering, Visit&& visit) {
+    if (ordering != Ordering::Fifo) {
+      for (iterator it : in_order(ordering)) {
+        if (!visit(it)) return;
+      }
+      return;
+    }
+    for (auto it = list_.begin(); it != list_.end();) {
+      if (!visit(it++)) return;  // advanced before the visitor can erase
+    }
+  }
+
+ private:
+  /// A copy of the consideration order. Fifo is insertion order. For
   /// SmallestJobFirst a job's priority is its outstanding pending bytes;
   /// an entry wanted by several jobs inherits the most urgent (smallest)
   /// one, and the sort is stable so FIFO order survives within a job.
   std::vector<iterator> in_order(Ordering ordering);
 
- private:
   List list_;
   std::unordered_map<BlockId, iterator> index_;
   std::uint64_t mutations_ = 0;

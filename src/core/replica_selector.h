@@ -12,7 +12,6 @@
 // blocks have equal size.
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "common/ids.h"
@@ -32,9 +31,29 @@ struct TargetingStats {
   std::size_t untargetable = 0;  // no replica on any reporting slave
 };
 
-/// Runs Algorithm 1 over `pending` (FIFO order), setting each entry's
-/// `target`. Entries whose replicas include no node in `slaves` get an
-/// invalid target and are skipped at assignment time.
+/// One Algorithm 1 pass, scoring entries one at a time in the caller's
+/// order. Each snapshot's sec/byte and running load (queued plus targeted
+/// work) sit in arrays indexed by snapshot position, reached through a
+/// node -> slot table; a node listed twice counts with its last values.
+class TargetScorer {
+ public:
+  explicit TargetScorer(const std::vector<SlaveSnapshot>& slaves);
+  /// Targets `block` at its earliest-finish replica that is neither
+  /// avoided nor silent (ties go to the first listed), or invalid, and
+  /// charges the block to that node. Returns its sec_per_byte (0 if none).
+  double assign(PendingMigration& block);
+  const TargetingStats& stats() const { return stats_; }
+
+ private:
+  std::vector<std::size_t> slot_of_;  // node id -> slot + 1; 0 = not reporting
+  std::vector<double> sec_per_byte_;
+  std::vector<double> load_seconds_;
+  TargetingStats stats_;
+};
+
+/// Runs Algorithm 1 over `pending` in the given order, setting each
+/// entry's `target`. Entries whose replicas include no node in `slaves`
+/// get an invalid target and are skipped at assignment time.
 TargetingStats assign_targets(std::vector<PendingMigration*>& pending,
                               const std::vector<SlaveSnapshot>& slaves);
 

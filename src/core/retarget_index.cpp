@@ -161,11 +161,10 @@ void RetargetIndex::full_rescore(PendingQueue& queue, Ordering ordering,
   const std::size_t n_shards = shards_.size();
   std::vector<std::vector<PendingMigration*>> buckets(n_shards);
   for (auto& b : buckets) b.reserve(queue.size() / n_shards + 1);
-  if (ordering == Ordering::Fifo) {
-    for (PendingMigration& pm : queue) buckets[shard_of(pm.block)].push_back(&pm);
-  } else {
-    for (auto it : queue.in_order(ordering)) buckets[shard_of(it->block)].push_back(&*it);
-  }
+  queue.visit(ordering, [&](PendingQueue::iterator it) {
+    buckets[shard_of(it->block)].push_back(&*it);
+    return true;
+  });
   auto run = [&](std::size_t si) {
     Shard& sh = shards_[si];
     sh.order.clear();
@@ -344,11 +343,6 @@ bool RetargetIndex::self_check(const PendingQueue& queue) const {
     if (sh.pos.count(pm.block) == 0 && sh.appended_set.count(pm.block) == 0) return false;
   }
   return true;
-}
-
-double RetargetIndex::basis_sec_per_byte(NodeId node) const {
-  auto it = basis_spb_.find(node);
-  return it == basis_spb_.end() ? 0.0 : it->second;
 }
 
 std::pair<NodeId, double> RetargetIndex::least_loaded(std::size_t shard) {

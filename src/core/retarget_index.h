@@ -147,8 +147,6 @@ class RetargetIndex {
   const Stats& stats() const { return stats_; }
   bool cache_valid() const { return valid_; }
   std::size_t shard_count() const { return shards_.size(); }
-  /// Last-known estimate for `node` from the scoring basis (0 if unknown).
-  double basis_sec_per_byte(NodeId node) const;
   /// Earliest-finishing node in `shard` per its finish-time heap.
   std::pair<NodeId, double> least_loaded(std::size_t shard = 0);
 

@@ -88,7 +88,7 @@ void MigrationMaster::set_job_active_query(std::function<bool(JobId)> q) {
 
 void MigrationMaster::set_observability(const obs::ObsContext& obs) {
   obs_ = obs;
-  plane_.set_emitter(LifecycleEmitter(obs));
+  plane_.set_observability(obs);
   for (auto& [id, slave] : slaves_) slave->set_obs(obs);
   ctr_enqueued_ = obs.counter("dyrs.migrations.enqueued");
   ctr_bound_ = obs.counter("dyrs.migrations.bound");

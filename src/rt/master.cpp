@@ -43,14 +43,14 @@ RtMaster::RtMaster(Options options)
   // mu_), so their tseqs respect the lifecycle order. The cycle comes from
   // the per-block counter, or from the thread-local override when settling
   // an older cycle's migration.
-  plane_.set_emitter(core::LifecycleEmitter(
+  plane_.set_observability(
       options_.obs, [this](obs::TraceEvent& e, BlockId block, int rank) {
         const std::uint64_t cycle = stamp_cycle_ != 0 ? stamp_cycle_ : cycle_for(block);
         e.with("lseq", rt_lseq(cycle, rank))
             .with("tid", 0)
             .with("tseq", static_cast<std::int64_t>(
                               trace_seq_.fetch_add(1, std::memory_order_relaxed) + 1));
-      }));
+      });
   // Each RtSlave starts its worker in its constructor, and the worker's
   // first pull() reads `slaves_` under mu_ — so registration must hold mu_
   // too, or a pull racing the remaining emplaces reads a rehashing map.
@@ -337,16 +337,16 @@ void RtMaster::monitor_loop(std::stop_token st) {
 
 void RtMaster::retarget_loop(std::stop_token st) {
   // Stop-token-aware sleep: shutdown must not wait out the interval (an
-  // operator can set it to seconds to pin targets between passes).
+  // operator can set it to seconds to pin targets between passes). It comes
+  // before the first pass: every enqueue path runs its own, and a startup
+  // pass landing late would re-target by timing rather than policy.
   std::mutex sleep_mu;
   std::condition_variable_any cv;
-  while (!st.stop_requested()) {
-    {
-      std::lock_guard lock(mu_);
-      retarget_locked();
-    }
-    std::unique_lock lock(sleep_mu);
-    cv.wait_for(lock, st, options_.retarget_interval, [] { return false; });
+  std::unique_lock sleep(sleep_mu);
+  while (!cv.wait_for(sleep, st, options_.retarget_interval,
+                      [&st] { return st.stop_requested(); })) {
+    std::lock_guard lock(mu_);
+    retarget_locked();
   }
 }
 

@@ -1,9 +1,10 @@
 // ControlPlane policy-engine tests: merged-enqueue tracing, avoid-list
-// binding eligibility, and the incremental RetargetIndex (pass
-// classification, reference equivalence, untracked-churn fallback, stale
-// estimate emission, sharded determinism).
+// binding eligibility, the incremental RetargetIndex (pass classification,
+// reference equivalence, untracked-churn fallback, stale estimate
+// emission, sharded determinism) and the bind walk's scan counter.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -31,7 +32,7 @@ std::vector<NodeId> nodes(std::initializer_list<int> ids) {
 struct TracedPlane {
   explicit TracedPlane(ControlPlaneConfig config = {}) : plane(config) {
     tracer.set_sink(&sink);
-    plane.set_emitter(LifecycleEmitter(obs::ObsContext(&registry, &tracer)));
+    plane.set_observability(obs::ObsContext(&registry, &tracer));
   }
 
   ControlPlane::Enqueued add(int job, int block, Bytes size, std::initializer_list<int> replicas,
@@ -384,6 +385,74 @@ TEST(RetargetShard, ShardedPassesAreDeterministic) {
 
   // Every pending entry still got a target (all replicas report).
   for (const auto& [block, target] : targets_of(a.plane)) EXPECT_TRUE(target.valid()) << block;
+}
+
+// ---------------------------------------------------------------------------
+// ctrl.bind.entries_scanned: the bind walk visits entries in consideration
+// order and stops once the free slots are filled, so a pull costs what it
+// hands out, not the length of the queue.
+
+std::int64_t bind_scanned(const obs::MetricsRegistry& registry) {
+  const obs::Counter* c = registry.find_counter("ctrl.bind.entries_scanned");
+  return c == nullptr ? -1 : c->value();
+}
+
+TEST(ControlPlaneBindScan, FilledSlotsStopTheWalkAtAnyQueueLength) {
+  constexpr int kFirst = 4;  // entries at the head targeted at node 0
+  for (const int queued : {16, 100'000}) {
+    SCOPED_TRACE(queued);
+    obs::MetricsRegistry registry;
+    ControlPlane plane;
+    plane.set_observability(obs::ObsContext(&registry, nullptr));
+    for (int b = 0; b < queued; ++b) {
+      plane.enqueue(JobId(1), EvictionMode::Explicit, BlockId(b), mib(1),
+                    nodes({b < kFirst ? 0 : 1}), {}, b);
+    }
+    plane.retarget({snap(0, 1e-6), snap(1, 1e-6)}, queued);
+    ASSERT_EQ(plane.bind_for(NodeId(0), kFirst, 1e-6, queued + 1).size(),
+              static_cast<std::size_t>(kFirst));
+    EXPECT_EQ(bind_scanned(registry), kFirst);
+    // Slots the queue cannot fill send the walk to the end of the list.
+    EXPECT_TRUE(plane.bind_for(NodeId(0), 1, 1e-6, queued + 2).empty());
+    EXPECT_EQ(bind_scanned(registry), kFirst + (queued - kFirst));
+  }
+}
+
+TEST(ControlPlaneBindScan, CallsThatCannotBindScanNothing) {
+  obs::MetricsRegistry registry;
+  ControlPlane plane;
+  plane.set_observability(obs::ObsContext(&registry, nullptr));
+  EXPECT_TRUE(plane.bind_for(NodeId(0), 2, 1e-6, 1).empty());  // empty queue
+  EXPECT_EQ(bind_scanned(registry), 0);
+  plane.enqueue(JobId(1), EvictionMode::Explicit, BlockId(0), mib(1), nodes({0}), {}, 2);
+  plane.retarget({snap(0, 1e-6)}, 3);
+  EXPECT_TRUE(plane.bind_for(NodeId(0), 0, 1e-6, 4).empty());  // no free slot
+  EXPECT_EQ(bind_scanned(registry), 0);
+
+  ControlPlaneConfig eager;
+  eager.binding = Binding::EagerRandom;
+  ControlPlane eager_plane(eager);
+  eager_plane.set_observability(obs::ObsContext(&registry, nullptr));
+  eager_plane.enqueue(JobId(1), EvictionMode::Explicit, BlockId(0), mib(1), nodes({0}), {}, 5);
+  EXPECT_TRUE(eager_plane.bind_for(NodeId(0), 2, 1e-6, 6).empty());
+  EXPECT_EQ(bind_scanned(registry), 0);
+
+  ASSERT_EQ(plane.bind_for(NodeId(0), 2, 1e-6, 7).size(), 1u);
+  EXPECT_EQ(bind_scanned(registry), 1);
+}
+
+TEST(ControlPlaneBindScan, CounterAbsentWithoutRegistry) {
+  obs::MetricsRegistry registry;  // live, but never handed to the plane
+  obs::Tracer tracer;
+  obs::MemorySink sink;
+  tracer.set_sink(&sink);
+  ControlPlane plane;
+  plane.set_observability(obs::ObsContext(nullptr, &tracer));
+  plane.enqueue(JobId(1), EvictionMode::Explicit, BlockId(0), mib(1), nodes({0}), {}, 1);
+  plane.retarget({snap(0, 1e-6)}, 2);
+  EXPECT_EQ(plane.bind_for(NodeId(0), 1, 1e-6, 3).size(), 1u);
+  EXPECT_FALSE(sink.events().empty());
+  EXPECT_EQ(registry.find_counter("ctrl.bind.entries_scanned"), nullptr);
 }
 
 }  // namespace

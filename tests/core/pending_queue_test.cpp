@@ -17,7 +17,10 @@ PendingMigration pm(int block, Bytes size, std::vector<JobId> jobs) {
 
 std::vector<BlockId> order_of(PendingQueue& q, Ordering ordering) {
   std::vector<BlockId> out;
-  for (auto it : q.in_order(ordering)) out.push_back(it->block);
+  q.visit(ordering, [&out](PendingQueue::iterator it) {
+    out.push_back(it->block);
+    return true;
+  });
   return out;
 }
 

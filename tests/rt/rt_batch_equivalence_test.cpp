@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -92,13 +91,6 @@ Outcome run(const Schedule& s, RtMaster::Options::ExchangeConfig exchange) {
   options.exchange = exchange;
   options.obs = obs::ObsContext(&registry, &tracer);
   RtMaster master(std::move(options));
-
-  // Let the retargeter thread run its startup pass (a no-op on the empty
-  // queue) before the workload lands; a pass racing in *after* migrate()
-  // re-snapshots loads mid-drain and would re-target pending blocks by
-  // timing, not policy. The 1-4ms reads make even a pathologically late
-  // pass idempotent: it would re-run before any completion moves a load.
-  std::this_thread::sleep_for(10ms);
   master.migrate(s.blocks);
   EXPECT_TRUE(master.wait_idle(30s));
 

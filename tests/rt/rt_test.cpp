@@ -90,6 +90,24 @@ TEST(RtMaster, DrainsAllMigrations) {
             12u);
 }
 
+// The retargeter sleeps one interval before its first pass. migrate() runs
+// its own pass, so with a 60 s interval the drain sees exactly one; a pass
+// at thread start would otherwise race the first migrate() and, when the
+// thread started late, re-target its work by timing rather than policy.
+TEST(RtMaster, RetargeterFirstPassWaitsOneInterval) {
+  obs::MetricsRegistry registry;
+  RtMaster::Options options;
+  options.slaves = {slave_opts(0, mib_per_sec(400)), slave_opts(1, mib_per_sec(400))};
+  options.retarget_interval = 60s;
+  options.obs = obs::ObsContext(&registry, nullptr);
+  RtMaster master(std::move(options));
+  master.migrate(blocks_on_all(8, 2));
+  ASSERT_TRUE(master.wait_idle(10s));
+  EXPECT_EQ(registry.find_counter("rt.retarget.passes")->value(), 1);
+  // The control plane's bind walk reports through the master's registry.
+  EXPECT_GE(registry.find_counter("ctrl.bind.entries_scanned")->value(), 8);
+}
+
 TEST(RtMaster, LoadFollowsBandwidth) {
   // Node 0 is 8x faster; it should complete the bulk of the migrations.
   RtMaster master({.slaves = {slave_opts(0, mib_per_sec(400)), slave_opts(1, mib_per_sec(50))},
