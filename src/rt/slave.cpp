@@ -1,6 +1,8 @@
 #include "rt/slave.h"
 
+#include <algorithm>
 #include <chrono>
+#include <optional>
 #include <utility>
 
 #include "common/check.h"
@@ -93,36 +95,22 @@ bool RtSlave::cancel(BlockId block) {
   bool found = false;
   {
     std::lock_guard lock(mu_);
-    if (active_block_ == block) {
-      active_cancelled_.store(true, std::memory_order_relaxed);
-      // Mark the batch member too (no-op on the per-block cadence) so the
-      // post-drain flush skips it even if the read's final slice races.
-      for (std::size_t i = 0; i < batch_blocks_.size(); ++i) {
-        if (batch_blocks_[i] == block && batch_state_[i] == kBatchActive) {
-          batch_state_[i] = kBatchCancelled;
-        }
-      }
+    // A batch member is cancellable until the flush settles it: queued (the
+    // read skips it), reading (the read stops within a slice), in its retry
+    // backoff (the wait wakes), or read but not flushed yet (the master has
+    // not been told it is resident, so the flush drops it unreported).
+    for (std::size_t i = 0; i < batch_.size() && !found; ++i) {
+      if (batch_[i].m.block != block || batch_state_[i] == kBatchCancelled) continue;
+      if (batch_state_[i] == kBatchActive) active_cancelled_.store(true, std::memory_order_relaxed);
+      batch_state_[i] = kBatchCancelled;
       found = true;
-    } else {
-      // A batch member that has not consumed its first token yet can still
-      // be cancelled individually; one that already finished its read
-      // (kBatchDone, completion pending flush) cannot — reporting it
-      // cancelled *and* completed would settle it twice at the master.
-      for (std::size_t i = 0; i < batch_blocks_.size(); ++i) {
-        if (batch_blocks_[i] == block && batch_state_[i] == kBatchQueued) {
-          batch_state_[i] = kBatchCancelled;
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-          if (it->m.block == block) {
-            queue_.erase(it);
-            found = true;
-            break;
-          }
-        }
+    }
+    if (!found) {
+      const auto it = std::find_if(queue_.begin(), queue_.end(),
+                                   [block](const RtMigration& m) { return m.m.block == block; });
+      if (it != queue_.end()) {
+        queue_.erase(it);
+        found = true;
       }
     }
   }
@@ -159,12 +147,9 @@ void RtSlave::crash() {
   {
     std::lock_guard lock(mu_);
     if (crashed_) return;
+    // The worker checks `crashed_` under mu_ before it pulls, at its flush
+    // and in a retry backoff, and its read polls the stop request.
     crashed_ = true;
-    // Interrupt the active read under the same lock that guards the
-    // worker's pop (which resets the flag): either the worker already
-    // popped — the store lands after its reset and cancels the read — or
-    // it has not, and it will see `crashed_` before starting anything.
-    active_cancelled_.store(true, std::memory_order_relaxed);
   }
   worker_.request_stop();
   cv_.notify_all();
@@ -176,10 +161,8 @@ void RtSlave::crash() {
   queue_.clear();
   buffers_.clear_all();
   data_.clear();
-  batch_blocks_.clear();
+  batch_.clear();
   batch_state_.clear();
-  in_flight_bytes_ = 0;
-  active_block_ = BlockId::invalid();
 }
 
 void RtSlave::restart() {
@@ -195,7 +178,6 @@ void RtSlave::restart() {
                                            .overdue_correction = true});
     poked_ = false;
   }
-  active_cancelled_.store(false, std::memory_order_relaxed);
   beat();
   worker_ = std::jthread([this](std::stop_token st) { worker_loop(st); });
 }
@@ -232,7 +214,7 @@ void RtSlave::process_demotions(const std::vector<core::BufferManager::Demotion>
   for (const auto& d : demoted) {
     if (d.to == Tier::Ssd) {
       // Pace the spill onto the flash device; beats keep the node alive.
-      ssd_.read(d.size, nullptr, [this] { beat(); });
+      ssd_.read({d.size}, nullptr, [this] { beat(); });
     }
     // Demote events merge under the victim's own lifecycle (its admission
     // cycle): kRankDemote sorts strictly after that cycle's terminal event.
@@ -243,7 +225,10 @@ void RtSlave::process_demotions(const std::vector<core::BufferManager::Demotion>
 
 void RtSlave::drop_job(JobId job) {
   std::lock_guard lock(mu_);
+  // In-flight members too: the worker reads their jobs only under mu_, at
+  // the flush, so a member left with no job settles unbuffered.
   for (auto& m : queue_) m.m.jobs.erase(job);
+  for (auto& m : batch_) m.m.jobs.erase(job);
   // Implicit eviction: buffers nobody references anymore are freed.
   for (BlockId block : buffers_.release_job(job)) data_.erase(block);
 }
@@ -255,7 +240,8 @@ double RtSlave::sec_per_byte() const {
 
 Bytes RtSlave::bound_bytes() const {
   std::lock_guard lock(mu_);
-  Bytes total = in_flight_bytes_;
+  Bytes total = 0;
+  for (const auto& m : batch_) total += m.m.size;
   for (const auto& m : queue_) total += m.m.size;
   return total;
 }
@@ -308,8 +294,6 @@ long RtSlave::permanent_failures() const {
 void RtSlave::worker_loop(std::stop_token st) {
   while (!st.stop_requested()) {
     beat();
-    RtMigration next{};
-    std::vector<RtMigration> batch;
     {
       std::unique_lock lock(mu_);
       if (crashed_) return;
@@ -336,259 +320,150 @@ void RtSlave::worker_loop(std::stop_token st) {
                      [&] { return poked_ || st.stop_requested(); });
         continue;
       }
-      if (options_.drain_batch > 1) {
-        // Throughput cadence: drain up to a batch and read it as one
-        // token-bucket submission. Members stay individually cancellable
-        // through batch_blocks_/batch_state_.
-        const auto take = std::min<std::size_t>(
-            static_cast<std::size_t>(options_.drain_batch), queue_.size());
-        batch.reserve(take);
-        Bytes total = 0;
-        for (std::size_t i = 0; i < take; ++i) {
-          batch.push_back(std::move(queue_.front()));
-          queue_.pop_front();
-          batch_blocks_.push_back(batch.back().m.block);
-          batch_state_.push_back(kBatchQueued);
-          total += batch.back().m.size;
-        }
-        in_flight_bytes_ = total;
-        active_block_ = BlockId::invalid();
-        active_cancelled_.store(false, std::memory_order_relaxed);
-      } else {
-        next = std::move(queue_.front());
+      const auto take = std::min<std::size_t>(
+          static_cast<std::size_t>(std::max(1, options_.drain_batch)), queue_.size());
+      for (std::size_t i = 0; i < take; ++i) {
+        batch_.push_back(std::move(queue_.front()));
         queue_.pop_front();
-        in_flight_bytes_ = next.m.size;
-        active_block_ = next.m.block;
-        active_cancelled_.store(false, std::memory_order_relaxed);
+        batch_state_.push_back(kBatchQueued);
       }
     }
-    if (!batch.empty()) {
-      drain_batch_run(std::move(batch), st);
-    } else {
-      run_migration(std::move(next), st);
-    }
+    drain_batch_run(st);
   }
 }
 
-void RtSlave::run_migration(RtMigration next, const std::stop_token& st) {
-  emit_cycle_ = next.cycle;
-  const BlockId block = next.m.block;
-  const Bytes size = next.m.size;
-  while (true) {
-    emitter_.transfer_start(now_us(), block, options_.node, size, next.m.attempts + 1);
-
-    const auto started = std::chrono::steady_clock::now();
-    // Beat every disk slice: a long read must not look like a dead node.
-    const bool finished = disk_.read(size, &active_cancelled_, [this] { beat(); });
-    const double duration_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
-
-    bool failed = false;
-    std::vector<core::BufferManager::Demotion> demoted;
-    {
-      std::lock_guard lock(mu_);
-      // The cancelled flag is re-checked even after a finished read: a
-      // cancel that lands between the read completing and this lock being
-      // reacquired has already returned true to the caller — the master
-      // settled the migration as cancelled — so reporting a completion too
-      // would settle it twice (and drive `outstanding_` negative).
-      if (!finished || active_cancelled_.load(std::memory_order_relaxed)) {
-        in_flight_bytes_ = 0;
-        active_block_ = BlockId::invalid();
-        return;  // missed read: learn nothing from it
-      }
-      if (read_fault_hook_ && read_fault_hook_(block)) {
-        failed = true;  // time was spent but no usable data arrived
-      } else {
-        estimator_.on_complete(size, duration_s);
-        if (!next.m.jobs.empty()) admit_settled_locked(next, demoted);
-        ++completed_;
-        in_flight_bytes_ = 0;
-        active_block_ = BlockId::invalid();
-      }
-    }
-    if (!demoted.empty()) {
-      process_demotions(demoted);
-      emit_cycle_ = next.cycle;
-    }
-
-    if (!failed) {
-      RtMigrationDone done;
-      done.block = block;
-      done.node = options_.node;
-      done.size = size;
-      done.duration_s = duration_s;
-      done.cycle = next.cycle;
-      done.jobs = next.m.jobs;
-      if (on_complete_) {
-        std::vector<RtMigrationDone> report;
-        report.push_back(std::move(done));
-        on_complete_(std::move(report));
-      }
-      return;
-    }
-
-    ++next.m.attempts;
-    if (options_.retry.exhausted(next.m.attempts)) {
-      {
-        std::lock_guard lock(mu_);
-        ++permanent_failures_;
-        in_flight_bytes_ = 0;
-        active_block_ = BlockId::invalid();
-      }
-      emitter_.transfer_failed(now_us(), block, options_.node, next.m.attempts);
-      if (on_failed_) on_failed_(options_.node, std::move(next));
-      return;
-    }
-
-    // Capped exponential backoff on the worker thread, interruptible by
-    // cancel (the migration then settles as cancelled) and by stop. The
-    // block stays "active" so cancel() finds it mid-backoff.
-    const SimDuration delay = options_.retry.backoff_for(next.m.attempts);
-    {
-      std::lock_guard lock(mu_);
-      ++retries_;
-    }
-    emitter_.transfer_retry(now_us(), block, options_.node, next.m.attempts, delay);
-    {
-      std::unique_lock lock(mu_);
-      cv_.wait_for(lock, std::chrono::microseconds(delay), [&] {
-        return st.stop_requested() || active_cancelled_.load(std::memory_order_relaxed);
-      });
-      if (st.stop_requested() || active_cancelled_.load(std::memory_order_relaxed)) {
-        in_flight_bytes_ = 0;
-        active_block_ = BlockId::invalid();
-        return;
-      }
-    }
+void RtSlave::drain_batch_run(const std::stop_token& st) {
+  // The first read takes the whole batch; each faulted member then retries
+  // alone, as a batch of one, after its backoff.
+  std::size_t n = batch_.size();
+  while (n > 0 && read_and_flush(n, st)) {
+    n = 0;
+    while (n == 0 && !batch_.empty() && !st.stop_requested()) n = await_retry(st) ? 1 : 0;
   }
+  std::lock_guard lock(mu_);
+  batch_.clear();
+  batch_state_.clear();
 }
 
-void RtSlave::drain_batch_run(std::vector<RtMigration> batch, const std::stop_token& st) {
-  const std::size_t n = batch.size();
+bool RtSlave::read_and_flush(std::size_t n, const std::stop_token& st) {
   std::vector<Bytes> sizes(n);
-  for (std::size_t i = 0; i < n; ++i) sizes[i] = batch[i].m.size;
-  std::vector<double> durations(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) sizes[i] = batch_[i].m.size;
+  std::vector<double> service_s(n, 0.0);
 
-  disk_.read_batch(
+  disk_.read(
       sizes, /*aborted=*/[&st] { return st.stop_requested(); },
-      // Beat every disk slice: a long batch must not look like a dead node.
+      // Beat every disk slice: a long read must not look like a dead node.
       /*on_slice=*/[this] { beat(); },
       /*on_start=*/
-      [&](std::size_t i) {
+      [this](std::size_t i) {
         {
           std::lock_guard lock(mu_);
           if (batch_state_[i] == kBatchCancelled) return false;
           batch_state_[i] = kBatchActive;
-          active_block_ = batch[i].m.block;
           active_cancelled_.store(false, std::memory_order_relaxed);
         }
-        emit_cycle_ = batch[i].cycle;
-        emitter_.transfer_start(now_us(), batch[i].m.block, options_.node, batch[i].m.size,
-                                batch[i].m.attempts + 1);
+        const RtMigration& m = batch_[i];
+        emit_cycle_ = m.cycle;
+        emitter_.transfer_start(now_us(), m.m.block, options_.node, m.m.size, m.m.attempts + 1);
         return true;
       },
       /*item_cancelled=*/
       [this] { return active_cancelled_.load(std::memory_order_relaxed); },
       /*on_done=*/
-      [&](std::size_t i, double service_s) {
+      [&](std::size_t i, double s) {
         std::lock_guard lock(mu_);
-        // Same double-settle protection as the per-block path: a cancel
-        // that raced the final slice already returned true to the caller,
-        // so the member must settle as cancelled, not completed.
-        if (active_cancelled_.load(std::memory_order_relaxed) ||
-            batch_state_[i] == kBatchCancelled) {
-          batch_state_[i] = kBatchCancelled;
-        } else {
-          batch_state_[i] = kBatchDone;
-          durations[i] = service_s;
-        }
-        active_block_ = BlockId::invalid();
+        // A cancel that raced the final slice already returned true to the
+        // caller, so the member must settle as cancelled, not completed.
+        if (batch_state_[i] == kBatchCancelled) return;
+        batch_state_[i] = kBatchDone;
+        service_s[i] = s;
       });
 
   std::vector<RtMigrationDone> dones;
-  std::vector<RtMigration> faulted;
   std::vector<core::BufferManager::Demotion> demoted;
   {
     std::lock_guard lock(mu_);
-    if (crashed_) return;  // crash() already cleared the batch bookkeeping
-    for (std::size_t i = 0; i < n; ++i) {
-      if (batch_state_[i] != kBatchDone) continue;  // cancelled or abandoned
-      const BlockId block = batch[i].m.block;
-      if (read_fault_hook_ && read_fault_hook_(block)) {
-        faulted.push_back(std::move(batch[i]));
-        continue;
+    if (crashed_) return false;  // crash() clears the batch after joining us
+    // Members [0, n) settle here; a faulted one stays for its retry, as do
+    // the faulted members still waiting behind a retry (those past n).
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < batch_.size(); ++i) {
+      RtMigration& m = batch_[i];
+      bool keep = i >= n && batch_state_[i] != kBatchCancelled;
+      if (i < n && batch_state_[i] == kBatchDone) {
+        if (read_fault_hook_ && read_fault_hook_(m.m.block)) {
+          keep = true;  // time was spent but no usable data arrived
+        } else {
+          // Token time, not wall time: the estimator learns the disk's
+          // rate, not how the host scheduled this thread.
+          estimator_.on_complete(m.m.size, service_s[i]);
+          if (!m.m.jobs.empty()) admit_settled_locked(m, demoted);
+          ++completed_;
+          dones.push_back({.block = m.m.block,
+                           .node = options_.node,
+                           .size = m.m.size,
+                           .duration_s = service_s[i],
+                           .cycle = m.cycle,
+                           .jobs = m.m.jobs});
+        }
       }
-      estimator_.on_complete(batch[i].m.size, durations[i]);
-      if (!batch[i].m.jobs.empty()) admit_settled_locked(batch[i], demoted);
-      ++completed_;
-      RtMigrationDone done;
-      done.block = block;
-      done.node = options_.node;
-      done.size = batch[i].m.size;
-      done.duration_s = durations[i];
-      done.cycle = batch[i].cycle;
-      done.jobs = batch[i].m.jobs;
-      dones.push_back(std::move(done));
+      if (!keep) continue;
+      if (kept != i) batch_[kept] = std::move(m);
+      batch_state_[kept++] = kBatchQueued;
     }
-    batch_blocks_.clear();
-    batch_state_.clear();
-    in_flight_bytes_ = 0;
-    active_block_ = BlockId::invalid();
+    batch_.resize(kept);
+    batch_state_.resize(kept);
   }
 
   // Spill pacing and demote events happen outside mu_, before the cycle's
   // coalesced report (mirroring the sim slave, which demotes at admission
   // time, ahead of the new block's completion record).
   if (!demoted.empty()) process_demotions(demoted);
-
-  // One coalesced report for the whole drain cycle.
   if (!dones.empty() && on_complete_) on_complete_(std::move(dones));
+  return true;
+}
 
-  // Members that surfaced a transient fault leave the batch and retry on
-  // the classic per-block path, reproducing the reference event sequence
-  // (transfer_retry, backoff, fresh transfer_start) exactly. They retry
-  // sequentially, so — as on the per-block cadence — at most one migration
-  // is in the transfer phase and findable by cancel() at a time.
-  for (RtMigration& f : faulted) {
-    if (st.stop_requested()) return;
-    ++f.m.attempts;
-    if (options_.retry.exhausted(f.m.attempts)) {
-      {
-        std::lock_guard lock(mu_);
-        if (crashed_) return;
-        ++permanent_failures_;
-      }
-      emit_cycle_ = f.cycle;
-      emitter_.transfer_failed(now_us(), f.m.block, options_.node, f.m.attempts);
-      if (on_failed_) on_failed_(options_.node, std::move(f));
-      continue;
+bool RtSlave::await_retry(const std::stop_token& st) {
+  RtMigration& f = batch_.front();
+  const auto drop_front = [this] {
+    batch_.erase(batch_.begin());
+    batch_state_.erase(batch_state_.begin());
+  };
+  std::optional<RtMigration> failed;
+  {
+    std::lock_guard lock(mu_);
+    if (batch_state_.front() == kBatchCancelled) {
+      drop_front();
+      return false;
     }
-    const SimDuration delay = options_.retry.backoff_for(f.m.attempts);
-    {
-      std::lock_guard lock(mu_);
-      if (crashed_) return;
+    if (options_.retry.exhausted(++f.m.attempts)) {
+      ++permanent_failures_;
+      failed = std::move(f);
+      drop_front();
+    } else {
       ++retries_;
-      in_flight_bytes_ = f.m.size;
-      active_block_ = f.m.block;
-      active_cancelled_.store(false, std::memory_order_relaxed);
     }
-    emit_cycle_ = f.cycle;
-    emitter_.transfer_retry(now_us(), f.m.block, options_.node, f.m.attempts, delay);
-    bool settled = false;
-    {
-      std::unique_lock lock(mu_);
-      cv_.wait_for(lock, std::chrono::microseconds(delay), [&] {
-        return st.stop_requested() || active_cancelled_.load(std::memory_order_relaxed);
-      });
-      if (st.stop_requested() || active_cancelled_.load(std::memory_order_relaxed)) {
-        in_flight_bytes_ = 0;
-        active_block_ = BlockId::invalid();
-        settled = true;  // cancelled/stopped mid-backoff
-      }
-    }
-    if (!settled) run_migration(std::move(f), st);
   }
+  if (failed) {
+    emit_cycle_ = failed->cycle;
+    emitter_.transfer_failed(now_us(), failed->m.block, options_.node, failed->m.attempts);
+    if (on_failed_) on_failed_(options_.node, std::move(*failed));
+    return false;
+  }
+
+  // Capped exponential backoff on the worker thread, interruptible by
+  // cancel (the migration then settles as cancelled), crash and stop.
+  const SimDuration delay = options_.retry.backoff_for(f.m.attempts);
+  emit_cycle_ = f.cycle;
+  emitter_.transfer_retry(now_us(), f.m.block, options_.node, f.m.attempts, delay);
+  std::unique_lock lock(mu_);
+  const auto settled = [&] {
+    return st.stop_requested() || crashed_ || batch_state_.front() == kBatchCancelled;
+  };
+  cv_.wait_for(lock, std::chrono::microseconds(delay), settled);
+  if (!settled()) return true;
+  drop_front();
+  return false;
 }
 
 }  // namespace dyrs::rt

@@ -2,8 +2,8 @@
 //
 // One worker thread per slave serializes migrations exactly like the
 // simulated slave: pop the local FIFO queue, read the block from the
-// throttled disk into a freshly allocated pinned buffer, record the
-// duration in the shared MigrationEstimator, report completion. The local
+// throttled disk into a freshly allocated pinned buffer, record its token
+// service time in the shared MigrationEstimator, report completion. The local
 // queue is bounded; the master refills it through pull requests issued by
 // the worker when the queue runs low — the late-binding protocol of
 // §III-A1 with real threads and condition variables.
@@ -21,14 +21,15 @@
 // tier decisions. Memory -> ssd spills are paced on a second ThrottledDisk
 // (the flash device); ssd -> disk demotions drop the buffer entirely.
 //
-// With `drain_batch > 1` the worker switches to a throughput cadence: it
-// drains up to a batch of queued migrations per cycle, submits their reads
-// to the token bucket together (ThrottledDisk::read_batch — sleeps
-// amortized across the batch, completions as tokens arrive), and reports
-// one coalesced `on_complete` vector per cycle instead of one callback per
-// block. Cancellation, injected faults and crashes act on individual batch
-// members; per-block trace emission is unchanged, so merged span sequences
-// are identical to the per-block cadence.
+// There is one data path. Each worker cycle drains max(1, drain_batch)
+// queued migrations, reads them in one ThrottledDisk::read call (sleeps
+// shared across the batch; the call never returns before the token time of
+// what it served), and flushes one coalesced `on_complete` report.
+// drain_batch = 1, the default, is one read and one report per block; a
+// larger batch runs the same engine. A member stays cancellable until the
+// flush settles it, even after its read finished; a faulted member retries
+// alone after its backoff. Per-block trace emission does not depend on the
+// batch size, so merged span sequences are identical at every batch size.
 //
 // The slave also exposes the rt failure surface: the worker publishes a
 // wall-clock heartbeat every loop iteration and every disk slice;
@@ -106,10 +107,9 @@ class RtSlave {
     /// Shared depth policy, forwarded by RtMaster from its
     /// ControlPlaneConfig when `queue_capacity` is 0.
     core::QueueDepthPolicy queue_depth;
-    /// Migrations drained (and read) per worker cycle. <= 1 keeps the
-    /// per-block reference cadence; larger values batch the reads behind
-    /// the token bucket and coalesce their completion reports. Forwarded
-    /// by RtMaster from its ExchangeConfig. A derived queue capacity
+    /// Migrations drained per worker cycle (at least 1): their reads go to
+    /// the token bucket in one call and their completions in one report.
+    /// Forwarded by RtMaster from its ExchangeConfig. A derived queue capacity
     /// (`queue_capacity == 0`) widens to hold two batches so the disk
     /// never idles between batched pulls.
     int drain_batch = 1;
@@ -132,8 +132,7 @@ class RtSlave {
 
   /// `on_complete` and `on_failed` run on the slave's worker thread.
   /// `on_complete` receives every settlement the current drain cycle
-  /// produced — a single-element vector on the per-block cadence
-  /// (`drain_batch <= 1`), up to `drain_batch` elements when batching.
+  /// produced: up to `drain_batch` elements, one per block at the default.
   /// `pull` is invoked (also on the worker thread) whenever there is queue
   /// space; it should return the migrations the master binds to this slave.
   /// `on_failed` reports a migration that exhausted the retry budget.
@@ -158,8 +157,10 @@ class RtSlave {
   void poke();
 
   /// Cancels a local migration of `block` (missed read): removes it from
-  /// the queue, or interrupts it mid-read or mid-backoff if it is the
-  /// active one. Returns true if anything was cancelled. Thread-safe.
+  /// the queue, or cancels it in the batch being drained — before, during
+  /// or after its read, or in its retry backoff — until the flush settles
+  /// it; a cancelled member is not reported, buffered or learned from.
+  /// Returns true if anything was cancelled. Thread-safe.
   bool cancel(BlockId block);
 
   /// Read-fault hook (the FaultSurface; tests and RtFaultInjector):
@@ -195,9 +196,10 @@ class RtSlave {
   /// False between crash() and restart().
   bool running() const;
 
-  /// Drops `job`'s references: from queued migrations (they still run for
-  /// the remaining jobs, or unreferenced if none remain) and from buffered
-  /// blocks, freeing buffers nobody references anymore. Thread-safe.
+  /// Drops `job`'s references: from queued and in-flight migrations (they
+  /// still settle for the remaining jobs, or unbuffered if none remain) and
+  /// from buffered blocks, freeing buffers nobody references anymore.
+  /// Thread-safe.
   void drop_job(JobId job);
 
   /// Buffered blocks migrated so far (copies real bytes into real memory).
@@ -225,24 +227,29 @@ class RtSlave {
   /// 0 — resolved before the worker starts, so no synchronization needed.
   static Options resolve(Options options);
 
-  /// Per-member state of the batch currently being read, guarded by mu_ so
+  /// Per-member state of the batch being drained, guarded by mu_ so
   /// cancel() can act on individual members mid-batch.
   enum BatchState : std::uint8_t {
-    kBatchQueued = 0,     // waiting for its first token
+    kBatchQueued = 0,     // waiting for its read (a faulted one: its retry)
     kBatchActive = 1,     // consuming tokens now
     kBatchDone = 2,       // read finished; completion pending flush
-    kBatchCancelled = 3,  // cancelled before or during its read
+    kBatchCancelled = 3,  // cancelled; the flush drops it
   };
 
   void worker_loop(std::stop_token st);
-  /// Runs one migration to settlement: read, retry-with-backoff loop,
-  /// completion/failure/cancel. Returns on the worker thread.
-  void run_migration(RtMigration next, const std::stop_token& st);
-  /// Batched cadence: submits the whole drain cycle's reads to the token
-  /// bucket together, then flushes one coalesced completion report.
-  /// Members that surface transient read faults fall back to the classic
-  /// per-block retry path after the flush.
-  void drain_batch_run(std::vector<RtMigration> batch, const std::stop_token& st);
+  /// Settles batch_: reads every member in one call, then retries the
+  /// faulted ones one at a time, each as a batch of one after its backoff.
+  void drain_batch_run(const std::stop_token& st);
+  /// Reads batch_[0, n) in one ThrottledDisk::read call and settles them
+  /// under mu_: completions are admitted and reported in one on_complete;
+  /// a faulted member stays in batch_ for its retry. Returns false when the
+  /// slave crashed meanwhile (nothing is reported).
+  bool read_and_flush(std::size_t n, const std::stop_token& st);
+  /// Counts a retry attempt for batch_'s front member (a faulted read):
+  /// fails it over to the master once the budget is spent, otherwise sleeps
+  /// out its backoff. True when it should be read again; false once it left
+  /// batch_ (failed, cancelled, or the worker is stopping).
+  bool await_retry(const std::stop_token& st);
   /// Admits a settled migration into the buffer manager (or folds new refs
   /// into an already-buffered block), appending any demotions it forced to
   /// `demoted`. Caller holds mu_ and processes `demoted` after releasing it.
@@ -276,12 +283,15 @@ class RtSlave {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::deque<RtMigration> queue_;
-  Bytes in_flight_bytes_ = 0;
-  BlockId active_block_ = BlockId::invalid();
-  /// Blocks and per-member state of the batch being read (empty outside a
-  /// drain cycle); parallel vectors, under mu_.
-  std::vector<BlockId> batch_blocks_;
+  /// The batch being drained and each member's BatchState: parallel
+  /// vectors under mu_, empty outside a drain cycle. Only the worker
+  /// resizes them or writes a member's block, size, cycle or attempts, so
+  /// it reads those without the lock; drop_job() edits members' jobs, which
+  /// the worker reads only under mu_.
+  std::vector<RtMigration> batch_;
   std::vector<std::uint8_t> batch_state_;
+  /// Set by cancel() when it cancels the member being read; polled every
+  /// slice so the read stops without taking mu_.
   std::atomic<bool> active_cancelled_{false};
   core::MigrationEstimator estimator_;
   /// Capacity accounting for the buffered tiers (mutated under mu_ through

@@ -1,9 +1,11 @@
 // Token-bucket throttled "disk" for the real-time runtime.
 //
 // The real-time runtime (rt::) runs the DYRS master/slave protocol with
-// actual threads instead of simulated time. Reads block the calling thread
-// for bytes/rate wall-clock time, like a synchronous pread from a device
-// with the given bandwidth. The rate can be changed at any time
+// actual threads instead of simulated time. A read blocks the calling
+// thread for its token time, bytes/rate, like a synchronous pread from a
+// device with the given bandwidth. One call may carry several items served
+// FIFO (the slave's drain batch), and it never returns before the token time
+// of what it served has passed. The rate can be changed at any time
 // (interference), affecting reads in progress proportionally: a read
 // re-checks the rate in small slices, so a slowdown mid-read lengthens the
 // remainder, which is exactly the behaviour the overdue-estimate correction
@@ -14,10 +16,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <thread>
 #include <vector>
+
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
 
 #include "common/check.h"
 #include "common/units.h"
@@ -54,110 +59,78 @@ class ThrottledDisk {
   double degradation() const { return degradation_.load(std::memory_order_relaxed); }
   Rate nominal_bandwidth() const { return nominal_.load(std::memory_order_relaxed); }
 
-  /// Blocks the caller for bytes/bandwidth seconds, sliced so mid-read
-  /// bandwidth changes and cancellation take effect promptly. `on_slice`
-  /// (when set) runs once per slice — the rt slave publishes its heartbeat
-  /// there, so a long read does not read as a silent node.
-  /// Returns false if `cancelled` became true before the read finished.
-  bool read(Bytes bytes, const std::atomic<bool>* cancelled = nullptr,
-            const std::function<void()>& on_slice = nullptr) {
-    DYRS_CHECK(bytes > 0);
-    double remaining = static_cast<double>(bytes);
-    while (remaining > 0) {
-      if (cancelled && cancelled->load(std::memory_order_relaxed)) return false;
-      if (on_slice) on_slice();
-      const double rate = bandwidth_.load(std::memory_order_relaxed);
-      // Slice: at most 1ms of work per sleep so rate changes bite quickly.
-      const double slice_bytes = std::min(remaining, rate / 1000.0);
-      const auto slice_us =
-          std::chrono::microseconds(static_cast<std::int64_t>(slice_bytes / rate * 1e6) + 1);
-      std::this_thread::sleep_for(slice_us);
-      remaining -= slice_bytes;
-    }
-    return true;
-  }
-
-  /// Async-style batched read: serves `items` FIFO from the same token
-  /// bucket, but amortizes the pacing sleep over the whole batch. `read()`
-  /// sleeps once per slice (~1ms of work), and on Linux each sleep_for
-  /// costs ~50-100us of timer overshoot — for sub-millisecond blocks that
-  /// overhead dominates the token time. Here the bucket tracks how far its
-  /// served virtual time runs ahead of the wall clock and only sleeps once
-  /// it is at least one slice ahead, so a drain cycle of many small reads
-  /// pays a handful of sleeps instead of one per block, while the batch as
-  /// a whole still completes in exactly sum(bytes)/bandwidth wall time
-  /// (the residual lead is slept out before returning).
+  /// Paced read of `items`, served FIFO from one token bucket: item i
+  /// costs items[i] / bandwidth seconds of token time, charged in slices of
+  /// at most 1 ms of work so a bandwidth change or a cancellation bites
+  /// within a slice. This is the disk's only read path: the rt slave's
+  /// drain cycle passes its whole batch, the flash spill a single item.
   ///
-  ///  * `aborted()` is polled per slice; true abandons the whole batch
-  ///    (slave crash / stop) and returns immediately.
-  ///  * `on_slice` runs once per slice, like read() — heartbeats.
+  /// Contract: a call never returns before its start time plus the summed
+  /// token time of the slices it consumed, so a caller that reports what it
+  /// served after the call returns never reports a block early. Inside a
+  /// call the bucket sleeps only once it is at least one slice ahead of the
+  /// wall clock, so many small items share a sleep; whatever lead is left is
+  /// slept out at return with `sleep_until` on the deadline itself. No lead
+  /// carries into the next call.
+  ///
+  /// Short waits are honoured: the first call on a thread sets that
+  /// thread's timer slack to 1 ns (Linux). Under the default 50 us slack
+  /// the 2 us wait of a 4 KiB block at 2 GiB/s takes ~57 us, at 1 ns ~5.5 us
+  /// (p50 of 2,000 sleeps, 4-vCPU Xeon KVM guest). It sleeps rather than
+  /// spins: when every thread shares one CPU, as in perfbench's rt_backlog,
+  /// a spinning reader would starve the master it waits on.
+  ///
+  ///  * `aborted()` is polled per slice; true (slave crash / stop) ends the
+  ///    call: no further item starts.
+  ///  * `on_slice` runs once per slice (the rt slave's heartbeat).
   ///  * `on_start(i)` fires before item i consumes its first token;
   ///    returning false skips the item (cancelled while batched).
   ///  * `item_cancelled()` is polled per slice and drops the remainder of
-  ///    the *current* item only; its on_done never fires and the batch
+  ///    the *current* item only; its on_done never fires and the call
   ///    moves on.
   ///  * `on_done(i, service_s)` fires when item i is fully served.
-  ///    `service_s` is the item's token-bucket service time — the duration
-  ///    a bandwidth estimator should learn. (Wall time would undercount
-  ///    items that complete inside an un-slept lead window.)
+  ///    `service_s` is its token time — the duration a bandwidth estimator
+  ///    should learn. (Wall time would count host scheduling and undercount
+  ///    items served inside an un-slept lead.)
   ///
   /// Returns the number of items fully served.
-  std::size_t read_batch(const std::vector<Bytes>& items,
-                         const std::function<bool()>& aborted = nullptr,
-                         const std::function<void()>& on_slice = nullptr,
-                         const std::function<bool(std::size_t)>& on_start = nullptr,
-                         const std::function<bool()>& item_cancelled = nullptr,
-                         const std::function<void(std::size_t, double)>& on_done = nullptr) {
+  std::size_t read(const std::vector<Bytes>& items,
+                   const std::function<bool()>& aborted = nullptr,
+                   const std::function<void()>& on_slice = nullptr,
+                   const std::function<bool(std::size_t)>& on_start = nullptr,
+                   const std::function<bool()>& item_cancelled = nullptr,
+                   const std::function<void(std::size_t, double)>& on_done = nullptr) {
     using clock = std::chrono::steady_clock;
+    honour_short_waits();
     const auto t0 = clock::now();
-    double virtual_us = 0;  // token time served across the batch so far
-    std::size_t served = 0;
-
-    const auto lead_us = [&] {
-      const double elapsed =
-          std::chrono::duration<double, std::micro>(clock::now() - t0).count();
-      return virtual_us - elapsed;
+    double token_us = 0;  // token time consumed by this call so far
+    const auto deadline = [&] {
+      return t0 + std::chrono::ceil<clock::duration>(
+                      std::chrono::duration<double, std::micro>(token_us));
     };
-
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      if (aborted && aborted()) return served;
+    std::size_t served = 0;
+    for (std::size_t i = 0; i < items.size() && !(aborted && aborted()); ++i) {
       if (on_start && !on_start(i)) continue;
       DYRS_CHECK(items[i] > 0);
       double remaining = static_cast<double>(items[i]);
       double item_us = 0;
-      bool dropped = false;
       while (remaining > 0) {
-        if (aborted && aborted()) return served;
-        if (item_cancelled && item_cancelled()) {
-          dropped = true;
-          break;
-        }
+        if ((aborted && aborted()) || (item_cancelled && item_cancelled())) break;
         if (on_slice) on_slice();
         const double rate = bandwidth_.load(std::memory_order_relaxed);
-        // Same 1ms-of-work slicing as read(), so bandwidth changes and
-        // cancellation bite with the same latency.
         const double slice_bytes = std::min(remaining, rate / 1000.0);
         const double slice_us = slice_bytes / rate * 1e6;
-        virtual_us += slice_us;
+        token_us += slice_us;
         item_us += slice_us;
         remaining -= slice_bytes;
-        const double lead = lead_us();
-        if (lead >= 1000.0) {
-          std::this_thread::sleep_for(
-              std::chrono::microseconds(static_cast<std::int64_t>(lead)));
-        }
+        const auto due = deadline();
+        if (due - clock::now() >= std::chrono::milliseconds(1)) std::this_thread::sleep_until(due);
       }
-      if (dropped) continue;
+      if (remaining > 0) continue;  // cancelled or aborted mid-item
       if (on_done) on_done(i, item_us / 1e6);
       ++served;
     }
-    // Drain the residual lead so the batch's aggregate pacing matches the
-    // configured bandwidth exactly before control returns to the caller.
-    const double lead = lead_us();
-    if (lead > 0) {
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(static_cast<std::int64_t>(lead) + 1));
-    }
+    std::this_thread::sleep_until(deadline());
     return served;
   }
 
@@ -171,6 +144,17 @@ class ThrottledDisk {
   std::atomic<Rate> nominal_;
   std::atomic<double> degradation_{1.0};
   std::atomic<Rate> bandwidth_;  // cached nominal * degradation
+
+  /// Sets the calling thread's timer slack to 1 ns, once per thread.
+  static void honour_short_waits() {
+#ifdef __linux__
+    thread_local bool done = false;
+    if (!done) {
+      ::prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
+      done = true;
+    }
+#endif
+  }
 };
 
 }  // namespace dyrs::rt

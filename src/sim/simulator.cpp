@@ -20,17 +20,22 @@ EventHandle Simulator::every(SimDuration interval, EventFn fn) {
   auto shared_fn = std::make_shared<EventFn>(std::move(fn));
 
   // Self-rescheduling occurrence. Captures `this` — the Simulator must
-  // outlive its events, which holds because it owns the queue.
+  // outlive its events, which holds because it owns the queue. Only queued
+  // events own the occurrence and it refers to itself weakly, so the
+  // recurrence is freed with its last queued event: after a cancel, or
+  // with the queue.
   auto occurrence = std::make_shared<EventFn>();
-  *occurrence = [this, master, shared_fn, occurrence, interval]() {
+  *occurrence = [this, master, shared_fn, self = std::weak_ptr<EventFn>(occurrence), interval]() {
     if (master->cancelled) return;
     (*shared_fn)();
-    if (!master->cancelled) schedule_after(interval, [occurrence]() { (*occurrence)(); });
+    if (master->cancelled) return;
+    // The queued event running this closure holds the occurrence alive.
+    schedule_after(interval, [occurrence = self.lock()]() { (*occurrence)(); });
   };
   schedule_after(interval, [occurrence]() { (*occurrence)(); });
 
-  // Keep the master alive for the lifetime of the recurrence by tying it to
-  // the occurrence closure (it is captured there), and hand out a handle.
+  // The master lives as long as the recurrence (the occurrence captures
+  // it); the handle observes it weakly.
   return EventHandle(master);
 }
 

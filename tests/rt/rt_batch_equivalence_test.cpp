@@ -1,15 +1,16 @@
-// Property test: the throughput exchange is observationally equivalent to
-// the per-block reference.
+// Property test: what the rt exchange decides and settles does not depend
+// on how slaves batch their drains or how the master shards settlement.
 //
 // For 200 seeded random schedules (node count, block count, sizes, replica
 // sets and job assignment all drawn from the seed), the same workload runs
 // under three exchange configurations:
 //
-//   reference   Mode::Reference, drain_batch 1  — the seed's shape
-//   batched     Mode::Reference, drain_batch 16 — coalesced completions,
-//               still single-lock settlement
-//   sharded     Mode::Sharded (8 shards), drain_batch 16 — the full
-//               throughput path
+//   per-block   Mode::Reference, drain_batch 1  — one read call and one
+//               completion report per block, the default
+//   batched     Mode::Reference, drain_batch 16 — the same slave engine
+//               with up to 16 blocks per read call and report
+//   sharded     Mode::Sharded (8 shards), drain_batch 16 — settlement
+//               striped over shard locks as well
 //
 // and all three must produce identical (a) per-block settlement
 // projections (the `type@node` signature `dyrsctl trace --span-seq`
@@ -18,6 +19,11 @@
 // retarget interval pins the Algorithm 1 pass to the cold-estimator
 // snapshot, so the decisions are a pure policy outcome — any divergence
 // would be the exchange engine's fault, not timing's.
+//
+// Slaves have one data path, so batch 1 against batch 16 is an invariance
+// property of that engine, not a comparison of a reference with a fast
+// path; Mode::Reference against Mode::Sharded still compares two settlement
+// engines.
 #include <gtest/gtest.h>
 
 #include <chrono>

@@ -5,12 +5,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
+
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
 
 #include "obs/metrics_registry.h"
 #include "obs/thread_buffer_sink.h"
@@ -45,10 +52,93 @@ std::vector<RtBlock> blocks_on_all(int count, int nodes, Bytes size = mib(1)) {
   return out;
 }
 
+/// Polls `done` every millisecond until it holds or `timeout` elapses.
+bool eventually(const std::function<bool()>& done, std::chrono::milliseconds timeout = 10s) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(1ms);
+  }
+  return true;
+}
+
+/// Thread-safe trace sink keeping `type#block` per event in emission order;
+/// the test also appends its own entries (completion reports).
+class EventLog final : public obs::TraceSink {
+ public:
+  void emit(const obs::TraceEvent& e) override {
+    add(e.type + "#" + std::to_string(e.i64("block")));
+  }
+  void add(std::string entry) {
+    std::lock_guard lock(mu_);
+    entries_.push_back(std::move(entry));
+  }
+  std::vector<std::string> entries() const {
+    std::lock_guard lock(mu_);
+    return entries_;
+  }
+  bool contains(const std::string& entry) const {
+    std::lock_guard lock(mu_);
+    return std::find(entries_.begin(), entries_.end(), entry) != entries_.end();
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::vector<std::string> entries_;
+};
+
+RtMigration migration(int block, Bytes size) {
+  RtMigration m;
+  m.m.block = BlockId(block);
+  m.m.size = size;
+  m.m.jobs = {{JobId(1), core::EvictionMode::Implicit}};
+  return m;
+}
+
+/// A pull that hands the slave `work` once, after `go` is set.
+std::function<std::vector<RtMigration>(NodeId, int)> pull_once(std::atomic<bool>& go,
+                                                               std::vector<RtMigration> work) {
+  return [&go, work = std::move(work)](NodeId, int) {
+    return go.exchange(false) ? work : std::vector<RtMigration>{};
+  };
+}
+
+// The read contract: a call never returns before its start plus the token
+// time of what it served, for one small item (2 us, well under the timer
+// slack a sleep used to pay) and for several. A lower bound only.
+TEST(ThrottledDisk, NeverReturnsBeforeTokenTime) {
+  const Rate rate = gib_per_sec(2);
+  ThrottledDisk disk(rate);
+  for (const std::vector<Bytes>& items :
+       {std::vector<Bytes>{4 * kKiB}, std::vector<Bytes>{4 * kKiB, 64 * kKiB, 3 * kMiB}}) {
+    double token_s = 0;
+    for (Bytes b : items) token_s += static_cast<double>(b) / rate;
+    double service_s = 0;
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_EQ(disk.read(items, nullptr, nullptr, nullptr, nullptr,
+                        [&](std::size_t, double s) { service_s += s; }),
+              items.size());
+    const double s = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    EXPECT_GE(s, token_s);
+    EXPECT_NEAR(service_s, token_s, 1e-9);  // on_done reports token time
+  }
+}
+
+#ifdef __linux__
+TEST(ThrottledDisk, PacingThreadHonoursShortWaits) {
+  int slack_ns = -1;
+  std::jthread([&] {
+    ThrottledDisk(gib_per_sec(2)).read({4 * kKiB});
+    slack_ns = prctl(PR_GET_TIMERSLACK, 0, 0, 0, 0);
+  }).join();
+  EXPECT_EQ(slack_ns, 1);
+}
+#endif
+
 TEST(ThrottledDisk, ReadTakesProportionalTime) {
   ThrottledDisk disk(mib_per_sec(100));
   const auto start = std::chrono::steady_clock::now();
-  EXPECT_TRUE(disk.read(mib(5)));  // ~50ms
+  EXPECT_EQ(disk.read({mib(5)}), 1u);  // ~50ms
   const double s = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   EXPECT_GT(s, 0.03);
   EXPECT_LT(s, 0.5);
@@ -62,7 +152,8 @@ TEST(ThrottledDisk, CancellationStopsRead) {
     cancelled = true;
   });
   const auto start = std::chrono::steady_clock::now();
-  EXPECT_FALSE(disk.read(mib(10), &cancelled));
+  EXPECT_EQ(disk.read({mib(10)}, nullptr, nullptr, nullptr, [&] { return cancelled.load(); }),
+            0u);
   const double s = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   EXPECT_LT(s, 2.0);
 }
@@ -74,9 +165,70 @@ TEST(ThrottledDisk, BandwidthChangeMidRead) {
     disk.set_nominal_bandwidth(mib_per_sec(1000));
   });
   const auto start = std::chrono::steady_clock::now();
-  EXPECT_TRUE(disk.read(mib(4)));
+  EXPECT_EQ(disk.read({mib(4)}), 1u);
   const double s = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   EXPECT_LT(s, 0.3);  // the speedup took effect mid-read
+}
+
+// A member whose read finished but whose completion is not flushed yet can
+// still be cancelled. With drain_batch 2, block 0 (4 KiB) has been read once
+// block 1 (2 MiB, ~2 s on a 1 MiB/s disk) starts; cancelling block 0 then
+// returns true, and the flush drops it: not reported, not buffered and not
+// an estimator sample.
+TEST(RtSlave, ReadButUnflushedMemberIsCancellable) {
+  obs::Tracer tracer;
+  EventLog log;
+  tracer.set_sink(&log);
+  RtSlave::Options o = slave_opts(0, mib_per_sec(64));  // the estimator's fallback rate
+  o.drain_batch = 2;
+  o.obs = obs::ObsContext(nullptr, &tracer);
+  std::atomic<bool> go{false};
+  std::atomic<int> reported{0};
+  RtSlave slave(
+      o, [&](std::vector<RtMigrationDone> d) { reported += static_cast<int>(d.size()); },
+      pull_once(go, {migration(0, 4 * kKiB), migration(1, mib(2))}));
+  slave.disk().set_nominal_bandwidth(mib_per_sec(1));
+  go = true;
+  slave.poke();
+  ASSERT_TRUE(eventually([&] { return log.contains("mig_transfer_start#1"); }));
+  EXPECT_TRUE(slave.cancel(BlockId(0)));
+  EXPECT_TRUE(slave.cancel(BlockId(1)));  // ends the long read early
+  ASSERT_TRUE(eventually([&] { return slave.bound_bytes() == 0; }));
+  EXPECT_EQ(reported, 0);
+  EXPECT_EQ(slave.completed(), 0);
+  EXPECT_EQ(slave.buffered_bytes(), 0u);
+  EXPECT_DOUBLE_EQ(slave.sec_per_byte(), 1.0 / mib_per_sec(64));
+}
+
+// A faulted member on the default batch of one retries alone after its
+// backoff: transfer_start, transfer_retry, a fresh transfer_start, then its
+// completion report.
+TEST(RtSlave, FaultedBlockRetriesAfterBackoff) {
+  obs::Tracer tracer;
+  EventLog log;
+  tracer.set_sink(&log);
+  RtSlave::Options o = slave_opts(0, mib_per_sec(64));
+  o.retry = {.max_attempts = 3, .backoff = milliseconds(1), .backoff_cap = milliseconds(4)};
+  o.obs = obs::ObsContext(nullptr, &tracer);
+  std::atomic<bool> go{false};
+  RtSlave slave(
+      o,
+      [&](std::vector<RtMigrationDone> d) {
+        for (const RtMigrationDone& done : d) {
+          log.add("complete#" + std::to_string(done.block.value()));
+        }
+      },
+      pull_once(go, {migration(7, 64 * kKiB)}));
+  slave.set_read_fault_hook(
+      [count = std::make_shared<std::atomic<int>>(1)](BlockId) { return count->fetch_sub(1) > 0; });
+  go = true;
+  slave.poke();
+  ASSERT_TRUE(eventually([&] { return log.contains("complete#7"); }));
+  EXPECT_EQ(log.entries(), (std::vector<std::string>{"mig_transfer_start#7",
+                                                     "mig_transfer_retry#7",
+                                                     "mig_transfer_start#7", "complete#7"}));
+  EXPECT_EQ(slave.retries(), 1);
+  EXPECT_EQ(slave.buffered_bytes(), 64 * kKiB);
 }
 
 TEST(RtMaster, DrainsAllMigrations) {
@@ -330,6 +482,45 @@ TEST(RtMaster, MergesDuplicateBlockAndTracksPerJobCompletions) {
   EXPECT_EQ(master.slave(NodeId(0)).buffered_count(), 3u);
   master.evict_job(JobId(2));
   EXPECT_EQ(master.slave(NodeId(0)).buffered_count(), 0u);
+}
+
+/// Master with one 1 MiB/s slave, tracing into `log`.
+RtMaster::Options slow_traced(EventLog& log, obs::Tracer& tracer) {
+  tracer.set_sink(&log);
+  RtMaster::Options options;
+  options.slaves = {slave_opts(0, mib_per_sec(1))};
+  options.retarget_interval = 2ms;
+  options.obs = obs::ObsContext(nullptr, &tracer);
+  return options;
+}
+
+// Evicting a job while its only block reads: the read still settles, but
+// unreferenced, so nothing stays buffered for the dead job.
+TEST(RtMaster, EvictMidReadLeavesNothingBuffered) {
+  obs::Tracer tracer;
+  EventLog log;
+  RtMaster master(slow_traced(log, tracer));
+  master.migrate({{BlockId(0), 512 * kKiB, {NodeId(0)}, JobId(1)}});  // a 0.5 s read
+  ASSERT_TRUE(eventually([&] { return log.contains("mig_transfer_start#0"); }));
+  master.evict_job(JobId(1));
+  ASSERT_TRUE(master.wait_idle(10s));
+  EXPECT_EQ(master.completed(), 1);
+  EXPECT_EQ(master.slave(NodeId(0)).buffered_bytes(), 0u);
+}
+
+// ... while a block two jobs reference stays buffered for the survivor.
+TEST(RtMaster, EvictMidReadKeepsBlockForOtherJob) {
+  obs::Tracer tracer;
+  EventLog log;
+  RtMaster master(slow_traced(log, tracer));
+  master.migrate({{BlockId(0), 512 * kKiB, {NodeId(0)}, JobId(1)},
+                  {BlockId(0), 512 * kKiB, {NodeId(0)}, JobId(2)}});
+  ASSERT_TRUE(eventually([&] { return log.contains("mig_transfer_start#0"); }));
+  master.evict_job(JobId(1));
+  ASSERT_TRUE(master.wait_idle(10s));
+  EXPECT_EQ(master.slave(NodeId(0)).buffered_bytes(), 512 * kKiB);
+  master.evict_job(JobId(2));
+  EXPECT_EQ(master.slave(NodeId(0)).buffered_bytes(), 0u);
 }
 
 /// Per-block `type@node` signature, the run-stable projection of a merged

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "common/units.h"
@@ -113,6 +114,31 @@ TEST(Simulator, EveryCancelFromInsideCallback) {
   });
   sim.run();
   EXPECT_EQ(count, 3);
+}
+
+// A recurrence owns its callback only through its queued event, so what the
+// callback captured is freed once the last occurrence pops after a cancel.
+TEST(Simulator, EveryFreesCallbackAfterCancel) {
+  auto sentinel = std::make_shared<int>(0);
+  Simulator sim;
+  auto h = sim.every(seconds(1), [sentinel] {});
+  sim.run_until(seconds(2) + 1);
+  EXPECT_GT(sentinel.use_count(), 1);
+  h.cancel();
+  sim.run();  // the queued occurrence pops and does not re-arm
+  EXPECT_EQ(sentinel.use_count(), 1);
+}
+
+// ... and when the Simulator is destroyed with an occurrence still queued.
+TEST(Simulator, EveryFreesCallbackWithSimulator) {
+  auto sentinel = std::make_shared<int>(0);
+  {
+    Simulator sim;
+    sim.every(seconds(1), [sentinel] {});
+    sim.run_until(seconds(2) + 1);
+    EXPECT_GT(sentinel.use_count(), 1);
+  }
+  EXPECT_EQ(sentinel.use_count(), 1);
 }
 
 TEST(Simulator, StepReturnsFalseWhenIdle) {
