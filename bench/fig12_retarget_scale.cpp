@@ -6,8 +6,7 @@
 // queue and times, per cluster size:
 //
 //   ref_full      the reference assign_targets sweep (O(pending x replicas))
-//   shard8_cold   RetargetIndex cold pass with 8 block-striped shards
-//   inc_cold      RetargetIndex cold pass, 1 shard (== reference policy)
+//   inc_cold      RetargetIndex cold pass (== reference policy)
 //   inc_noop      steady-state pass, nothing changed
 //   inc_burst     pass after a burst of fresh enqueues (tail extension)
 //   inc_requeue   pass after bind+requeue churn near the tail (dirty suffix)
@@ -15,7 +14,7 @@
 // The headline claim: steady-state incremental passes (noop / burst /
 // requeue) re-score only what changed, so their latency stays near-flat
 // across the node sweep while the reference sweep pays the full queue every
-// pass. The cold 1-shard pass is also checked for target-exactness against
+// pass. The cold pass is also checked for target-exactness against
 // the reference sweep at every cluster size. Results go to stdout and
 // BENCH_retarget.json.
 #include <chrono>
@@ -73,7 +72,6 @@ void push_block(core::PendingQueue& queue, core::RetargetIndex* index, int block
 struct Row {
   int nodes = 0;
   double ref_full_ms = 0;
-  double shard8_cold_ms = 0;
   double inc_cold_ms = 0;
   double inc_noop_ms = 0;
   double inc_burst_ms = 0;
@@ -101,17 +99,6 @@ Row run_scale(int nodes, int pending, int burst, int churn) {
   std::vector<NodeId> ref_targets;
   ref_targets.reserve(ptrs.size());
   for (const core::PendingMigration* pm : ptrs) ref_targets.push_back(pm->target);
-
-  // Sharded cold pass (its own policy — measured, not equality-checked).
-  {
-    core::RetargetIndex sharded;
-    core::RetargetConfig cfg;
-    cfg.mode = core::RetargetConfig::Mode::Incremental;
-    cfg.shards = 8;
-    t0 = clock_type::now();
-    sharded.pass(queue, core::Ordering::Fifo, cfg, snaps, 0, nullptr);
-    row.shard8_cold_ms = ms_since(t0);
-  }
 
   core::RetargetIndex index;
   core::RetargetConfig cfg;
@@ -197,11 +184,11 @@ int main() {
     std::cout << "  measured " << nodes << " nodes\n";
   }
 
-  TextTable table({"nodes", "ref full (ms)", "shard8 cold (ms)", "inc cold (ms)",
-                   "inc noop (ms)", "inc burst (ms)", "inc requeue (ms)", "exact"});
+  TextTable table({"nodes", "ref full (ms)", "inc cold (ms)", "inc noop (ms)",
+                   "inc burst (ms)", "inc requeue (ms)", "exact"});
   for (const Row& r : rows) {
     table.add_row({std::to_string(r.nodes), TextTable::num(r.ref_full_ms, 2),
-                   TextTable::num(r.shard8_cold_ms, 2), TextTable::num(r.inc_cold_ms, 2),
+                   TextTable::num(r.inc_cold_ms, 2),
                    TextTable::num(r.inc_noop_ms, 3), TextTable::num(r.inc_burst_ms, 3),
                    TextTable::num(r.inc_requeue_ms, 3), r.exact ? "yes" : "NO"});
   }
@@ -215,7 +202,7 @@ int main() {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     json << (i ? "," : "") << "{\"nodes\":" << r.nodes << ",\"ref_full_ms\":" << r.ref_full_ms
-         << ",\"shard8_cold_ms\":" << r.shard8_cold_ms << ",\"inc_cold_ms\":" << r.inc_cold_ms
+         << ",\"inc_cold_ms\":" << r.inc_cold_ms
          << ",\"inc_noop_ms\":" << r.inc_noop_ms << ",\"inc_burst_ms\":" << r.inc_burst_ms
          << ",\"inc_requeue_ms\":" << r.inc_requeue_ms
          << ",\"exact\":" << (r.exact ? "true" : "false") << "}";
@@ -226,7 +213,7 @@ int main() {
   bool all_exact = true;
   for (const Row& r : rows) all_exact &= r.exact;
   bench::print_shape_check(all_exact,
-                           "cold incremental pass (1 shard) is target-exact vs the reference "
+                           "cold incremental pass is target-exact vs the reference "
                            "sweep at every cluster size");
 
   const Row& smallest = rows.front();

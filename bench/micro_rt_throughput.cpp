@@ -1,37 +1,32 @@
 // micro_rt_throughput — sustained drain throughput of the rt exchange.
 //
-// The rt runtime's seed-era exchange serialized every pull and every
-// completion under the master mutex and paid one timer sleep per block in
-// the throttled disk — fine for protocol demos, hopeless for throughput.
-// This bench drains a backlog of small blocks through three exchange
-// configurations and reports sustained blocks/s plus the p99 slave pull
-// latency:
+// Drains a backlog of small blocks through the exchange at two slave drain
+// cadences and reports sustained blocks/s plus the p99 slave pull latency:
 //
-//   reference   Mode::Reference, drain_batch 1  — the seed's shape: one
-//               mutex round-trip per completion, one timer sleep per read
-//   batched     Mode::Reference, drain_batch 16 — token-bucket batched
-//               reads and coalesced completion reports, still single-lock
-//   sharded     Mode::Sharded (16 shards), drain_batch 16 — the full
-//               throughput path: settlement under per-shard locks only,
-//               lock-free completion counters
+//   per-block   drain_batch 1  — one token-bucket read call and one
+//               completion report per block, the default
+//   batched     drain_batch 16 — up to 16 blocks per read call and per
+//               coalesced completion report
 //
-// swept over slave count x local queue depth. Blocks are deliberately tiny
-// (4 KiB at 2 GiB/s, ~2us of token time) so the exchange engine — not the
-// disk — is the bottleneck, which is exactly the regime where HDFS-scale
-// cold-data backlogs (millions of blocks, §V) stress a master. The
-// retarget interval is set beyond the run length so Algorithm 1 passes do
-// not perturb the measurement: pull-is-the-bind does all the targeting.
+// swept over slave count x local queue depth, each configuration reported
+// as the fastest of five drains. Settlement is the same in both: striped
+// over shard locks, never the master mutex. Blocks are deliberately tiny
+// (4 KiB at 2 GiB/s, ~2us of token time) so the exchange — not the disk —
+// is the bottleneck, which is exactly the regime where HDFS-scale
+// cold-data backlogs (millions of blocks, §V) stress a master.
+// The retarget interval is set beyond the run length so Algorithm 1 passes
+// do not perturb the measurement: pull-is-the-bind does all the targeting.
 //
-// All three configurations are observationally equivalent
-// (tests/rt/rt_batch_equivalence_test); this bench quantifies what that
-// equivalence buys. Results go to stdout and BENCH_rt_throughput.json.
+// Both cadences are observationally equivalent
+// (tests/rt/rt_batch_equivalence_test); this bench quantifies what
+// batching buys. Results go to stdout and BENCH_rt_throughput.json.
 //
 //   micro_rt_throughput [--trace FILE]   also run one small traced config
-//                                        (sharded) and write its merged
-//                                        JSONL to FILE — CI runs this twice
-//                                        and diffs `dyrsctl trace
-//                                        --span-seq`, proving the
-//                                        throughput path keeps the
+//                                        (batches of 8) and write its
+//                                        merged JSONL to FILE — CI runs
+//                                        this twice and diffs `dyrsctl
+//                                        trace --span-seq`, proving
+//                                        batched drains keep the
 //                                        determinism contract.
 #include <algorithm>
 #include <chrono>
@@ -55,11 +50,10 @@ using namespace std::chrono_literals;
 namespace {
 
 using clock_type = std::chrono::steady_clock;
-using Exchange = rt::RtMaster::Options::ExchangeConfig;
 
 struct ModeSpec {
   const char* name;
-  Exchange exchange;
+  int drain_batch;
 };
 
 struct Result {
@@ -70,8 +64,8 @@ struct Result {
 };
 
 /// Drains `blocks` 4 KiB migrations (every node a replica, so targeting
-/// never starves a slave) through one exchange configuration and measures
-/// wall time from migrate() to idle.
+/// never starves a slave) at one drain cadence and measures wall time from
+/// migrate() to idle.
 Result run(const ModeSpec& mode, int slaves, int depth, int blocks) {
   obs::MetricsRegistry registry;
 
@@ -83,9 +77,9 @@ Result run(const ModeSpec& mode, int slaves, int depth, int blocks) {
     slave.queue_capacity = depth;
     slave.heartbeat_interval = 5ms;
     slave.reference_block = 64 * kKiB;
+    slave.drain_batch = mode.drain_batch;
     options.slaves.push_back(slave);
   }
-  options.exchange = mode.exchange;
   options.retarget_interval = 10min;  // no mid-run Algorithm 1 passes
   options.obs = obs::ObsContext(&registry, nullptr);
   rt::RtMaster master(std::move(options));
@@ -116,8 +110,8 @@ Result run(const ModeSpec& mode, int slaves, int depth, int blocks) {
   return out;
 }
 
-/// One small traced run on the full throughput path, written as merged
-/// JSONL for `dyrsctl trace`. Deterministic by the equivalence-test recipe:
+/// One small traced run with batched drains, written as merged JSONL for
+/// `dyrsctl trace`. Deterministic by the equivalence-test recipe:
 /// a single Algorithm 1 pass against the cold-estimator snapshot (migrate()'s
 /// own; the retargeter's first pass is an interval away) makes the
 /// bindings a pure policy outcome, so two invocations of this binary must
@@ -135,9 +129,9 @@ void write_trace(const std::string& path) {
     slave.disk_bandwidth = mib_per_sec(64);
     slave.queue_capacity = 4;
     slave.reference_block = mib(1);
+    slave.drain_batch = 8;
     options.slaves.push_back(slave);
   }
-  options.exchange = {.mode = Exchange::Mode::Sharded, .shards = 8, .drain_batch = 8};
   options.retarget_interval = 60s;
   options.obs = obs::ObsContext(&registry, &tracer);
   rt::RtMaster master(std::move(options));
@@ -179,55 +173,62 @@ int main(int argc, char** argv) {
   }
 
   bench::print_header("micro: rt exchange sustained throughput",
-                      "sharded/batched exchange vs the single-lock per-block reference");
+                      "batched drains vs the per-block cadence");
 
   const int blocks = bench::smoke_scaled(24'000, 2'400);
-  const ModeSpec modes[] = {
-      {"reference", {.mode = Exchange::Mode::Reference, .drain_batch = 1}},
-      {"batched", {.mode = Exchange::Mode::Reference, .drain_batch = 16}},
-      {"sharded", {.mode = Exchange::Mode::Sharded, .shards = 16, .drain_batch = 16}},
-  };
+  const ModeSpec modes[] = {{"per-block", 1}, {"batched", 16}};
   const int slave_counts[] = {4, 8, 16};
   const int depths[] = {8, 32};
+
+  // The fastest of five drains per configuration, the two modes taking
+  // turns drain by drain: the host's other tenants only ever slow a drain
+  // down, a smoke-scale drain lasts 10-40 ms, where one descheduled worker
+  // can halve its rate, and side-by-side drains see the same host.
+  Result best[2][3][2];  // mode x slave count x depth
+  bool all_drained = true;
+  for (int si = 0; si < 3; ++si) {
+    for (int di = 0; di < 2; ++di) {
+      for (int rep = 0; rep < 5; ++rep) {
+        for (int mi = 0; mi < 2; ++mi) {
+          const Result one = run(modes[mi], slave_counts[si], depths[di], blocks);
+          all_drained = all_drained && one.drained;
+          if (one.blocks_per_s >= best[mi][si][di].blocks_per_s) best[mi][si][di] = one;
+        }
+      }
+    }
+  }
 
   TextTable table({"mode", "slaves", "depth", "wall s", "blocks/s", "p99 pull us"});
   std::ofstream json("BENCH_rt_throughput.json");
   json << "{\"bench\":\"rt_throughput\",\"smoke\":" << (bench::smoke_mode() ? "true" : "false")
        << ",\"blocks\":" << blocks << ",\"rows\":[";
-  bool all_drained = true;
   bool first_row = true;
-  double ref_16 = 0, bat_16 = 0, shd_16 = 0;  // blocks/s at 16 slaves, depth 32
-  for (const ModeSpec& mode : modes) {
-    for (int slaves : slave_counts) {
-      for (int depth : depths) {
-        const Result r = run(mode, slaves, depth, blocks);
-        all_drained = all_drained && r.drained;
-        table.add_row({mode.name, std::to_string(slaves), std::to_string(depth),
-                       TextTable::num(r.wall_s, 3), TextTable::num(r.blocks_per_s, 0),
-                       TextTable::num(r.p99_pull_us, 1)});
-        json << (first_row ? "" : ",") << "{\"mode\":\"" << mode.name
-             << "\",\"slaves\":" << slaves << ",\"depth\":" << depth << ",\"blocks\":" << blocks
-             << ",\"wall_s\":" << r.wall_s << ",\"blocks_per_s\":" << r.blocks_per_s
-             << ",\"p99_pull_us\":" << r.p99_pull_us << "}";
+  for (int mi = 0; mi < 2; ++mi) {
+    for (int si = 0; si < 3; ++si) {
+      for (int di = 0; di < 2; ++di) {
+        const Result& r = best[mi][si][di];
+        table.add_row({modes[mi].name, std::to_string(slave_counts[si]),
+                       std::to_string(depths[di]), TextTable::num(r.wall_s, 3),
+                       TextTable::num(r.blocks_per_s, 0), TextTable::num(r.p99_pull_us, 1)});
+        json << (first_row ? "" : ",") << "{\"mode\":\"" << modes[mi].name
+             << "\",\"slaves\":" << slave_counts[si] << ",\"depth\":" << depths[di]
+             << ",\"blocks\":" << blocks << ",\"wall_s\":" << r.wall_s
+             << ",\"blocks_per_s\":" << r.blocks_per_s << ",\"p99_pull_us\":" << r.p99_pull_us
+             << "}";
         first_row = false;
-        if (slaves == 16 && depth == 32) {
-          if (!std::strcmp(mode.name, "reference")) ref_16 = r.blocks_per_s;
-          if (!std::strcmp(mode.name, "batched")) bat_16 = r.blocks_per_s;
-          if (!std::strcmp(mode.name, "sharded")) shd_16 = r.blocks_per_s;
-        }
       }
     }
   }
-  const double speedup_batched = ref_16 > 0 ? bat_16 / ref_16 : 0;
-  const double speedup_sharded = ref_16 > 0 ? shd_16 / ref_16 : 0;
-  json << "],\"speedup_batched_16\":" << speedup_batched
-       << ",\"speedup_sharded_16\":" << speedup_sharded << "}\n";
+  // 16 slaves, depth 32.
+  const double one_16 = best[0][2][1].blocks_per_s;
+  const double bat_16 = best[1][2][1].blocks_per_s;
+  const double speedup_batched = one_16 > 0 ? bat_16 / one_16 : 0;
+  json << "],\"speedup_batched_16\":" << speedup_batched << "}\n";
 
   table.print(std::cout);
   std::cout << "\n(" << blocks << " x 4KiB blocks per configuration; speedup at 16 slaves, "
-            << "depth 32:\n batched " << TextTable::num(speedup_batched, 2) << "x, sharded "
-            << TextTable::num(speedup_sharded, 2)
-            << "x over the single-lock per-block reference)\n\n";
+            << "depth 32:\n batched " << TextTable::num(speedup_batched, 2)
+            << "x over the per-block cadence)\n\n";
   bench::maybe_dump_csv("micro_rt_throughput", table);
   std::cout << "wrote BENCH_rt_throughput.json\n\n";
 
@@ -235,12 +236,12 @@ int main(int argc, char** argv) {
 
   bench::print_shape_check(all_drained, "every configuration drained its full backlog");
   // Smoke backlogs are too small to saturate the exchange, so the smoke
-  // bar only demands the throughput path wins; the full run enforces the
+  // bar only demands that batching wins; the full run enforces the
   // claimed margin.
   const double bar = bench::smoke_mode() ? 1.2 : 3.0;
-  bench::print_shape_check(speedup_sharded >= bar,
-                           "sharded exchange >= " + TextTable::num(bar, 1) +
-                               "x reference blocks/s at 16 slaves (measured " +
-                               TextTable::num(speedup_sharded, 2) + "x)");
-  return all_drained && speedup_sharded >= bar ? 0 : 1;
+  bench::print_shape_check(speedup_batched >= bar,
+                           "batched drains >= " + TextTable::num(bar, 1) +
+                               "x per-block blocks/s at 16 slaves (measured " +
+                               TextTable::num(speedup_batched, 2) + "x)");
+  return all_drained && speedup_batched >= bar ? 0 : 1;
 }

@@ -24,17 +24,17 @@
 // reclaims, and run 2's merged trace passes the rt-faults invariant
 // profile with open-lifecycle flagging on.
 //
-//   rt_chaos [--seed N] [--trace FILE] [--spans FILE]
-//            [--exchange reference|sharded]
-//     --trace    write run 2's merged JSONL trace to FILE
-//     --spans    write run 2's settlement projection to FILE (one
-//                "block: span" line per block; CI diffs two same-seed runs)
-//     --exchange master<->slave exchange engine; `sharded` runs every phase
-//                on the throughput path (sharded settlement, drain batches
-//                of 4) — batched completions racing phase A/C reclaim
-//                windows must still settle exactly once per member
+//   rt_chaos [--seed N] [--trace FILE] [--spans FILE] [--drain-batch N]
+//     --trace       write run 2's merged JSONL trace to FILE
+//     --spans       write run 2's settlement projection to FILE (one
+//                   "block: span" line per block; CI diffs two same-seed
+//                   runs)
+//     --drain-batch migrations each slave drains per cycle (default 1); at
+//                   4, batched completions racing the phase A/C reclaim
+//                   windows must still settle exactly once per member
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -87,17 +87,12 @@ std::vector<rt::RtBlock> single_replica(int first_id, int count, int node, Bytes
 
 /// One full chaos scenario; returns the merged trace of all four phases.
 std::vector<obs::TraceEvent> run_once(std::uint64_t seed, obs::ThreadLocalBufferSink& sink,
-                                      bool sharded) {
+                                      int drain_batch) {
   obs::MetricsRegistry registry;
   obs::Tracer tracer;
   tracer.set_sink(&sink);
 
   rt::RtMaster::Options options;
-  if (sharded) {
-    options.exchange.mode = rt::RtMaster::Options::ExchangeConfig::Mode::Sharded;
-    options.exchange.shards = 8;
-    options.exchange.drain_batch = 4;
-  }
   for (int n = 0; n < 3; ++n) {
     rt::RtSlave::Options slave;
     slave.node = NodeId(n);
@@ -105,6 +100,7 @@ std::vector<obs::TraceEvent> run_once(std::uint64_t seed, obs::ThreadLocalBuffer
     slave.queue_capacity = 3;
     slave.reference_block = mib(1);
     slave.heartbeat_interval = 5ms;
+    slave.drain_batch = drain_batch;
     // Generous local budget for phase B's error windows: with rates <= 0.4
     // the chance of ever exhausting 50 attempts is negligible, so every
     // block's settlement is independent of the error rolls.
@@ -246,7 +242,7 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 1;
   std::string trace_path;
   std::string spans_path;
-  bool sharded = false;
+  int drain_batch = 1;
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--seed") && i + 1 < argc) {
       seed = std::stoull(argv[++i]);
@@ -254,24 +250,23 @@ int main(int argc, char** argv) {
       trace_path = argv[++i];
     } else if (!std::strcmp(argv[i], "--spans") && i + 1 < argc) {
       spans_path = argv[++i];
-    } else if (!std::strcmp(argv[i], "--exchange") && i + 1 < argc) {
-      const std::string mode = argv[++i];
-      if (mode != "reference" && mode != "sharded") {
-        std::cerr << "unknown exchange mode: " << mode << "\n";
+    } else if (!std::strcmp(argv[i], "--drain-batch") && i + 1 < argc) {
+      drain_batch = std::atoi(argv[++i]);
+      if (drain_batch < 1) {
+        std::cerr << "--drain-batch must be at least 1\n";
         return 2;
       }
-      sharded = mode == "sharded";
     } else {
       std::cerr << "usage: rt_chaos [--seed N] [--trace FILE] [--spans FILE]"
-                   " [--exchange reference|sharded]\n";
+                   " [--drain-batch N]\n";
       return 2;
     }
   }
 
   obs::ThreadLocalBufferSink sink1;
   obs::ThreadLocalBufferSink sink2;
-  const std::vector<obs::TraceEvent> trace1 = run_once(seed, sink1, sharded);
-  const std::vector<obs::TraceEvent> trace2 = run_once(seed, sink2, sharded);
+  const std::vector<obs::TraceEvent> trace1 = run_once(seed, sink1, drain_batch);
+  const std::vector<obs::TraceEvent> trace2 = run_once(seed, sink2, drain_batch);
 
   const auto set1 = settlement(trace1);
   const auto set2 = settlement(trace2);

@@ -8,14 +8,16 @@
 // invariant oracle with open-lifecycle flagging on (every lifecycle must
 // settle). Exits 0 only if both runs agree and the oracle passes.
 //
-//   rt_soak [--trace FILE]             also write run 2's merged JSONL to FILE
-//           [--exchange reference|sharded]  master<->slave exchange engine
+//   rt_soak [--trace FILE]       also write run 2's merged JSONL to FILE
+//           [--drain-batch N]    migrations each slave drains per cycle
+//                                (default 1)
 //
-// `--exchange sharded` runs the same scenario on the throughput path
-// (sharded settlement, drain batches of 4): the per-block signatures must
-// be identical to the reference engine's — the merge key makes batches
-// invisible — so CI diffs the two span sequences directly.
+// `--drain-batch 4` runs the same scenario with batched drains: the
+// per-block signatures must be identical to the batch-1 run's — the merge
+// key makes batches invisible — so CI diffs the two span sequences
+// directly.
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <map>
@@ -41,23 +43,19 @@ constexpr int kSlowBlocks = 8;   // pinned to node 2; 5 of them cancelled
 /// One soak round: 3 slaves (node 2 crippled), 32 single-replica block
 /// migrations, 5 missed-read cancellations racing the slow slave's pulls,
 /// and a mid-run bandwidth degradation on node 0. Returns the merged trace.
-std::vector<obs::TraceEvent> run_once(obs::ThreadLocalBufferSink& sink, bool sharded) {
+std::vector<obs::TraceEvent> run_once(obs::ThreadLocalBufferSink& sink, int drain_batch) {
   obs::MetricsRegistry registry;
   obs::Tracer tracer;
   tracer.set_sink(&sink);
 
   rt::RtMaster::Options options;
-  if (sharded) {
-    options.exchange.mode = rt::RtMaster::Options::ExchangeConfig::Mode::Sharded;
-    options.exchange.shards = 8;
-    options.exchange.drain_batch = 4;
-  }
   for (int n = 0; n < 3; ++n) {
     rt::RtSlave::Options slave;
     slave.node = NodeId(n);
     slave.disk_bandwidth = n == 2 ? mib_per_sec(4) : mib_per_sec(256);
     slave.queue_capacity = 2;
     slave.reference_block = mib(1);
+    slave.drain_batch = drain_batch;
     options.slaves.push_back(slave);
   }
   options.retarget_interval = 2ms;
@@ -130,27 +128,26 @@ std::map<std::int64_t, std::string> signatures(const std::vector<obs::TraceEvent
 
 int main(int argc, char** argv) {
   std::string trace_path;
-  bool sharded = false;
+  int drain_batch = 1;
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--trace") && i + 1 < argc) {
       trace_path = argv[++i];
-    } else if (!std::strcmp(argv[i], "--exchange") && i + 1 < argc) {
-      const std::string mode = argv[++i];
-      if (mode != "reference" && mode != "sharded") {
-        std::cerr << "unknown exchange mode: " << mode << "\n";
+    } else if (!std::strcmp(argv[i], "--drain-batch") && i + 1 < argc) {
+      drain_batch = std::atoi(argv[++i]);
+      if (drain_batch < 1) {
+        std::cerr << "--drain-batch must be at least 1\n";
         return 2;
       }
-      sharded = mode == "sharded";
     } else {
-      std::cerr << "usage: rt_soak [--trace FILE] [--exchange reference|sharded]\n";
+      std::cerr << "usage: rt_soak [--trace FILE] [--drain-batch N]\n";
       return 2;
     }
   }
 
   obs::ThreadLocalBufferSink sink1;
   obs::ThreadLocalBufferSink sink2;
-  const std::vector<obs::TraceEvent> trace1 = run_once(sink1, sharded);
-  const std::vector<obs::TraceEvent> trace2 = run_once(sink2, sharded);
+  const std::vector<obs::TraceEvent> trace1 = run_once(sink1, drain_batch);
+  const std::vector<obs::TraceEvent> trace2 = run_once(sink2, drain_batch);
 
   const auto sig1 = signatures(trace1);
   const auto sig2 = signatures(trace2);

@@ -46,9 +46,9 @@ struct ControlPlaneConfig {
   enum class TargetTrace { AtRetarget, AtBind };
   TargetTrace target_trace = TargetTrace::AtRetarget;
   /// Algorithm 1 pass engine: the reference full sweep, or the incremental
-  /// RetargetIndex (cached-prefix replay, dirty-suffix re-score, optional
-  /// block-striped shard parallelism). At zero thresholds and one shard
-  /// the two produce identical targets; the differential tests assert it.
+  /// RetargetIndex (cached-prefix replay, dirty-suffix re-score). At zero
+  /// thresholds the two produce identical targets; the differential tests
+  /// assert it.
   RetargetConfig retarget;
   /// Slave local-queue depth (§III-B). The control plane itself never
   /// binds more than a slave's advertised free slots; both backend drivers

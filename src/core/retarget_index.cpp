@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <thread>
 
 #include "common/check.h"
 
@@ -31,40 +30,31 @@ std::pair<NodeId, double> FinishTimeHeap::min(const std::unordered_map<NodeId, d
   }
 }
 
-void RetargetIndex::ensure_shards(int shards) {
-  const std::size_t n = shards < 1 ? 1 : static_cast<std::size_t>(shards);
-  if (shards_.size() == n) return;
-  shards_ = std::vector<Shard>(n);
-  valid_ = false;
-}
-
 void RetargetIndex::note_append(const PendingQueue& queue, BlockId block) {
   const std::uint64_t muts = queue.mutation_count();
   if (muts != synced_mutations_ + 1) valid_ = false;  // untracked churn slipped in
   synced_mutations_ = muts;
   if (!valid_) return;
-  Shard& sh = shards_[shard_of(block)];
-  if (!sh.appended_set.insert(block).second) {
+  if (!appended_set_.insert(block).second) {
     // enqueue -> bind -> requeue of one block inside a single inter-pass
     // window: the recorded append order no longer matches the live queue
-    // order, so this shard rebuilds from the queue at the next pass.
-    sh.rebuild = true;
+    // order, so the cache rebuilds from the queue at the next pass.
+    rebuild_ = true;
     return;
   }
-  sh.appended.push_back(block);
+  appended_.push_back(block);
 }
 
 void RetargetIndex::note_mutate(BlockId block) {
   if (!valid_) return;
-  Shard& sh = shards_[shard_of(block)];
-  auto it = sh.pos.find(block);
-  if (it != sh.pos.end()) {
-    sh.first_dirty = std::min(sh.first_dirty, it->second);
+  auto it = pos_.find(block);
+  if (it != pos_.end()) {
+    first_dirty_ = std::min(first_dirty_, it->second);
     return;
   }
   // Appended-but-unscored entries get scored this pass anyway; anything
   // else means the bookkeeping lost track of the entry — rebuild.
-  if (sh.appended_set.count(block) == 0) sh.rebuild = true;
+  if (appended_set_.count(block) == 0) rebuild_ = true;
 }
 
 void RetargetIndex::note_erase(const PendingQueue& queue, BlockId block) {
@@ -72,20 +62,19 @@ void RetargetIndex::note_erase(const PendingQueue& queue, BlockId block) {
   if (muts != synced_mutations_ + 1) valid_ = false;
   synced_mutations_ = muts;
   if (!valid_) return;
-  Shard& sh = shards_[shard_of(block)];
-  auto it = sh.pos.find(block);
-  if (it == sh.pos.end()) return;  // appended-but-unscored: the drain skips it
-  Scored& sc = sh.order[it->second];
+  auto it = pos_.find(block);
+  if (it == pos_.end()) return;  // appended-but-unscored: the drain skips it
+  Scored& sc = order_[it->second];
   sc.live = false;
   if (sc.target.valid()) {
-    --sh.n_assigned;
+    --n_assigned_;
   } else {
-    --sh.n_untargetable;
+    --n_untargetable_;
   }
   // The erased entry's load contribution disappears, so every later
   // greedy choice may shift: dirty from here.
-  sh.first_dirty = std::min(sh.first_dirty, it->second);
-  sh.pos.erase(it);
+  first_dirty_ = std::min(first_dirty_, it->second);
+  pos_.erase(it);
 }
 
 bool RetargetIndex::basis_compatible(const std::vector<SlaveSnapshot>& snapshots,
@@ -123,7 +112,19 @@ void RetargetIndex::refresh_basis(const std::vector<SlaveSnapshot>& snapshots) {
   }
 }
 
-void RetargetIndex::score_into(PendingMigration& pm, Shard& sh, std::vector<Emission>& emits) {
+void RetargetIndex::reset_order() {
+  order_.clear();
+  pos_.clear();
+  appended_.clear();
+  appended_set_.clear();
+  first_dirty_ = kClean;
+  rebuild_ = false;
+  n_assigned_ = 0;
+  n_untargetable_ = 0;
+  loads_ = basis_load_;
+}
+
+void RetargetIndex::score_into(PendingMigration& pm) {
   const NodeId before = pm.target;
   NodeId best = NodeId::invalid();
   double best_finish = 0.0;
@@ -133,7 +134,7 @@ void RetargetIndex::score_into(PendingMigration& pm, Shard& sh, std::vector<Emis
     }
     auto rate = basis_spb_.find(loc);
     if (rate == basis_spb_.end()) continue;  // replica host not in the scoring basis
-    const double finish = sh.loads[loc] + rate->second * static_cast<double>(pm.size);
+    const double finish = loads_[loc] + rate->second * static_cast<double>(pm.size);
     if (!best.valid() || finish < best_finish) {
       best = loc;
       best_finish = finish;
@@ -141,119 +142,81 @@ void RetargetIndex::score_into(PendingMigration& pm, Shard& sh, std::vector<Emis
   }
   pm.target = best;
   if (best.valid()) {
-    sh.loads[best] = best_finish;
-    ++sh.n_assigned;
+    loads_[best] = best_finish;
+    ++n_assigned_;
   } else {
-    ++sh.n_untargetable;
+    ++n_untargetable_;
   }
-  sh.pos[pm.block] = sh.order.size();
-  sh.order.push_back({pm.block, best, best_finish, true});
-  ++sh.pass_rescored;
-  if (trace_ && best.valid() && best != before) {
-    emits.push_back({pm.block, best, basis_spb_.find(best)->second});
+  pos_[pm.block] = order_.size();
+  order_.push_back({pm.block, best, best_finish, true});
+  ++pass_rescored_;
+  if (emitter_ != nullptr && best.valid() && best != before) {
+    emitter_->target(now_, pm.block, best, basis_spb_.find(best)->second);
   }
 }
 
 void RetargetIndex::full_rescore(PendingQueue& queue, Ordering ordering,
-                                 const std::vector<SlaveSnapshot>& snapshots,
-                                 std::vector<std::vector<Emission>>& emits) {
+                                 const std::vector<SlaveSnapshot>& snapshots) {
   refresh_basis(snapshots);
-  const std::size_t n_shards = shards_.size();
-  std::vector<std::vector<PendingMigration*>> buckets(n_shards);
-  for (auto& b : buckets) b.reserve(queue.size() / n_shards + 1);
+  reset_order();
+  order_.reserve(queue.size());
+  pos_.reserve(queue.size());
   queue.visit(ordering, [&](PendingQueue::iterator it) {
-    buckets[shard_of(it->block)].push_back(&*it);
+    score_into(*it);
     return true;
   });
-  auto run = [&](std::size_t si) {
-    Shard& sh = shards_[si];
-    sh.order.clear();
-    sh.pos.clear();
-    sh.appended.clear();
-    sh.appended_set.clear();
-    sh.first_dirty = kClean;
-    sh.rebuild = false;
-    sh.n_assigned = 0;
-    sh.n_untargetable = 0;
-    sh.order.reserve(buckets[si].size());
-    sh.pos.reserve(buckets[si].size());
-    sh.loads = basis_load_;
-    for (PendingMigration* pm : buckets[si]) score_into(*pm, sh, emits[si]);
-    sh.heap.rebuild(sh.loads);
-  };
-  if (n_shards == 1) {
-    run(0);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(n_shards);
-    for (std::size_t si = 0; si < n_shards; ++si) threads.emplace_back(run, si);
-    for (auto& t : threads) t.join();
-  }
+  heap_.rebuild(loads_);
   ++stats_.full_rescores;
 }
 
-void RetargetIndex::incremental_shard(PendingQueue& queue, std::size_t si,
-                                      std::vector<Emission>& emits) {
-  Shard& sh = shards_[si];
-  if (sh.rebuild) {
-    sh.order.clear();
-    sh.pos.clear();
-    sh.appended.clear();
-    sh.appended_set.clear();
-    sh.first_dirty = kClean;
-    sh.rebuild = false;
-    sh.n_assigned = 0;
-    sh.n_untargetable = 0;
-    sh.loads = basis_load_;
-    for (PendingMigration& pm : queue) {
-      if (shard_of(pm.block) != si) continue;
-      score_into(pm, sh, emits);
-    }
-    sh.heap.rebuild(sh.loads);
+void RetargetIndex::incremental(PendingQueue& queue) {
+  if (rebuild_) {
+    reset_order();
+    for (PendingMigration& pm : queue) score_into(pm);
+    heap_.rebuild(loads_);
     return;
   }
-  const bool dirty = sh.first_dirty != kClean;
+  const bool dirty = first_dirty_ != kClean;
   if (dirty) {
     // Replay the clean prefix from the cache (finish times are stored
     // absolute, so the replay is bit-exact), then re-score from the dirty
     // frontier in the original pass order — tombstones drop out exactly
     // as a reference sweep over the current queue would see them.
-    const std::size_t k = std::min(sh.first_dirty, sh.order.size());
-    std::vector<Scored> suffix(sh.order.begin() + static_cast<std::ptrdiff_t>(k),
-                               sh.order.end());
-    sh.order.resize(k);
-    sh.loads = basis_load_;
-    for (const Scored& sc : sh.order) {
-      if (sc.target.valid()) sh.loads[sc.target] = sc.finish;
+    const std::size_t k = std::min(first_dirty_, order_.size());
+    std::vector<Scored> suffix(order_.begin() + static_cast<std::ptrdiff_t>(k), order_.end());
+    order_.resize(k);
+    loads_ = basis_load_;
+    for (const Scored& sc : order_) {
+      if (sc.target.valid()) loads_[sc.target] = sc.finish;
     }
     for (const Scored& sc : suffix) {
       if (!sc.live) continue;
       if (sc.target.valid()) {
-        --sh.n_assigned;
+        --n_assigned_;
       } else {
-        --sh.n_untargetable;
+        --n_untargetable_;
       }
-      sh.pos.erase(sc.block);
+      pos_.erase(sc.block);
     }
     for (const Scored& sc : suffix) {
       if (!sc.live) continue;
       PendingMigration* pm = queue.lookup(sc.block);
       DYRS_CHECK_MSG(pm != nullptr, "cached entry " << sc.block << " vanished untracked");
-      score_into(*pm, sh, emits);
+      score_into(*pm);
     }
-    sh.first_dirty = kClean;
+    first_dirty_ = kClean;
   }
-  const std::vector<BlockId> appended = std::move(sh.appended);
-  sh.appended.clear();
-  sh.appended_set.clear();
+  const std::vector<BlockId> appended = std::move(appended_);
+  appended_.clear();
+  appended_set_.clear();
   for (BlockId block : appended) {
-    if (sh.pos.count(block) != 0) continue;       // already scored this pass
+    if (pos_.count(block) != 0) continue;  // already scored this pass
     PendingMigration* pm = queue.lookup(block);
-    if (pm == nullptr) continue;                  // erased again before this pass
-    score_into(*pm, sh, emits);
-    if (!dirty && pm->target.valid()) sh.heap.update(pm->target, sh.loads[pm->target]);
+    if (pm == nullptr) continue;  // erased again before this pass
+    score_into(*pm);
+    if (!dirty && pm->target.valid()) heap_.update(pm->target, loads_[pm->target]);
   }
-  if (dirty || sh.heap.size() > 2 * sh.loads.size() + 64) sh.heap.rebuild(sh.loads);
+  if (dirty || heap_.size() > 2 * loads_.size() + 64) heap_.rebuild(loads_);
 }
 
 TargetingStats RetargetIndex::pass(PendingQueue& queue, Ordering ordering,
@@ -261,93 +224,48 @@ TargetingStats RetargetIndex::pass(PendingQueue& queue, Ordering ordering,
                                    const std::vector<SlaveSnapshot>& snapshots, SimTime now,
                                    LifecycleEmitter* emitter) {
   ++stats_.passes;
-  ensure_shards(config.shards);
-  trace_ = emitter != nullptr;
-  for (Shard& sh : shards_) sh.pass_rescored = 0;
+  emitter_ = emitter;
+  now_ = now;
+  pass_rescored_ = 0;
   const bool structural_ok = valid_ && queue.mutation_count() == synced_mutations_;
   // SJF priorities are global (a job's outstanding bytes shift with every
   // queue change), so prefix caching is unsound — non-FIFO always sweeps.
-  const bool full = !structural_ok || ordering != Ordering::Fifo ||
-                    !basis_compatible(snapshots, config);
-  std::vector<std::vector<Emission>> emits(shards_.size());
-  if (full) {
-    full_rescore(queue, ordering, snapshots, emits);
+  if (!structural_ok || ordering != Ordering::Fifo || !basis_compatible(snapshots, config)) {
+    full_rescore(queue, ordering, snapshots);
   } else {
-    bool any_dirty = false;
-    bool any_append = false;
-    std::vector<std::size_t> work;
-    for (std::size_t si = 0; si < shards_.size(); ++si) {
-      const Shard& sh = shards_[si];
-      any_dirty |= sh.rebuild || sh.first_dirty != kClean;
-      any_append |= !sh.appended.empty();
-      if (sh.rebuild || sh.first_dirty != kClean || !sh.appended.empty()) work.push_back(si);
-    }
-    if (work.size() <= 1) {
-      for (std::size_t si : work) incremental_shard(queue, si, emits[si]);
-    } else {
-      std::vector<std::thread> threads;
-      threads.reserve(work.size());
-      for (std::size_t si : work) {
-        threads.emplace_back([this, &queue, si, &emits]() {
-          incremental_shard(queue, si, emits[si]);
-        });
-      }
-      for (auto& t : threads) t.join();
-    }
-    if (any_dirty) {
+    if (rebuild_ || first_dirty_ != kClean) {
       ++stats_.suffix_rescores;
-    } else if (any_append) {
+    } else if (!appended_.empty()) {
       ++stats_.tail_extensions;
     } else {
       ++stats_.noop_passes;
     }
+    incremental(queue);
   }
-  TargetingStats out;
-  for (const Shard& sh : shards_) {
-    out.assigned += sh.n_assigned;
-    out.untargetable += sh.n_untargetable;
-    stats_.entries_rescored += sh.pass_rescored;
-    stats_.entries_reused += (sh.n_assigned + sh.n_untargetable) - sh.pass_rescored;
-  }
-  if (emitter != nullptr) {
-    // Deterministic emission order: shard-ascending, scoring order within.
-    for (const auto& shard_emits : emits) {
-      for (const Emission& em : shard_emits) {
-        emitter->target(now, em.block, em.node, em.sec_per_byte);
-      }
-    }
-  }
+  emitter_ = nullptr;
+  stats_.entries_rescored += pass_rescored_;
+  stats_.entries_reused += (n_assigned_ + n_untargetable_) - pass_rescored_;
   valid_ = true;
   synced_mutations_ = queue.mutation_count();
-  return out;
+  return {.assigned = n_assigned_, .untargetable = n_untargetable_};
 }
 
 bool RetargetIndex::self_check(const PendingQueue& queue) const {
-  if (!valid_ || queue.mutation_count() != synced_mutations_) return true;
-  for (const Shard& sh : shards_) {
-    if (sh.rebuild) continue;
-    const std::size_t limit = std::min(sh.first_dirty, sh.order.size());
-    for (std::size_t i = 0; i < limit; ++i) {
-      if (!sh.order[i].live) return false;  // tombstone escaped the dirty frontier
-    }
-    for (const auto& [block, idx] : sh.pos) {
-      if (idx >= sh.order.size()) return false;
-      if (sh.order[idx].block != block || !sh.order[idx].live) return false;
-      if (!queue.contains(block)) return false;  // dangling cached reference
-    }
-    if (sh.n_assigned + sh.n_untargetable != sh.pos.size()) return false;
+  if (!valid_ || queue.mutation_count() != synced_mutations_ || rebuild_) return true;
+  const std::size_t limit = std::min(first_dirty_, order_.size());
+  for (std::size_t i = 0; i < limit; ++i) {
+    if (!order_[i].live) return false;  // tombstone escaped the dirty frontier
   }
+  for (const auto& [block, idx] : pos_) {
+    if (idx >= order_.size()) return false;
+    if (order_[idx].block != block || !order_[idx].live) return false;
+    if (!queue.contains(block)) return false;  // dangling cached reference
+  }
+  if (n_assigned_ + n_untargetable_ != pos_.size()) return false;
   for (const PendingMigration& pm : queue) {
-    const Shard& sh = shards_[shard_of(pm.block)];
-    if (sh.rebuild) continue;
-    if (sh.pos.count(pm.block) == 0 && sh.appended_set.count(pm.block) == 0) return false;
+    if (pos_.count(pm.block) == 0 && appended_set_.count(pm.block) == 0) return false;
   }
   return true;
-}
-
-std::pair<NodeId, double> RetargetIndex::least_loaded(std::size_t shard) {
-  Shard& sh = shards_.at(shard);
-  return sh.heap.min(sh.loads);
 }
 
 }  // namespace dyrs::core

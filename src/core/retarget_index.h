@@ -1,4 +1,4 @@
-// RetargetIndex — incremental, shardable Algorithm 1 retargeting.
+// RetargetIndex — incremental Algorithm 1 retargeting.
 //
 // The reference retargeter (replica_selector.h) re-scores every pending
 // entry against every snapshot on every pass: O(pending x replicas) work
@@ -19,22 +19,16 @@
 //     clean prefix from the cache and re-scores only the suffix; pure
 //     appends extend the tail; an unchanged queue is a no-op pass.
 //
-// Exactness: with both drift thresholds at 0 and shards == 1 the pass is
-// bit-identical to the reference sweep — the basis is refreshed whenever
-// any snapshot value moves, so cached results are only reused against the
-// exact inputs that produced them, and the suffix re-score uses the same
-// arithmetic (and the same fold order) as assign_targets. With thresholds
-// > 0 the basis is *held* while estimates drift within tolerance (and
-// while nodes drop out of the snapshot set — a dead node lingers at its
-// last-known estimate until the basis refreshes), trading staleness for
-// O(dirty) passes; the bind-time avoid check is the safety net for the
-// stale-target window this opens.
-//
-// Sharding: entries are striped over shards by block id, each shard
-// scoring against its own finish-time table, and shard passes run on
-// parallel threads joined before the pass returns. Shard-local greedy is
-// a deliberately different (decoupled) policy from the global sweep —
-// the reference-equivalence claim is restricted to shards == 1.
+// Exactness: with both drift thresholds at 0 the pass is bit-identical to
+// the reference sweep — the basis is refreshed whenever any snapshot value
+// moves, so cached results are only reused against the exact inputs that
+// produced them, and the suffix re-score uses the same arithmetic (and the
+// same fold order) as assign_targets. With thresholds > 0 the basis is
+// *held* while estimates drift within tolerance (and while nodes drop out
+// of the snapshot set — a dead node lingers at its last-known estimate
+// until the basis refreshes), trading staleness for O(dirty) passes; the
+// bind-time avoid check is the safety net for the stale-target window
+// this opens.
 //
 // External mutations: drivers erase queue entries directly (cancellation,
 // eviction, failover). The index detects untracked churn by comparing
@@ -73,9 +67,6 @@ struct RetargetConfig {
   /// Relative queued_bytes drift tolerated (floored at one byte so an idle
   /// node's first binding still registers). 0 = exact.
   double queued_threshold = 0.0;
-  /// Block-striped shards scored on parallel threads. 1 = the global
-  /// greedy sweep (required for reference equivalence).
-  int shards = 1;
 };
 
 /// Lazy min-heap over per-node finish times. `update` pushes without
@@ -146,9 +137,8 @@ class RetargetIndex {
 
   const Stats& stats() const { return stats_; }
   bool cache_valid() const { return valid_; }
-  std::size_t shard_count() const { return shards_.size(); }
-  /// Earliest-finishing node in `shard` per its finish-time heap.
-  std::pair<NodeId, double> least_loaded(std::size_t shard = 0);
+  /// Earliest-finishing node per the finish-time heap.
+  std::pair<NodeId, double> least_loaded() { return heap_.min(loads_); }
 
  private:
   static constexpr std::size_t kClean = std::numeric_limits<std::size_t>::max();
@@ -159,53 +149,40 @@ class RetargetIndex {
     double finish = 0.0;  // the chosen node's finish time after this entry
     bool live = true;     // false once erased (tombstone awaiting compaction)
   };
-  struct Shard {
-    std::vector<Scored> order;  // cached pass order with results
-    std::unordered_map<BlockId, std::size_t> pos;
-    std::vector<BlockId> appended;  // pushed since the last pass, in order
-    std::unordered_set<BlockId> appended_set;
-    std::size_t first_dirty = kClean;          // earliest invalidated pass position
-    bool rebuild = false;                      // append order unusable: rescan the queue
-    std::unordered_map<NodeId, double> loads;  // per-node finish seconds
-    FinishTimeHeap heap;
-    std::size_t n_assigned = 0;
-    std::size_t n_untargetable = 0;
-    std::size_t pass_rescored = 0;  // entries scored during the current pass
-  };
-  struct Emission {
-    BlockId block;
-    NodeId node;
-    double sec_per_byte;
-  };
-
-  std::size_t shard_of(BlockId block) const {
-    return shards_.size() <= 1
-               ? 0
-               : static_cast<std::size_t>(block.value()) % shards_.size();
-  }
-  void ensure_shards(int shards);
   bool basis_compatible(const std::vector<SlaveSnapshot>& snapshots,
                         const RetargetConfig& config) const;
   void refresh_basis(const std::vector<SlaveSnapshot>& snapshots);
-  /// Scores `pm` against `loads` with assign_targets' exact arithmetic,
-  /// appends the result to the shard cache, and records an emission when
-  /// the target changed. Does not touch the heap (callers batch-rebuild or
+  /// Drops the pass cache and restarts the load table from the basis.
+  void reset_order();
+  /// Scores `pm` against `loads_` with assign_targets' exact arithmetic,
+  /// appends the result to the cache, and emits `mig_target` when the
+  /// target changed. Does not touch the heap (callers batch-rebuild or
   /// incrementally update as fits their pass shape).
-  void score_into(PendingMigration& pm, Shard& sh, std::vector<Emission>& emits);
+  void score_into(PendingMigration& pm);
   void full_rescore(PendingQueue& queue, Ordering ordering,
-                    const std::vector<SlaveSnapshot>& snapshots,
-                    std::vector<std::vector<Emission>>& emits);
-  /// Re-scores shard `si` from its dirty frontier (replaying the cached
-  /// clean prefix), then drains its appended tail; a shard flagged for
-  /// rebuild rescans the live queue instead.
-  void incremental_shard(PendingQueue& queue, std::size_t si, std::vector<Emission>& emits);
+                    const std::vector<SlaveSnapshot>& snapshots);
+  /// Re-scores from the dirty frontier (replaying the cached clean
+  /// prefix), then drains the appended tail; a cache flagged for rebuild
+  /// rescans the live queue instead.
+  void incremental(PendingQueue& queue);
 
-  std::vector<Shard> shards_{1};
+  std::vector<Scored> order_;  // cached pass order with results
+  std::unordered_map<BlockId, std::size_t> pos_;
+  std::vector<BlockId> appended_;  // pushed since the last pass, in order
+  std::unordered_set<BlockId> appended_set_;
+  std::size_t first_dirty_ = kClean;          // earliest invalidated pass position
+  bool rebuild_ = false;                      // append order unusable: rescan the queue
+  std::unordered_map<NodeId, double> loads_;  // per-node finish seconds
+  FinishTimeHeap heap_;
+  std::size_t n_assigned_ = 0;
+  std::size_t n_untargetable_ = 0;
+  std::size_t pass_rescored_ = 0;  // entries scored during the current pass
   std::unordered_map<NodeId, double> basis_spb_;
   std::unordered_map<NodeId, double> basis_load_;
   std::unordered_map<NodeId, Bytes> basis_queued_;
   bool valid_ = false;
-  bool trace_ = false;  // collect emissions during the current pass
+  LifecycleEmitter* emitter_ = nullptr;  // the current pass's, if it traces
+  SimTime now_ = 0;                      // the current pass's timestamp
   std::uint64_t synced_mutations_ = 0;
   Stats stats_;
 };

@@ -22,15 +22,6 @@ RtMaster::RtMaster(Options options)
           .failure_detection = options_.failure_detection,
           .tier = options_.tier}) {
   DYRS_CHECK(!options_.slaves.empty());
-  // Settlement shards exist before any worker can pull; the vector is
-  // never resized afterwards. Reference mode is a single shard that is
-  // only ever touched with mu_ also held.
-  const int shard_count =
-      options_.exchange.mode == Options::ExchangeConfig::Mode::Sharded
-          ? std::max(1, options_.exchange.shards)
-          : 1;
-  shards_.reserve(static_cast<std::size_t>(shard_count));
-  for (int i = 0; i < shard_count; ++i) shards_.push_back(std::make_unique<SettleShard>());
   ctr_completed_ = options_.obs.counter("rt.migrations.completed");
   ctr_cancelled_ = options_.obs.counter("rt.migrations.cancelled");
   ctr_requeued_ = options_.obs.counter("rt.migrations.requeued");
@@ -66,9 +57,6 @@ RtMaster::RtMaster(Options options)
       // One depth knob for both backends: a slave whose options left
       // queue_capacity 0 derives it from the shared policy (§III-B).
       if (slave_opts.queue_capacity == 0) slave_opts.queue_depth = options_.queue_depth;
-      // The exchange knob drives every slave that did not set its own
-      // drain-batch size.
-      if (slave_opts.drain_batch <= 1) slave_opts.drain_batch = options_.exchange.drain_batch;
       // Likewise for the shared retry and tier policies: the master-level
       // knob drives every slave that kept the defaults, so one config line
       // reconfigures the whole cluster like the sim backend's
@@ -78,7 +66,7 @@ RtMaster::RtMaster(Options options)
       auto slave = std::make_unique<RtSlave>(
           slave_opts,
           [this](std::vector<RtMigrationDone> dones) { on_complete_batch(std::move(dones)); },
-          [this](NodeId node, int space) { return pull(node, space); },
+          [this](RtSlave& slave, int space) { pull(slave, space); },
           [this](NodeId node, RtMigration m) { on_failed(node, std::move(m)); });
       node_order_.push_back(slave_opts.node);
       slaves_.emplace(slave_opts.node, std::move(slave));
@@ -104,7 +92,7 @@ std::int64_t RtMaster::now_us() const {
 }
 
 RtMaster::SettleShard& RtMaster::shard_for(BlockId block) const {
-  return *shards_[static_cast<std::size_t>(block.value()) % shards_.size()];
+  return shards_[static_cast<std::size_t>(block.value()) % kSettleShards];
 }
 
 std::uint64_t RtMaster::cycle_for(BlockId block) const {
@@ -233,12 +221,12 @@ void RtMaster::declare_dead_locked(NodeId node) {
   // per batch member, never per batch. Sorted by block so the requeue
   // order (and therefore the downstream binding order) is deterministic.
   std::vector<BoundRec> recs;
-  for (const auto& shp : shards_) {
-    std::lock_guard slock(shp->mu);
-    for (auto it = shp->bound.begin(); it != shp->bound.end();) {
+  for (SettleShard& sh : shards_) {
+    std::lock_guard slock(sh.mu);
+    for (auto it = sh.bound.begin(); it != sh.bound.end();) {
       if (it->second.node == node) {
         recs.push_back(std::move(it->second));
-        it = shp->bound.erase(it);
+        it = sh.bound.erase(it);
       } else {
         ++it;
       }
@@ -350,24 +338,21 @@ void RtMaster::retarget_loop(std::stop_token st) {
   }
 }
 
-std::vector<RtMigration> RtMaster::pull(NodeId node, int space) {
+void RtMaster::pull(RtSlave& slave, int space) {
   if (ctr_pulls_ != nullptr) ctr_pulls_->inc();
-  std::vector<RtMigration> out;
+  const NodeId node = slave.id();
+  std::vector<RtMigration> bound;
   std::lock_guard lock(mu_);
   // A declared-dead node gets nothing: its bound work was reclaimed, and a
   // zombie worker (partitioned, not crashed) must not double-bind blocks.
   // Rejoin re-admits it before the next pull can succeed.
-  if (node_dead_locked(node)) return out;
-  // The worker may pull before the master's constructor registered every
-  // slave; the queue is necessarily still empty then.
-  auto sit = slaves_.find(node);
-  const double spb = sit == slaves_.end() ? 0.0 : sit->second->sec_per_byte();
+  if (node_dead_locked(node)) return;
   // The control plane emits `mig_target` once here, for the decision that
   // stuck (AtBind profile): intermediate retarget passes are
   // timing-dependent and would make the event count nondeterministic.
   // Binding happens in the same step — the pull IS the bind — so
   // `mig_bind`'s wait_us is exactly bind-time minus enqueue-time.
-  for (core::BoundMigration& bm : plane_.bind_for(node, space, spb, now_us())) {
+  for (core::BoundMigration& bm : plane_.bind_for(node, space, slave.sec_per_byte(), now_us())) {
     // Register the binding so the failure detector can reclaim it if this
     // node goes silent before settling it.
     SettleShard& sh = shard_for(bm.block);
@@ -377,9 +362,12 @@ std::vector<RtMigration> RtMaster::pull(NodeId node, int space) {
       cycle = sh.cycle.at(bm.block);
       sh.bound[bm.block] = BoundRec{bm, node, cycle};
     }
-    out.push_back({std::move(bm), cycle});
+    bound.push_back({std::move(bm), cycle});
   }
-  return out;
+  // The hand-off happens under mu_ (master -> slave, the order
+  // retarget_locked uses): a block that just left the pending list is
+  // already in the slave's queue when cancel() or evict_job() looks for it.
+  if (!bound.empty()) slave.accept(std::move(bound));
 }
 
 bool RtMaster::settle_bound(BlockId block, NodeId node, std::uint64_t cycle) {
@@ -407,13 +395,6 @@ void RtMaster::settle_outstanding(long n) {
 
 void RtMaster::on_complete_batch(std::vector<RtMigrationDone> dones) {
   if (dones.empty()) return;
-  // Reference mode serializes the entire settlement under the master
-  // mutex — the seed's per-block shape, kept honest so the equivalence
-  // tests compare against a genuinely single-lock baseline.
-  std::unique_lock<std::mutex> ref_lock;
-  if (options_.exchange.mode == Options::ExchangeConfig::Mode::Reference) {
-    ref_lock = std::unique_lock(mu_);
-  }
   std::vector<core::CompletionRecord> settled;
   if (tracing()) settled.reserve(dones.size());
   long n = 0;
@@ -453,12 +434,7 @@ void RtMaster::on_complete_batch(std::vector<RtMigrationDone> dones) {
         settled, [](const core::CompletionRecord& r) { stamp_cycle_ = r.cycle; });
     stamp_cycle_ = 0;
   }
-  if (n == 0) return;
-  if (ref_lock.owns_lock()) {
-    if (outstanding_.fetch_sub(n, std::memory_order_acq_rel) == n) idle_cv_.notify_all();
-  } else {
-    settle_outstanding(n);
-  }
+  if (n > 0) settle_outstanding(n);
 }
 
 void RtMaster::on_failed(NodeId node, RtMigration mig) {
@@ -601,7 +577,7 @@ long RtMaster::requeued() const { return requeued_.load(std::memory_order_relaxe
 std::unordered_map<NodeId, long> RtMaster::completed_per_node() const {
   // Lock-free snapshot: the key set is fixed at construction, so iterating
   // concurrently with worker-thread fetch_adds is safe — pollers never
-  // stall a pull, which is the point of the sharded exchange.
+  // stall a pull.
   std::unordered_map<NodeId, long> out;
   out.reserve(per_node_.size());
   for (const auto& [id, n] : per_node_) out.emplace(id, n.load(std::memory_order_relaxed));
@@ -612,9 +588,9 @@ std::unordered_map<JobId, long> RtMaster::completed_per_job() const {
   // Per-job accounting lives with the shard that settled the block; the
   // snapshot aggregates shard by shard without ever touching mu_.
   std::unordered_map<JobId, long> out;
-  for (const auto& shp : shards_) {
-    std::lock_guard slock(shp->mu);
-    for (const auto& [job, n] : shp->per_job) out[job] += n;
+  for (const SettleShard& sh : shards_) {
+    std::lock_guard slock(sh.mu);
+    for (const auto& [job, n] : sh.per_job) out[job] += n;
   }
   return out;
 }

@@ -5,13 +5,12 @@
 // thread off the pull path (§III-D), and the policy state (pending queue,
 // binding log, retarget engine) is guarded by the master mutex. Settlement
 // state — the bound registry, per-block cycle counters and per-job
-// accounting — shards by block id (ExchangeConfig::Mode::Sharded, the same
-// block-striping rule core::RetargetIndex uses), with the completion
-// counters lock-free atomics, so batched completion reports and the
-// `completed*` accessors stay off the pull path. The single-lock reference
-// path is kept behind the same Options knob pattern RetargetConfig
-// established for Algorithm 1, and bench/micro_rt_throughput measures one
-// against the other.
+// accounting — stripes over a fixed set of shards by block id, with the
+// completion counters lock-free atomics, so completion reports settle and
+// the `completed*` accessors read without the master mutex, off the pull
+// path. A pull binds and hands the migrations to the slave's queue in one
+// step under the master mutex, so a bound block is always either pending
+// here or held by exactly one slave, where cancel() and evict_job() find it.
 //
 // The master is the *rt backend driver* of the shared migration control
 // plane (src/core): policy decisions (pending ordering, Algorithm 1
@@ -23,6 +22,7 @@
 // state lives in the slaves' local queues.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <memory>
@@ -65,38 +65,15 @@ class RtMaster {
     /// Pending-queue ordering for binding decisions (shared policy core).
     core::Ordering ordering = core::Ordering::Fifo;
     /// Algorithm 1 pass engine: reference full sweep (default) or the
-    /// incremental RetargetIndex. rt snapshots only move on heartbeat
-    /// reports, so incremental passes between reports are no-ops/tails —
-    /// exactly the cadence the index exploits.
+    /// incremental RetargetIndex. A snapshot's queued_bytes is the slave's
+    /// bound bytes, which move on every bind and completion, so at zero
+    /// thresholds most live incremental passes are full rescores
+    /// (EXPERIMENTS.md records the measured pass mix).
     core::RetargetConfig retarget;
     /// Slave queue-depth policy (§III-B), forwarded to every slave whose
     /// options left `queue_capacity` 0 — the same knob the sim backend
     /// reads from its ControlPlaneConfig.
     core::QueueDepthPolicy queue_depth;
-    /// Master<->slave exchange engine. Reference keeps the seed's shape:
-    /// per-block drain cadence and every settlement serialized under the
-    /// master mutex. Sharded stripes the settlement state (bound registry,
-    /// cycle counters, per-job accounting) by block id — the same
-    /// `block % shards` rule RetargetIndex uses — and settles batched
-    /// completion reports under the shard locks only, with the completion
-    /// counters lock-free. The two modes produce identical settlement
-    /// projections, accounting and per-node binding logs
-    /// (tests/rt/rt_batch_equivalence_test); the reference path exists so
-    /// that claim stays testable, exactly as RetargetConfig keeps the
-    /// reference Algorithm 1 sweep.
-    struct ExchangeConfig {
-      enum class Mode { Reference, Sharded };
-      Mode mode = Mode::Reference;
-      /// Settlement shard count (Sharded mode; Reference always uses 1).
-      int shards = 8;
-      /// Drain-batch size forwarded to every slave that left its own
-      /// `drain_batch` at 1: how many migrations a slave reads per worker
-      /// cycle as one token-bucket submission, coalescing their
-      /// completions into one on_complete_batch. 1 keeps the per-block
-      /// cadence.
-      int drain_batch = 1;
-    };
-    ExchangeConfig exchange;
     /// Master-side failure detection. Slaves publish wall-clock heartbeats
     /// (every worker-loop iteration and every disk slice); when enabled, a
     /// monitor thread applies a timeout -> suspicion -> declared-dead state
@@ -180,22 +157,28 @@ class RtMaster {
   void shutdown();
 
  private:
-  /// Settlement state striped by block id (`block % shards_.size()`, the
-  /// RetargetIndex rule). In Reference mode there is exactly one shard and
-  /// every access additionally happens under mu_; in Sharded mode the
-  /// completion path touches only the owning shard's lock. Lock order:
-  /// mu_ may be held when taking a shard lock, never the reverse, and no
-  /// emission happens while a shard lock is held (the master stamper
-  /// itself reads a shard for the cycle).
+  /// Settlement state striped by block id (`block % kSettleShards`). The
+  /// completion path touches only the owning shard's lock. Lock order: mu_
+  /// may be held when taking a shard lock, never the reverse, and no
+  /// emission happens while a shard lock is held (the master stamper itself
+  /// reads a shard for the cycle).
   struct BoundRec;
   struct SettleShard;
+  /// Eight stripes: a report holds a stripe only for a map update, so with
+  /// one worker per slave (16 in micro_rt_throughput's widest config) eight
+  /// keep collisions rare, while completed_per_job() locks every stripe and
+  /// should stay cheap to poll; 16 stripes drained no faster.
+  static constexpr std::size_t kSettleShards = 8;
 
-  std::vector<RtMigration> pull(NodeId node, int space);
-  /// Settles a drain cycle's coalesced completion reports. Zombie
-  /// suppression is keyed on each batch *member's* (block, node, cycle) —
-  /// a member whose binding was reclaimed drops individually while its
-  /// batch-mates settle. Reference mode wraps the whole call in mu_; the
-  /// per-block cadence is simply a batch of one.
+  /// Binds up to `space` migrations to `slave` and hands them to its queue
+  /// before mu_ is released.
+  void pull(RtSlave& slave, int space);
+  /// Settles a drain cycle's coalesced completion reports under the shard
+  /// locks; mu_ is touched only to wake wait_idle (settle_outstanding).
+  /// Zombie suppression is keyed on each batch *member's* (block, node,
+  /// cycle) — a member whose binding was reclaimed drops individually
+  /// while its batch-mates settle. The per-block cadence is simply a batch
+  /// of one.
   void on_complete_batch(std::vector<RtMigrationDone> dones);
   /// A migration exhausted its local retry budget at `node`: abort that
   /// lifecycle and requeue the block with the node on its avoid list.
@@ -258,9 +241,8 @@ class RtMaster {
   std::condition_variable idle_cv_;
   core::ControlPlane plane_;          // pending state + policy; under mu_
   std::vector<NodeId> node_order_;    // deterministic snapshot order; fixed at ctor
-  /// Settlement shards; sized at construction (1 in Reference mode) and
-  /// never resized, so shard_for needs no lock of its own.
-  std::vector<std::unique_ptr<SettleShard>> shards_;
+  /// Settlement shards; a fixed set, so shard_for needs no lock of its own.
+  mutable std::array<SettleShard, kSettleShards> shards_;
   /// Lifecycle counters, lock-free so batched settlement and the
   /// `completed*` accessors never touch mu_. outstanding_ = queued at
   /// master + bound at slaves, not done; its transient mid-update dips

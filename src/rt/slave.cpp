@@ -27,7 +27,7 @@ RtSlave::Options RtSlave::resolve(Options options) {
 }
 
 RtSlave::RtSlave(Options options, std::function<void(std::vector<RtMigrationDone>)> on_complete,
-                 std::function<std::vector<RtMigration>(NodeId, int)> pull,
+                 std::function<void(RtSlave&, int)> pull,
                  std::function<void(NodeId, RtMigration)> on_failed)
     : options_(resolve(std::move(options))),
       epoch_(options_.trace_epoch == std::chrono::steady_clock::time_point{}
@@ -89,6 +89,11 @@ void RtSlave::poke() {
     poked_ = true;
   }
   cv_.notify_all();
+}
+
+void RtSlave::accept(std::vector<RtMigration> work) {
+  std::lock_guard lock(mu_);
+  for (RtMigration& m : work) queue_.push_back(std::move(m));
 }
 
 bool RtSlave::cancel(BlockId block) {
@@ -302,15 +307,15 @@ void RtSlave::worker_loop(std::stop_token st) {
       if (space > 0) {
         lock.unlock();
         const auto pull_started = std::chrono::steady_clock::now();
-        auto pulled = pull_(options_.node, space);
+        pull_(*this, space);
         if (pull_latency_) {
           pull_latency_->add(std::chrono::duration<double, std::micro>(
                                  std::chrono::steady_clock::now() - pull_started)
                                  .count());
         }
         lock.lock();
+        // What the pull accepted after a crash began is cleared by crash().
         if (crashed_) return;
-        for (auto& m : pulled) queue_.push_back(std::move(m));
       }
       if (queue_.empty()) {
         // Nothing to do: sleep until poked or stopped. Short timeout keeps

@@ -109,9 +109,8 @@ class RtSlave {
     core::QueueDepthPolicy queue_depth;
     /// Migrations drained per worker cycle (at least 1): their reads go to
     /// the token bucket in one call and their completions in one report.
-    /// Forwarded by RtMaster from its ExchangeConfig. A derived queue capacity
-    /// (`queue_capacity == 0`) widens to hold two batches so the disk
-    /// never idles between batched pulls.
+    /// A derived queue capacity (`queue_capacity == 0`) widens to hold two
+    /// batches so the disk never idles between batched pulls.
     int drain_batch = 1;
     /// How often the worker publishes a wall-clock heartbeat (also the
     /// pull cadence the derived queue depth assumes).
@@ -133,11 +132,12 @@ class RtSlave {
   /// `on_complete` and `on_failed` run on the slave's worker thread.
   /// `on_complete` receives every settlement the current drain cycle
   /// produced: up to `drain_batch` elements, one per block at the default.
-  /// `pull` is invoked (also on the worker thread) whenever there is queue
-  /// space; it should return the migrations the master binds to this slave.
-  /// `on_failed` reports a migration that exhausted the retry budget.
+  /// `pull` is invoked (also on the worker thread) whenever there is room
+  /// for `space` more migrations; it hands the ones it binds to this slave
+  /// to `accept` before it returns. `on_failed` reports a migration that
+  /// exhausted the retry budget.
   RtSlave(Options options, std::function<void(std::vector<RtMigrationDone>)> on_complete,
-          std::function<std::vector<RtMigration>(NodeId, int)> pull,
+          std::function<void(RtSlave&, int)> pull,
           std::function<void(NodeId, RtMigration)> on_failed = nullptr);
   ~RtSlave();
   RtSlave(const RtSlave&) = delete;
@@ -155,6 +155,12 @@ class RtSlave {
 
   /// Wakes the worker to pull for work (e.g. after new pending arrived).
   void poke();
+
+  /// Appends migrations bound to this slave to its local queue; called by
+  /// `pull`. The master calls it while still holding the lock it bound
+  /// them under, so no cancel or eviction can miss a block in between.
+  /// Thread-safe.
+  void accept(std::vector<RtMigration> work);
 
   /// Cancels a local migration of `block` (missed read): removes it from
   /// the queue, or cancels it in the batch being drained — before, during
@@ -269,7 +275,7 @@ class RtSlave {
   /// The flash spill device: demotion writes are paced here, outside mu_.
   ThrottledDisk ssd_;
   std::function<void(std::vector<RtMigrationDone>)> on_complete_;
-  std::function<std::vector<RtMigration>(NodeId, int)> pull_;
+  std::function<void(RtSlave&, int)> pull_;
   std::function<void(NodeId, RtMigration)> on_failed_;
   /// Wall-clock latency of each master pull, recorded by the worker thread
   /// only (histograms are single-writer); null when metrics are off.

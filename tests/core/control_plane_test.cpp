@@ -1,7 +1,7 @@
 // ControlPlane policy-engine tests: merged-enqueue tracing, avoid-list
 // binding eligibility, the incremental RetargetIndex (pass classification,
 // reference equivalence, untracked-churn fallback, stale estimate
-// emission, sharded determinism) and the bind walk's scan counter.
+// emission) and the bind walk's scan counter.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -330,61 +330,6 @@ TEST(RetargetIncremental, RequeueWithinOnePassWindowRebuildsShard) {
   ref.add(1, 2, mib(1), {0, 1}, 6);
   ref.plane.retarget(snaps, 7);
   EXPECT_EQ(targets_of(t.plane), targets_of(ref.plane));
-}
-
-// ---------------------------------------------------------------------------
-// Sharded passes: shard-local greedy is a different policy from the global
-// sweep, but it must be deterministic — two planes fed the same operation
-// sequence agree on every target. (Threaded: runs under TSan in CI.)
-
-TEST(RetargetShard, ShardedPassesAreDeterministic) {
-  ControlPlaneConfig cfg;
-  cfg.retarget.mode = RetargetConfig::Mode::Incremental;
-  cfg.retarget.shards = 4;
-  TracedPlane a(cfg);
-  TracedPlane b(cfg);
-  const std::vector<SlaveSnapshot> snaps = {snap(0, 1e-6), snap(1, 2e-6), snap(2, 3e-6),
-                                            snap(3, 4e-6)};
-
-  auto twin = [&](auto&& fn) {
-    fn(a.plane);
-    fn(b.plane);
-  };
-
-  for (int blk = 0; blk < 16; ++blk) {
-    twin([&](ControlPlane& p) {
-      p.enqueue(JobId(1 + blk % 2), EvictionMode::Explicit, BlockId(blk), mib(1 + blk % 4),
-                nodes({blk % 4, (blk + 1) % 4}), {}, blk);
-    });
-  }
-  twin([&](ControlPlane& p) { p.retarget(snaps, 20); });  // parallel full pass
-  EXPECT_EQ(a.plane.retarget_index().shard_count(), 4u);
-  EXPECT_EQ(targets_of(a.plane), targets_of(b.plane));
-  EXPECT_TRUE(a.plane.retarget_index().self_check(a.plane.queue()));
-
-  // Appends into several shards, then binds: the incremental pass runs the
-  // touched shards on parallel threads.
-  for (int blk = 16; blk < 24; ++blk) {
-    twin([&](ControlPlane& p) {
-      p.enqueue(JobId(2), EvictionMode::Explicit, BlockId(blk), mib(2),
-                nodes({blk % 4, (blk + 2) % 4}), {}, 20 + blk);
-    });
-  }
-  twin([&](ControlPlane& p) { p.retarget(snaps, 50); });
-  EXPECT_EQ(targets_of(a.plane), targets_of(b.plane));
-
-  twin([&](ControlPlane& p) {
-    p.bind_for(NodeId(0), 2, 1e-6, 51);
-    p.bind_for(NodeId(2), 2, 3e-6, 52);
-  });
-  EXPECT_EQ(a.plane.binding_log(), b.plane.binding_log());
-  twin([&](ControlPlane& p) { p.retarget(snaps, 53); });
-  EXPECT_EQ(targets_of(a.plane), targets_of(b.plane));
-  EXPECT_TRUE(a.plane.retarget_index().self_check(a.plane.queue()));
-  EXPECT_TRUE(b.plane.retarget_index().self_check(b.plane.queue()));
-
-  // Every pending entry still got a target (all replicas report).
-  for (const auto& [block, target] : targets_of(a.plane)) EXPECT_TRUE(target.valid()) << block;
 }
 
 // ---------------------------------------------------------------------------

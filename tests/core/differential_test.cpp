@@ -98,8 +98,7 @@ Outcome sim_run(core::Ordering ordering, const std::vector<std::pair<JobId, int>
 
 Outcome rt_run(core::Ordering ordering, const std::vector<std::pair<JobId, int>>& jobs,
            int num_nodes = kNodes, int replication = 2, bool heterogeneous = true,
-           core::RetargetConfig retarget = {},
-           rt::RtMaster::Options::ExchangeConfig exchange = {}) {
+           core::RetargetConfig retarget = {}, int drain_batch = 1) {
   obs::MetricsRegistry registry;
   obs::Tracer tracer;
   obs::ThreadLocalBufferSink sink;
@@ -112,12 +111,12 @@ Outcome rt_run(core::Ordering ordering, const std::vector<std::pair<JobId, int>>
     s.disk_bandwidth = heterogeneous ? bandwidth_of(n) : mib_per_sec(100);
     s.queue_capacity = 2;
     s.reference_block = kBlock;
+    s.drain_batch = drain_batch;
     options.slaves.push_back(s);
   }
   options.retarget_interval = 60s;  // only migrate()'s pass assigns targets
   options.ordering = ordering;
   options.retarget = retarget;
-  options.exchange = exchange;
   options.obs = obs::ObsContext(&registry, &tracer);
   rt::RtMaster master(std::move(options));
 
@@ -206,7 +205,7 @@ TEST(Differential, SmallestJobFirstBindsSmallJobFirstOnBoth) {
 }
 
 // The correctness anchor for the incremental retargeter: at zero drift
-// thresholds and one shard, incremental and reference passes must make
+// thresholds, incremental and reference passes must make
 // identical binding decisions on *both* backends — four runs, one
 // projection.
 TEST(Differential, IncrementalRetargetMatchesReferenceOnBothBackends) {
@@ -226,24 +225,20 @@ TEST(Differential, IncrementalRetargetMatchesReferenceOnBothBackends) {
   check_traces(sim_inc, rt_inc);
 }
 
-// The sharded/batched exchange engine only changes how settlements are
-// synchronized, never what binds where: sim, reference rt and sharded rt
-// must produce one binding projection.
-TEST(Differential, ShardedExchangeBindsIdenticallyToSim) {
+// Batched drains only change how many blocks a slave reads and reports per
+// cycle, never what binds where: sim, rt at batch 1 and rt at batch 4 must
+// produce one binding projection.
+TEST(Differential, BatchedExchangeBindsIdenticallyToSim) {
   const std::vector<std::pair<JobId, int>> jobs = {{JobId(1), 16}};
-  rt::RtMaster::Options::ExchangeConfig sharded;
-  sharded.mode = rt::RtMaster::Options::ExchangeConfig::Mode::Sharded;
-  sharded.shards = 8;
-  sharded.drain_batch = 4;
 
   const Outcome sim_out = sim_run(core::Ordering::Fifo, jobs);
-  const Outcome rt_ref = rt_run(core::Ordering::Fifo, jobs);
-  const Outcome rt_shd = rt_run(core::Ordering::Fifo, jobs, kNodes, 2, true, {}, sharded);
+  const Outcome rt_one = rt_run(core::Ordering::Fifo, jobs);
+  const Outcome rt_bat = rt_run(core::Ordering::Fifo, jobs, kNodes, 2, true, {}, 4);
 
   ASSERT_FALSE(sim_out.bindings.empty());
-  EXPECT_EQ(sim_out.bindings, rt_shd.bindings);
-  EXPECT_EQ(rt_ref.bindings, rt_shd.bindings);
-  check_traces(sim_out, rt_shd);
+  EXPECT_EQ(sim_out.bindings, rt_bat.bindings);
+  EXPECT_EQ(rt_one.bindings, rt_bat.bindings);
+  check_traces(sim_out, rt_bat);
 }
 
 // --- tier decisions ------------------------------------------------------

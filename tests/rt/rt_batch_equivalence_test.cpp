@@ -1,29 +1,20 @@
 // Property test: what the rt exchange decides and settles does not depend
-// on how slaves batch their drains or how the master shards settlement.
+// on how slaves batch their drains.
 //
 // For 200 seeded random schedules (node count, block count, sizes, replica
 // sets and job assignment all drawn from the seed), the same workload runs
-// under three exchange configurations:
-//
-//   per-block   Mode::Reference, drain_batch 1  — one read call and one
-//               completion report per block, the default
-//   batched     Mode::Reference, drain_batch 16 — the same slave engine
-//               with up to 16 blocks per read call and report
-//   sharded     Mode::Sharded (8 shards), drain_batch 16 — settlement
-//               striped over shard locks as well
-//
-// and all three must produce identical (a) per-block settlement
-// projections (the `type@node` signature `dyrsctl trace --span-seq`
-// prints), (b) per-node and per-job completion accounting, and (c)
-// per-node binding-log projections. A single migrate() call with a long
+// with every slave at drain_batch 1 (one read call and one completion
+// report per block, the default) and at drain_batch 16 (up to 16 blocks per
+// read call and report), and both must produce identical (a) per-block
+// settlement projections (the `type@node` signature `dyrsctl trace
+// --span-seq` prints), (b) per-node and per-job completion accounting, and
+// (c) per-node binding-log projections. A single migrate() call with a long
 // retarget interval pins the Algorithm 1 pass to the cold-estimator
 // snapshot, so the decisions are a pure policy outcome — any divergence
-// would be the exchange engine's fault, not timing's.
+// would be the exchange's fault, not timing's.
 //
-// Slaves have one data path, so batch 1 against batch 16 is an invariance
-// property of that engine, not a comparison of a reference with a fast
-// path; Mode::Reference against Mode::Sharded still compares two settlement
-// engines.
+// The master has one settlement engine and slaves one data path, so this is
+// an invariance property of the one exchange.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -78,7 +69,7 @@ struct Outcome {
   std::unordered_map<JobId, long> per_job;
 };
 
-Outcome run(const Schedule& s, RtMaster::Options::ExchangeConfig exchange) {
+Outcome run(const Schedule& s, int drain_batch) {
   obs::MetricsRegistry registry;
   obs::Tracer tracer;
   obs::ThreadLocalBufferSink sink;
@@ -91,10 +82,10 @@ Outcome run(const Schedule& s, RtMaster::Options::ExchangeConfig exchange) {
     slave.disk_bandwidth = mib_per_sec(64);
     slave.queue_capacity = 4;
     slave.reference_block = mib(1);
+    slave.drain_batch = drain_batch;
     options.slaves.push_back(slave);
   }
   options.retarget_interval = 60s;  // only migrate()'s Algorithm 1 pass runs
-  options.exchange = exchange;
   options.obs = obs::ObsContext(&registry, &tracer);
   RtMaster master(std::move(options));
   master.migrate(s.blocks);
@@ -124,28 +115,17 @@ Outcome run(const Schedule& s, RtMaster::Options::ExchangeConfig exchange) {
 }
 
 TEST(RtBatchEquivalence, TwoHundredSeededSchedules) {
-  using Exchange = RtMaster::Options::ExchangeConfig;
-  const Exchange reference{.mode = Exchange::Mode::Reference, .drain_batch = 1};
-  const Exchange batched{.mode = Exchange::Mode::Reference, .drain_batch = 16};
-  const Exchange sharded{.mode = Exchange::Mode::Sharded, .shards = 8, .drain_batch = 16};
-
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     const Schedule s = draw(seed);
-    const Outcome ref = run(s, reference);
-    const Outcome bat = run(s, batched);
-    const Outcome shd = run(s, sharded);
+    const Outcome one = run(s, 1);
+    const Outcome bat = run(s, 16);
 
-    ASSERT_EQ(ref.completed, static_cast<long>(s.blocks.size())) << "seed " << seed;
-    EXPECT_EQ(ref.settlement, bat.settlement) << "seed " << seed;
-    EXPECT_EQ(ref.settlement, shd.settlement) << "seed " << seed;
-    EXPECT_EQ(ref.bindings, bat.bindings) << "seed " << seed;
-    EXPECT_EQ(ref.bindings, shd.bindings) << "seed " << seed;
-    EXPECT_EQ(ref.completed, bat.completed) << "seed " << seed;
-    EXPECT_EQ(ref.completed, shd.completed) << "seed " << seed;
-    EXPECT_EQ(ref.per_node, bat.per_node) << "seed " << seed;
-    EXPECT_EQ(ref.per_node, shd.per_node) << "seed " << seed;
-    EXPECT_EQ(ref.per_job, bat.per_job) << "seed " << seed;
-    EXPECT_EQ(ref.per_job, shd.per_job) << "seed " << seed;
+    ASSERT_EQ(one.completed, static_cast<long>(s.blocks.size())) << "seed " << seed;
+    EXPECT_EQ(one.settlement, bat.settlement) << "seed " << seed;
+    EXPECT_EQ(one.bindings, bat.bindings) << "seed " << seed;
+    EXPECT_EQ(one.completed, bat.completed) << "seed " << seed;
+    EXPECT_EQ(one.per_node, bat.per_node) << "seed " << seed;
+    EXPECT_EQ(one.per_job, bat.per_job) << "seed " << seed;
     if (::testing::Test::HasFailure()) break;  // one seed's dump is enough
   }
 }

@@ -1,4 +1,4 @@
-// Concurrency stress for the sharded exchange: 16 slaves hammering batched
+// Concurrency stress for the rt exchange: 16 slaves hammering batched
 // pull/complete against the striped settlement state while two of them
 // crash and restart mid-drain and poller threads snapshot the lock-free
 // accessors continuously. Runs in Release and in the tsan-rt CI job (with
@@ -44,12 +44,10 @@ TEST(RtShardStress, BatchedCrashRestartWithConcurrentPollers) {
     s.queue_capacity = 64;
     s.reference_block = mib(1);
     s.heartbeat_interval = 5ms;
+    s.drain_batch = 32;
     options.slaves.push_back(s);
   }
   options.retarget_interval = 2ms;
-  options.exchange = {.mode = RtMaster::Options::ExchangeConfig::Mode::Sharded,
-                      .shards = 16,
-                      .drain_batch = 32};
   options.failure_detection.enabled = true;
   options.failure_detection.monitor_interval = 5ms;
   options.failure_detection.suspect_after = 60ms;

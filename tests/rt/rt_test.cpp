@@ -19,6 +19,7 @@
 #include <sys/prctl.h>
 #endif
 
+#include "common/random.h"
 #include "obs/metrics_registry.h"
 #include "obs/thread_buffer_sink.h"
 #include "obs/trace.h"
@@ -96,10 +97,10 @@ RtMigration migration(int block, Bytes size) {
 }
 
 /// A pull that hands the slave `work` once, after `go` is set.
-std::function<std::vector<RtMigration>(NodeId, int)> pull_once(std::atomic<bool>& go,
-                                                               std::vector<RtMigration> work) {
-  return [&go, work = std::move(work)](NodeId, int) {
-    return go.exchange(false) ? work : std::vector<RtMigration>{};
+std::function<void(RtSlave&, int)> pull_once(std::atomic<bool>& go,
+                                             std::vector<RtMigration> work) {
+  return [&go, work = std::move(work)](RtSlave& slave, int) {
+    if (go.exchange(false)) slave.accept(work);
   };
 }
 
@@ -326,19 +327,10 @@ TEST(RtMaster, CancelActiveMigrationUnblocksQuickly) {
   RtMaster master({.slaves = {slave_opts(0, mib_per_sec(1))}, .retarget_interval = 2ms});
   master.migrate(blocks_on_all(3, 1, mib(8)));
   std::this_thread::sleep_for(50ms);  // let the first read start
-  int cancelled = 0;
-  for (int b = 0; b < 3; ++b) {
-    // A block in flight between master pull and slave enqueue is briefly
-    // invisible to cancel; retry covers that hand-off window.
-    for (int attempt = 0; attempt < 100; ++attempt) {
-      if (master.cancel(BlockId(b))) {
-        ++cancelled;
-        break;
-      }
-      std::this_thread::sleep_for(2ms);
-    }
-  }
-  EXPECT_EQ(cancelled, 3);
+  // Every block is pending, queued or being read: a pull hands what it
+  // binds to the slave before the master lock drops, so no cancel can find
+  // a block in neither place.
+  for (int b = 0; b < 3; ++b) EXPECT_TRUE(master.cancel(BlockId(b))) << "block " << b;
   EXPECT_TRUE(master.wait_idle(5s));
   EXPECT_EQ(master.completed(), 0);
   EXPECT_EQ(master.slave(NodeId(0)).buffered_count(), 0u);
@@ -377,6 +369,82 @@ TEST(RtMaster, CancelRacesBoundTransfer) {
     ASSERT_TRUE(master.wait_idle(10s)) << "round " << i << " never settled";
   }
   EXPECT_EQ(master.completed() + cancelled, rounds);
+}
+
+// rt_jobs' shape: short jobs on slow disks, each cancelled block by block
+// and then evicted at its read deadline, a tenth abandoned (evicted) right
+// after submission. A bound block is always pending at the master or held
+// by one slave, so a cancel that misses a block finds it settled for the
+// job: every kept job's completions plus cancel hits cover its blocks, and
+// no evicted job leaves a buffer behind.
+TEST(RtMaster, DeadlineCancelAndEvictFindEveryBoundBlock) {
+  constexpr int kJobs = 450;
+  constexpr auto kPeriod = 3333us;  // 300 jobs/s: ~60% of the disks' bandwidth
+  constexpr auto kLead = 4ms;
+  constexpr auto kAbandonAfter = 2ms;
+  RtMaster::Options options;
+  for (int n = 0; n < 4; ++n) {
+    options.slaves.push_back(slave_opts(n, n == 0 ? mib_per_sec(6) : mib_per_sec(24)));
+  }
+  options.retarget_interval = 2ms;
+  RtMaster master(std::move(options));
+
+  struct Job {
+    std::vector<RtBlock> blocks;
+    bool abandoned = false;
+    long hits = 0;
+  };
+  Rng rng(21);
+  std::vector<Job> jobs(kJobs);
+  std::int64_t next_block = 1;
+  for (int j = 0; j < kJobs; ++j) {
+    jobs[j].abandoned = rng.bernoulli(0.1);
+    for (auto b = rng.uniform_int(2, 8); b > 0; --b) {
+      const auto first = rng.uniform_int(0, 3);
+      jobs[j].blocks.push_back({BlockId(next_block++),
+                                32 * kKiB,
+                                {NodeId(first), NodeId((first + 1) % 4)},
+                                JobId(j + 1)});
+    }
+  }
+  struct Action {
+    std::chrono::steady_clock::duration at;
+    int job;
+    bool submit;
+  };
+  std::vector<Action> actions;
+  for (int j = 0; j < kJobs; ++j) {
+    actions.push_back({j * kPeriod, j, true});
+    actions.push_back({j * kPeriod + (jobs[j].abandoned ? kAbandonAfter : kLead), j, false});
+  }
+  std::stable_sort(actions.begin(), actions.end(),
+                   [](const Action& a, const Action& b) { return a.at < b.at; });
+
+  const auto start = std::chrono::steady_clock::now();
+  for (const Action& a : actions) {
+    std::this_thread::sleep_until(start + a.at);
+    Job& job = jobs[a.job];
+    if (a.submit) {
+      master.migrate(job.blocks);
+      continue;
+    }
+    if (!job.abandoned) {
+      for (const RtBlock& b : job.blocks) job.hits += master.cancel(b.block) ? 1 : 0;
+    }
+    master.evict_job(JobId(a.job + 1));
+  }
+  ASSERT_TRUE(master.wait_idle(30s));
+
+  const auto per_job = master.completed_per_job();
+  for (int j = 0; j < kJobs; ++j) {
+    if (jobs[j].abandoned) continue;
+    const auto it = per_job.find(JobId(j + 1));
+    const long done = it == per_job.end() ? 0 : it->second;
+    EXPECT_EQ(done + jobs[j].hits, static_cast<long>(jobs[j].blocks.size())) << "job " << j + 1;
+  }
+  for (NodeId node : master.nodes()) {
+    EXPECT_EQ(master.slave(node).buffered_bytes(), 0u) << "node " << node;
+  }
 }
 
 TEST(RtMaster, WaitIdleReturnsWhenShutdownDiscardsWork) {
@@ -588,15 +656,13 @@ TEST(RtMaster, AccessorPollingDoesNotStallOnMasterLock) {
   // to copy whole maps under the master mutex. With 20k pending entries
   // and a 1ms retarget interval, the reference Algorithm 1 sweep holds mu_
   // almost continuously — accessor polls that contended on it would take
-  // milliseconds each. The sharded accessors snapshot lock-free counters
-  // and per-shard accounting, so 2000 polls stay well under the bound even
+  // milliseconds each. The accessors snapshot lock-free counters and
+  // per-shard accounting, so 2000 polls stay well under the bound even
   // while the sweep thread saturates the lock.
   RtMaster::Options options;
   options.slaves = {slave_opts(0, mib_per_sec(4)), slave_opts(1, mib_per_sec(4))};
+  for (RtSlave::Options& slave : options.slaves) slave.drain_batch = 8;
   options.retarget_interval = 1ms;
-  options.exchange = {.mode = RtMaster::Options::ExchangeConfig::Mode::Sharded,
-                      .shards = 8,
-                      .drain_batch = 8};
   RtMaster master(std::move(options));
   master.migrate(blocks_on_all(20000, 2));
 
