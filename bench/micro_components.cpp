@@ -4,6 +4,8 @@
 // with thousands of jobs).
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "cluster/memory.h"
 #include "dyrs/buffer_manager.h"
 #include "dyrs/estimator.h"
@@ -27,6 +29,29 @@ void BM_EventQueue_ScheduleRun(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_EventQueue_ScheduleRun)->Arg(1000)->Arg(100000);
+
+// 64 recurrences at co-prime periods (the first 64 primes above 1 ms) for
+// one simulated second: the timer-heavy shape of the sim workloads, whose
+// master pulses, retarget passes, heartbeats and samplers are most events.
+void BM_EventQueue_Every(benchmark::State& state) {
+  std::vector<SimDuration> periods;
+  for (SimDuration p = milliseconds(1); periods.size() < 64; ++p) {
+    bool prime = true;
+    for (SimDuration d = 2; prime && d * d <= p; ++d) prime = p % d != 0;
+    if (prime) periods.push_back(p);
+  }
+  std::int64_t events = 0;
+  for (auto _ : state) {
+    sim::Simulator sim;
+    long ticks = 0;
+    for (SimDuration p : periods) sim.every(p, [&ticks] { ++ticks; });
+    sim.run_until(seconds(1));
+    events += static_cast<std::int64_t>(sim.events_executed());
+    benchmark::DoNotOptimize(ticks);
+  }
+  state.SetItemsProcessed(events);
+}
+BENCHMARK(BM_EventQueue_Every);
 
 void BM_FairShare_FlowChurn(benchmark::State& state) {
   const auto n = state.range(0);

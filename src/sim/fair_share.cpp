@@ -36,7 +36,7 @@ void FairShareResource::advance() {
     busy_us_ += dt;
     const double progress = per_flow_rate_ * static_cast<double>(dt) / 1e6;
     if (progress > 0.0) {
-      for (auto& [id, flow] : flows_) {
+      for (Flow& flow : flows_) {
         if (flow.infinite) continue;
         const double moved = std::min(flow.remaining, progress);
         flow.remaining -= moved;
@@ -61,7 +61,7 @@ void FairShareResource::reschedule() {
   pending_tick_.cancel();
   if (per_flow_rate_ <= 0.0) return;
   double min_remaining = kInfinite;
-  for (const auto& [id, flow] : flows_) {
+  for (const Flow& flow : flows_) {
     if (!flow.infinite) min_remaining = std::min(min_remaining, flow.remaining);
   }
   if (min_remaining == kInfinite) return;  // only interference flows
@@ -76,14 +76,11 @@ void FairShareResource::on_tick() {
   // resource already in its post-completion state so reentrant start_flow
   // calls from callbacks observe consistent rates.
   std::vector<CompletionFn> done;
-  for (auto it = flows_.begin(); it != flows_.end();) {
-    if (!it->second.infinite && it->second.remaining <= kDrainEpsilonBytes) {
-      done.push_back(std::move(it->second.on_complete));
-      it = flows_.erase(it);
-    } else {
-      ++it;
-    }
+  auto drained = [](const Flow& f) { return !f.infinite && f.remaining <= kDrainEpsilonBytes; };
+  for (Flow& flow : flows_) {
+    if (drained(flow)) done.push_back(std::move(flow.on_complete));
   }
+  std::erase_if(flows_, drained);
   recompute_rates();
   reschedule();
   const SimTime now = sim_.now();
@@ -96,10 +93,8 @@ FairShareResource::FlowId FairShareResource::start_flow(Bytes bytes, CompletionF
   DYRS_CHECK_MSG(bytes > 0, "flow must move at least one byte");
   advance();
   const FlowId id = next_id_++;
-  Flow flow;
-  flow.remaining = static_cast<double>(bytes);
-  flow.on_complete = std::move(on_complete);
-  flows_.emplace(id, std::move(flow));
+  flows_.push_back({.id = id, .remaining = static_cast<double>(bytes),
+                    .on_complete = std::move(on_complete)});
   recompute_rates();
   reschedule();
   return id;
@@ -108,10 +103,7 @@ FairShareResource::FlowId FairShareResource::start_flow(Bytes bytes, CompletionF
 FairShareResource::FlowId FairShareResource::start_interference() {
   advance();
   const FlowId id = next_id_++;
-  Flow flow;
-  flow.remaining = kInfinite;
-  flow.infinite = true;
-  flows_.emplace(id, std::move(flow));
+  flows_.push_back({.id = id, .remaining = kInfinite, .on_complete = nullptr, .infinite = true});
   ++interference_count_;
   recompute_rates();
   reschedule();
@@ -120,9 +112,9 @@ FairShareResource::FlowId FairShareResource::start_interference() {
 
 void FairShareResource::cancel_flow(FlowId id) {
   advance();
-  auto it = flows_.find(id);
+  const auto it = find(id);
   if (it == flows_.end()) return;
-  if (it->second.infinite) --interference_count_;
+  if (it->infinite) --interference_count_;
   flows_.erase(it);
   recompute_rates();
   reschedule();
@@ -136,14 +128,20 @@ void FairShareResource::set_capacity(Rate capacity) {
   reschedule();
 }
 
-Bytes FairShareResource::remaining_bytes(FlowId id) {
-  advance();
-  recompute_rates();
-  reschedule();
-  auto it = flows_.find(id);
+FairShareResource::Flows::const_iterator FairShareResource::find(FlowId id) const {
+  const auto it = std::lower_bound(flows_.begin(), flows_.end(), id,
+                                   [](const Flow& f, FlowId v) { return f.id < v; });
+  return it != flows_.end() && it->id == id ? it : flows_.end();
+}
+
+Bytes FairShareResource::remaining_bytes(FlowId id) const {
+  const auto it = find(id);
   if (it == flows_.end()) return 0;
-  if (it->second.infinite) return std::numeric_limits<Bytes>::max();
-  return static_cast<Bytes>(std::ceil(it->second.remaining));
+  if (it->infinite) return std::numeric_limits<Bytes>::max();
+  // advance()'s arithmetic, applied to a copy of this flow's residual.
+  const double progress = per_flow_rate_ * static_cast<double>(sim_.now() - last_update_) / 1e6;
+  const double moved = std::min(it->remaining, std::max(progress, 0.0));
+  return static_cast<Bytes>(std::ceil(it->remaining - moved));
 }
 
 SimDuration FairShareResource::unloaded_duration(Bytes bytes) const {

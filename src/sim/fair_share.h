@@ -19,8 +19,8 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <map>
 #include <string>
+#include <vector>
 
 #include "common/units.h"
 #include "sim/simulator.h"
@@ -54,7 +54,7 @@ class FairShareResource {
   /// Safe to call with an id that already completed.
   void cancel_flow(FlowId id);
 
-  bool has_flow(FlowId id) const { return flows_.count(id) > 0; }
+  bool has_flow(FlowId id) const { return find(id) != flows_.end(); }
   int active_flows() const { return static_cast<int>(flows_.size()); }
   int active_interference_flows() const { return interference_count_; }
 
@@ -65,8 +65,9 @@ class FairShareResource {
   /// Current per-flow rate (0 when idle).
   Rate per_flow_rate() const { return per_flow_rate_; }
 
-  /// Bytes still to transfer for a finite flow, as of now.
-  Bytes remaining_bytes(FlowId id);
+  /// Bytes still to transfer for a finite flow, as of now. A pure query:
+  /// it computes the residual without advancing or rescheduling anything.
+  Bytes remaining_bytes(FlowId id) const;
 
   /// Time to drain `bytes` if it were the only flow — the "unloaded" read
   /// time used to size slave queues.
@@ -81,10 +82,15 @@ class FairShareResource {
 
  private:
   struct Flow {
+    FlowId id = 0;
     double remaining = 0.0;  // +inf for interference flows
     CompletionFn on_complete;
     bool infinite = false;
   };
+  using Flows = std::vector<Flow>;
+
+  /// Binary search of the id-ordered flows; end() when absent.
+  Flows::const_iterator find(FlowId id) const;
 
   void advance();
   void recompute_rates();
@@ -96,7 +102,7 @@ class FairShareResource {
   Rate capacity_;
   double seek_alpha_;
 
-  std::map<FlowId, Flow> flows_;
+  Flows flows_;  // ascending id: ids only grow, so start_* appends
   FlowId next_id_ = 1;
   int interference_count_ = 0;
 

@@ -1,68 +1,92 @@
 #include "sim/simulator.h"
 
+#include <algorithm>
+
 namespace dyrs::sim {
 
-EventHandle Simulator::schedule_at(SimTime t, EventFn fn) {
-  DYRS_CHECK_MSG(t >= now_, "scheduling into the past: t=" << t << " now=" << now_);
-  auto state = std::make_shared<detail::EventState>();
-  state->time = t;
-  state->seq = next_seq_++;
-  state->fn = std::move(fn);
-  queue_.push(state);
-  return EventHandle(state);
+EventHandle Simulator::arm(SimTime t, SimDuration period, EventFn fn) {
+  detail::SlotTable& table = *table_;
+  if (table.free.empty()) {
+    table.free.push_back(static_cast<std::uint32_t>(table.slots.size()));
+    table.slots.emplace_back();
+  }
+  const std::uint32_t slot = table.free.back();
+  table.free.pop_back();
+  detail::Slot& s = table.slots[slot];
+  s.fn = std::move(fn);
+  s.period = period;
+  s.cancelled = false;
+  push(t, slot);
+  return EventHandle(table_, slot, s.gen);
 }
 
-EventHandle Simulator::every(SimDuration interval, EventFn fn) {
-  DYRS_CHECK(interval > 0);
-  // The master state is never queued; it only carries the cancellation flag
-  // shared by all occurrences.
-  auto master = std::make_shared<detail::EventState>();
-  auto shared_fn = std::make_shared<EventFn>(std::move(fn));
+void Simulator::push(SimTime t, std::uint32_t slot) {
+  heap_.push_back({t, next_seq_++, slot});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
+}
 
-  // Self-rescheduling occurrence. Captures `this` — the Simulator must
-  // outlive its events, which holds because it owns the queue. Only queued
-  // events own the occurrence and it refers to itself weakly, so the
-  // recurrence is freed with its last queued event: after a cancel, or
-  // with the queue.
-  auto occurrence = std::make_shared<EventFn>();
-  *occurrence = [this, master, shared_fn, self = std::weak_ptr<EventFn>(occurrence), interval]() {
-    if (master->cancelled) return;
-    (*shared_fn)();
-    if (master->cancelled) return;
-    // The queued event running this closure holds the occurrence alive.
-    schedule_after(interval, [occurrence = self.lock()]() { (*occurrence)(); });
-  };
-  schedule_after(interval, [occurrence]() { (*occurrence)(); });
+std::uint32_t Simulator::pop() {
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  const std::uint32_t slot = heap_.back().slot;
+  heap_.pop_back();
+  return slot;
+}
 
-  // The master lives as long as the recurrence (the occurrence captures
-  // it); the handle observes it weakly.
-  return EventHandle(master);
+void Simulator::release(std::uint32_t slot) {
+  ++table_->slots[slot].gen;
+  table_->free.push_back(slot);
 }
 
 void Simulator::drop_cancelled_head() {
-  while (!queue_.empty() && queue_.top()->cancelled) queue_.pop();
+  while (!heap_.empty() && table_->slots[heap_.front().slot].cancelled) {
+    const std::uint32_t slot = pop();
+    ++cancelled_skipped_;
+    // Captures are destroyed after the slot is consistent again.
+    EventFn dead = std::move(table_->slots[slot].fn);
+    release(slot);
+  }
+}
+
+void Simulator::fire_top() {
+  DYRS_CHECK(heap_.front().time >= now_);
+  now_ = heap_.front().time;
+  const std::uint32_t slot = pop();
+  ++executed_;
+  // Moved out: the callback may grow the table, and a one-shot's captures
+  // die only after its slot is released.
+  EventFn fn = std::move(table_->slots[slot].fn);
+  try {
+    fn();
+  } catch (...) {
+    release(slot);
+    throw;
+  }
+  detail::Slot& s = table_->slots[slot];
+  if (s.period > 0 && !s.cancelled) {
+    // The re-arm takes its seq after the callback, as a callback scheduling
+    // its own successor would.
+    s.fn = std::move(fn);
+    push(now_ + s.period, slot);
+  } else {
+    release(slot);
+  }
 }
 
 bool Simulator::idle() {
   drop_cancelled_head();
-  return queue_.empty();
+  return heap_.empty();
 }
 
 std::optional<SimTime> Simulator::next_event_time() {
   drop_cancelled_head();
-  if (queue_.empty()) return std::nullopt;
-  return queue_.top()->time;
+  if (heap_.empty()) return std::nullopt;
+  return heap_.front().time;
 }
 
 bool Simulator::step() {
   drop_cancelled_head();
-  if (queue_.empty()) return false;
-  auto ev = queue_.top();
-  queue_.pop();
-  DYRS_CHECK(ev->time >= now_);
-  now_ = ev->time;
-  ++executed_;
-  ev->fn();
+  if (heap_.empty()) return false;
+  fire_top();
   return true;
 }
 
@@ -77,8 +101,8 @@ std::size_t Simulator::run_until(SimTime t) {
   std::size_t n = 0;
   for (;;) {
     drop_cancelled_head();
-    if (queue_.empty() || queue_.top()->time > t) break;
-    step();
+    if (heap_.empty() || heap_.front().time > t) break;
+    fire_top();
     ++n;
   }
   now_ = t;

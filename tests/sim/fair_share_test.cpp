@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "common/units.h"
@@ -167,6 +168,26 @@ TEST(FairShare, RemainingBytesTracksProgress) {
   EXPECT_NEAR(to_mib(r.remaining_bytes(id)), 75.0, 0.01);
   sim.run();
   EXPECT_EQ(r.remaining_bytes(id), 0);
+}
+
+// The query computes the residual without touching the resource: no
+// advance, no rescheduled completion (so no dead queue entry and no fresh
+// seq), and an equal-time event scheduled earlier still fires after the
+// completion it was scheduled behind.
+TEST(FairShare, RemainingBytesQueryLeavesScheduleAlone) {
+  Simulator sim;
+  FairShareResource r(sim, opts());
+  std::vector<std::string> order;
+  auto id = r.start_flow(mib(100), [&](SimTime) { order.push_back("flow"); });
+  sim.schedule_at(seconds(1), [&] { order.push_back("other"); });
+  sim.run_until(seconds(0.25));
+  const std::size_t skipped = sim.cancelled_skipped();
+  EXPECT_NEAR(to_mib(r.remaining_bytes(id)), 75.0, 0.01);
+  EXPECT_NEAR(to_mib(r.remaining_bytes(id)), 75.0, 0.01);
+  sim.run();
+  EXPECT_EQ(sim.cancelled_skipped(), skipped);
+  EXPECT_EQ(sim.now(), seconds(1));
+  EXPECT_EQ(order, (std::vector<std::string>{"flow", "other"}));
 }
 
 TEST(FairShare, AccountingTotals) {

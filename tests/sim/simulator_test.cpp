@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/units.h"
@@ -139,6 +140,30 @@ TEST(Simulator, EveryFreesCallbackWithSimulator) {
     EXPECT_GT(sentinel.use_count(), 1);
   }
   EXPECT_EQ(sentinel.use_count(), 1);
+}
+
+// A cancel takes the recurrence's queued occurrence out of the runnable
+// set at once: it moves neither next_event_time() nor now(), and is not
+// counted as an executed event.
+TEST(Simulator, CancelledRecurrenceIsNotRunnable) {
+  Simulator sim;
+  int runs = 0;
+  EventHandle h = sim.every(seconds(1), [&] { ++runs; });
+  sim.schedule_at(seconds(5), [] {});
+  h.cancel();
+  EXPECT_EQ(sim.next_event_time(), seconds(5));
+  EXPECT_TRUE(sim.step());
+  EXPECT_EQ(sim.now(), seconds(5));
+  EXPECT_EQ(sim.events_executed(), 1u);
+  EXPECT_EQ(runs, 0);
+
+  Simulator lone;
+  EventHandle timer = lone.every(seconds(1), [&] { ++runs; });
+  lone.run_until(seconds(1));
+  EXPECT_EQ(runs, 1);
+  timer.cancel();
+  EXPECT_TRUE(lone.idle());
+  EXPECT_EQ(lone.next_event_time(), std::nullopt);
 }
 
 TEST(Simulator, StepReturnsFalseWhenIdle) {
