@@ -44,8 +44,7 @@ struct PointResult {
 PointResult run_point(Bytes limit, Bytes file_size, int num_jobs) {
   exec::TestbedConfig c = bench::paper_config(exec::Scheme::Dyrs);
   c.master.slave.memory_limit = limit;
-  c.master.tier = {.admit_tier = Tier::Memory,
-                   .high_watermark = 0.85,
+  c.master.tier = {.high_watermark = 0.85,
                    .low_watermark = 0.6,
                    .on_pressure = core::TierPolicy::OnPressure::EvictColdFirst};
 

@@ -162,7 +162,7 @@ TrackingResult run_tracking(SimDuration period, bool overdue) {
   slave_config.heartbeat_interval = seconds(1);
   slave_config.reference_block = mib(256);
   slave_config.overdue_correction = overdue;
-  core::MigrationSlave slave(sim, datanode, slave_config, {});
+  core::MigrationSlave slave(sim, datanode, slave_config, core::ControlPlaneConfig{}, {});
   // Continuous stream: keep two migrations bound; evict completed blocks
   // right away so memory never fills.
   auto feeder = std::make_shared<std::size_t>(0);

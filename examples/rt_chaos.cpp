@@ -101,14 +101,14 @@ std::vector<obs::TraceEvent> run_once(std::uint64_t seed, obs::ThreadLocalBuffer
     slave.reference_block = mib(1);
     slave.heartbeat_interval = 5ms;
     slave.drain_batch = drain_batch;
-    // Generous local budget for phase B's error windows: with rates <= 0.4
-    // the chance of ever exhausting 50 attempts is negligible, so every
-    // block's settlement is independent of the error rolls.
-    slave.retry = {.max_attempts = 50, .backoff = milliseconds(1),
-                   .backoff_cap = milliseconds(4)};
     options.slaves.push_back(slave);
   }
   options.retarget_interval = 2ms;
+  // Generous local budget for phase B's error windows: with rates <= 0.4
+  // the chance of ever exhausting 50 attempts is negligible, so every
+  // block's settlement is independent of the error rolls.
+  options.retry = {.max_attempts = 50, .backoff = milliseconds(1),
+                   .backoff_cap = milliseconds(4)};
   options.failure_detection.enabled = true;
   options.failure_detection.monitor_interval = 5ms;
   options.failure_detection.suspect_after = 60ms;

@@ -35,14 +35,21 @@
 
 namespace dyrs::core {
 
+/// The migration policy, declared once. Both masters' configs derive from
+/// it (core::MasterConfig, rt::RtMaster::Options) and every slave is
+/// constructed with its master's, so each knob has one declaration and one
+/// route to every slave. A master that cannot honour a field rejects it at
+/// construction or fixes it; it never reinterprets it.
 struct ControlPlaneConfig {
   Binding binding = Binding::LateTargeted;
   Ordering ordering = Ordering::Fifo;
   /// When `mig_target` is emitted: at every retarget pass that changes an
   /// entry's target (sim profile — the full decision history), or once at
   /// bind time for the decision that stuck (rt profile — intermediate
-  /// passes are timing-dependent and would make event counts
-  /// nondeterministic across runs).
+  /// passes follow thread timing and would make event counts
+  /// nondeterministic across runs). Each master fixes its profile on the
+  /// copy it hands its ControlPlane (sim AtRetarget, rt AtBind), so the
+  /// field only matters where a ControlPlane is built directly.
   enum class TargetTrace { AtRetarget, AtBind };
   TargetTrace target_trace = TargetTrace::AtRetarget;
   /// Algorithm 1 pass engine: the reference full sweep, or the incremental
@@ -50,20 +57,18 @@ struct ControlPlaneConfig {
   /// thresholds the two produce identical targets; the differential tests
   /// assert it.
   RetargetConfig retarget;
-  /// Slave local-queue depth (§III-B). The control plane itself never
-  /// binds more than a slave's advertised free slots; both backend drivers
-  /// derive those slots from this shared policy.
+  /// Slave local-queue depth (§III-B). The control plane never binds more
+  /// than a slave's advertised free slots; every slave derives them from
+  /// this policy.
   QueueDepthPolicy queue_depth;
-  /// Slave-local retry budget for transient read failures. Like
-  /// queue_depth, both backend drivers forward it to slaves that left
-  /// their own retry at the default — one knob drives both.
+  /// Slave-local retry budget for transient read failures.
   RetryPolicy retry;
   /// Failure-detector cadence (heartbeat age -> Suspect -> Dead). The rt
-  /// master's monitor thread applies it directly; the sim backend's
-  /// equivalent windows ride on the dfs heartbeat machinery.
+  /// master's monitor thread applies it; the sim master rejects `enabled`,
+  /// because the sim detects failures through the dfs heartbeat machinery.
   FailureDetection failure_detection;
-  /// Storage-tier admission policy (admit tier, watermark pair, pressure
-  /// response). Both backend buffer managers evaluate it with the same
+  /// Storage-tier pressure policy (watermark pair, pressure response).
+  /// Every slave's buffer manager evaluates it with the same
   /// core::BufferManager code, so tier decisions are identical across
   /// backends given the same admission sequence.
   TierPolicy tier;

@@ -1,11 +1,9 @@
-// FailureDetection — shared failure-detector cadence knobs.
+// FailureDetection — failure-detector cadence knobs of ControlPlaneConfig.
 //
-// One vocabulary for both backends, following the queue_depth precedent:
-// the rt master's heartbeat monitor applies these timeouts directly
-// (Alive -> Suspect -> Dead over heartbeat age); the sim backend's
-// equivalent windows live in the dfs heartbeat/liveness machinery. Hoisted
-// into core so the knob names (and their home in ControlPlaneConfig) are
-// backend-independent.
+// The rt master's heartbeat monitor applies these timeouts directly
+// (Alive -> Suspect -> Dead over heartbeat age). The sim backend's
+// equivalent windows live in the dfs heartbeat/liveness machinery, so the
+// sim master rejects `enabled`.
 #pragma once
 
 #include <chrono>

@@ -3,11 +3,9 @@
 // A slave's local queue must be deep enough that the disk never idles
 // between master pulls, yet shallow enough that binding stays late:
 //
-//   depth = ceil(heartbeat interval / unloaded reference-block read time)
+//   depth = max(1, ceil(heartbeat interval / unloaded reference-block read time))
 //
-// Historically the sim slave computed this inline and the rt slave used a
-// fixed constant; the policy now lives next to the control plane so one
-// knob drives both backends.
+// Each slave takes it from its master's core::ControlPlaneConfig.
 #pragma once
 
 #include <algorithm>
@@ -18,25 +16,19 @@
 namespace dyrs::core {
 
 struct QueueDepthPolicy {
-  /// Floor on the computed depth — a slave always accepts one migration.
-  int min_depth = 1;
-  /// Added on top of the computed (or fixed) depth, head-room for bursty
-  /// pulls.
+  /// Added on top of the computed depth, head-room for bursty pulls.
   int extra_depth = 0;
-  /// When positive, overrides the heuristic entirely:
-  /// depth = fixed_depth + extra_depth regardless of heartbeat or disk.
-  int fixed_depth = 0;
 
   /// Queue depth for a slave pulled every `heartbeat` whose reference
-  /// block takes `block_read_time` to read from an unloaded disk.
+  /// block takes `block_read_time` to read from an unloaded disk. A slave
+  /// always accepts at least one migration.
   int depth_for(SimDuration heartbeat, SimDuration block_read_time) const {
-    if (fixed_depth > 0) return fixed_depth + extra_depth;
-    int depth = min_depth;
-    if (block_read_time > 0) {
-      depth = static_cast<int>(std::ceil(static_cast<double>(heartbeat) /
-                                         static_cast<double>(block_read_time)));
-    }
-    return std::max(min_depth, depth) + extra_depth;
+    const int depth =
+        block_read_time > 0
+            ? static_cast<int>(std::ceil(static_cast<double>(heartbeat) /
+                                         static_cast<double>(block_read_time)))
+            : 1;
+    return std::max(1, depth) + extra_depth;
   }
 
   /// Depth for a slave that drains (and reads) `drain_batch` migrations per

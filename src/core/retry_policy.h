@@ -28,10 +28,6 @@ struct RetryPolicy {
     const int shift = std::min(attempt - 1, 20);
     return std::min(backoff_cap, backoff << shift);
   }
-
-  /// Equality lets a master forward its control-plane retry knob only to
-  /// slaves that left their own policy at the default.
-  friend bool operator==(const RetryPolicy&, const RetryPolicy&) = default;
 };
 
 }  // namespace dyrs::core

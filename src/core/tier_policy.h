@@ -1,23 +1,19 @@
-// TierPolicy — control-plane admission and pressure knobs for the storage
-// tier hierarchy (disk -> SSD -> memory).
+// TierPolicy — control-plane pressure knobs for the storage tier hierarchy
+// (disk -> SSD -> memory).
 //
-// Both backend buffer managers evaluate this policy with the same code
-// (core::BufferManager), so given the same per-node admission sequence the
-// sim and rt backends make identical tier decisions — the differential
-// test asserts it. The defaults reproduce the pre-tier behaviour exactly:
-// admit to memory, no watermarks, refuse admission when full (the slave
-// stalls its queue), so default-configured runs stay byte-stable.
+// Migrated blocks are always admitted to memory; this policy decides what
+// happens as memory fills. Both backend buffer managers evaluate it with
+// the same code (core::BufferManager), so given the same per-node
+// admission sequence the sim and rt backends make identical tier
+// decisions — the differential test asserts it. The defaults reproduce the
+// pre-tier behaviour exactly: no watermarks, refuse admission when full
+// (the slave stalls its queue), so default-configured runs stay
+// byte-stable.
 #pragma once
-
-#include "common/tier.h"
 
 namespace dyrs::core {
 
 struct TierPolicy {
-  /// Tier a freshly migrated block is admitted to. Admitting to Ssd keeps
-  /// memory free for explicitly pinned data while still beating disk.
-  Tier admit_tier = Tier::Memory;
-
   /// Watermark pair over the memory-tier occupancy fraction. When an
   /// admission pushes occupancy to `high_watermark` or beyond, cold blocks
   /// are demoted (memory -> SSD, overflowing SSD -> disk) until occupancy
@@ -34,10 +30,6 @@ struct TierPolicy {
   OnPressure on_pressure = OnPressure::RefuseAdmission;
 
   bool watermarks_enabled() const { return high_watermark < 1.0; }
-
-  /// Lets masters forward their tier knob only to slaves that left theirs
-  /// at the defaults (the queue_depth forwarding precedent).
-  friend bool operator==(const TierPolicy&, const TierPolicy&) = default;
 };
 
 }  // namespace dyrs::core

@@ -14,10 +14,6 @@ BufferManager::BufferManager(cluster::TierStore& memory, cluster::TierStore* ssd
       policy_(policy),
       limit_(limit > 0 ? limit : memory.capacity()) {
   DYRS_CHECK(limit_ > 0);
-  DYRS_CHECK_MSG(policy_.admit_tier != Tier::Disk,
-                 "admit tier must be a buffered tier (memory or ssd)");
-  DYRS_CHECK_MSG(policy_.admit_tier != Tier::Ssd || ssd_ != nullptr,
-                 "ssd admission needs an ssd tier store");
   DYRS_CHECK(policy_.low_watermark <= policy_.high_watermark);
 }
 
@@ -30,45 +26,28 @@ bool BufferManager::try_add(BlockId block, Bytes size,
   std::vector<Demotion> local;
   std::vector<Demotion>& out = demotions ? *demotions : local;
 
+  if (size > limit_) return false;  // can never fit; don't demote for it
+  if (policy_.on_pressure == TierPolicy::OnPressure::EvictColdFirst) {
+    while (used_ + size > limit_ && demote_one(block, out)) {
+    }
+  }
+  if (used_ + size > limit_) return false;
+  if (!memory_.admit(size)) return false;
+  used_ += size;
+
   Buffered buf;
   buf.size = size;
   buf.refs = jobs;
   buf.cookie = cookie;
-  buf.tier = policy_.admit_tier;
-
-  if (policy_.admit_tier == Tier::Memory) {
-    if (size > limit_) return false;  // can never fit; don't demote for it
-    if (policy_.on_pressure == TierPolicy::OnPressure::EvictColdFirst) {
-      while (used_ + size > limit_ && demote_one(block, out)) {
-      }
-    }
-    if (used_ + size > limit_) return false;
-    if (!memory_.admit(size)) return false;
-    used_ += size;
-    buf.segment = Segment::Probation;
-    probation_.push_front(block);
-    buf.where = probation_.begin();
-  } else {
-    bool ok = false;
-    if (policy_.on_pressure == TierPolicy::OnPressure::EvictColdFirst) {
-      ok = admit_ssd(size, out);
-    } else if (ssd_->admit(size)) {
-      ssd_used_ += size;
-      ok = true;
-    }
-    if (!ok) return false;
-    buf.segment = Segment::Ssd;
-    ssd_lru_.push_front(block);
-    buf.where = ssd_lru_.begin();
-  }
-
+  probation_.push_front(block);
+  buf.where = probation_.begin();
   blocks_.emplace(block, std::move(buf));
   for (const auto& [job, mode] : jobs) job_blocks_[job].insert(block);
-  tier_log_.push_back({block, Tier::Disk, policy_.admit_tier});
+  tier_log_.push_back({block, Tier::Disk, Tier::Memory});
 
   // Watermark pass: crossing the high mark drains memory down to the low
   // mark by demoting cold blocks — never the block just admitted.
-  if (policy_.admit_tier == Tier::Memory && policy_.watermarks_enabled() &&
+  if (policy_.watermarks_enabled() &&
       static_cast<double>(used_) >=
           policy_.high_watermark * static_cast<double>(limit_)) {
     const double low = policy_.low_watermark * static_cast<double>(limit_);

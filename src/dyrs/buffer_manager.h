@@ -9,11 +9,11 @@
 // it is hit, admission fails and the slave stalls its queue until evictions
 // make room (or the migration is discarded by a missed read).
 //
-// Tier hierarchy: blocks are admitted to the policy's admit tier (memory by
-// default) of a TierStore pair and tracked in a segmented LRU — admission
-// lands in the probationary segment, renewed demand (a second job's
-// references, or a read) promotes to the protected segment, so one-shot
-// blocks drain from probation before hot blocks are touched. Capacity
+// Tier hierarchy: blocks are admitted to the memory tier of a TierStore
+// pair and tracked in a segmented LRU — admission lands in the
+// probationary segment, renewed demand (a second job's references, or a
+// read) promotes to the protected segment, so one-shot blocks drain from
+// probation before hot blocks are touched. Capacity
 // pressure (EvictColdFirst admission, or crossing the high watermark)
 // demotes the coldest blocks downward: memory -> SSD keeps a block
 // buffered and still served from the node; SSD -> disk force-drops its
@@ -67,12 +67,12 @@ class BufferManager {
   /// (admit to memory, refuse on pressure, watermarks off).
   BufferManager(cluster::TierStore& memory, Bytes limit = 0);
   /// Full hierarchy. `ssd` may be null (demotions then go straight to
-  /// disk); `policy` picks the admission tier and the pressure response.
+  /// disk); `policy` picks the pressure response and the watermarks.
   BufferManager(cluster::TierStore& memory, cluster::TierStore* ssd, TierPolicy policy,
                 Bytes limit = 0);
 
-  /// Admits a block to the policy's tier and installs the reference list.
-  /// Returns false if the tier (or the hard limit) cannot fit it. Under
+  /// Admits a block to memory and installs the reference list. Returns
+  /// false if the memory tier (or the hard limit) cannot fit it. Under
   /// EvictColdFirst or past the high watermark, cold blocks are demoted to
   /// make or reclaim room and reported through `demotions` — which may be
   /// populated even when admission itself is refused, so callers must

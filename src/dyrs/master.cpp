@@ -7,22 +7,26 @@
 
 namespace dyrs::core {
 
+namespace {
+
+/// The sim profile traces every retarget pass that moves a target.
+ControlPlaneConfig sim_plane_config(ControlPlaneConfig policy) {
+  policy.target_trace = ControlPlaneConfig::TargetTrace::AtRetarget;
+  return policy;
+}
+
+}  // namespace
+
 MigrationMaster::MigrationMaster(cluster::Cluster& cluster, dfs::NameNode& namenode,
                                  MasterConfig config)
     : cluster_(cluster),
       namenode_(namenode),
-      config_(config),
-      rng_(config.seed),
-      plane_(ControlPlaneConfig{.binding = config.binding,
-                                .ordering = config.ordering,
-                                .target_trace = ControlPlaneConfig::TargetTrace::AtRetarget,
-                                .retarget = config.retarget,
-                                .queue_depth = config.slave.queue_depth,
-                                .retry = config.slave.retry,
-                                .failure_detection = {},
-                                .tier = config.tier}) {
-  // One tier knob drives every slave's buffer manager.
-  config_.slave.tier = config_.tier;
+      config_(std::move(config)),
+      rng_(config_.seed),
+      plane_(sim_plane_config(config_)) {
+  DYRS_CHECK_MSG(!config_.failure_detection.enabled,
+                 "the sim master detects failures through the dfs heartbeats; "
+                 "failure_detection.enabled is an rt master knob");
   for (NodeId id : cluster_.node_ids()) {
     dfs::DataNode* dn = namenode_.datanode(id);
     MigrationSlave::Callbacks callbacks;
@@ -34,7 +38,7 @@ MigrationMaster::MigrationMaster(cluster::Cluster& cluster, dfs::NameNode& namen
       handle_migration_failed(node, std::move(m));
     };
     auto slave = std::make_unique<MigrationSlave>(cluster_.simulator(), *dn, config_.slave,
-                                                  std::move(callbacks));
+                                                  config_, std::move(callbacks));
     dn->on_process_crash = [this, id]() { handle_slave_crash(id); };
     estimate_series_.emplace(id, TimeSeries("estimate-" + std::to_string(id.value())));
     slaves_.emplace(id, std::move(slave));
@@ -161,12 +165,24 @@ void MigrationMaster::eager_bind_all() {
   while (!queue.empty()) {
     auto it = queue.begin();
     std::vector<NodeId> candidates;
+    bool unreachable = false;
     for (NodeId n : it->replicas) {
       if (std::find(it->avoid.begin(), it->avoid.end(), n) != it->avoid.end()) continue;
       auto sit = slaves_.find(n);
-      if (sit != slaves_.end() && reachable(n, *sit->second)) candidates.push_back(n);
+      if (sit != slaves_.end() && reachable(n, *sit->second)) {
+        candidates.push_back(n);
+      } else {
+        unreachable = true;
+      }
     }
     if (candidates.empty()) {
+      // No replica holder can take the block, so its lifecycle ends here:
+      // heartbeat-loss when some holder is out of reach (process down,
+      // partitioned or declared dead), io-error when every holder has
+      // already failed it (as the rt master's drop_untargetable_locked).
+      record_cancel({.block = it->block,
+                     .reason = unreachable ? CancelReason::HeartbeatLoss : CancelReason::IoError,
+                     .at = cluster_.simulator().now()});
       queue.erase(it);
       continue;
     }

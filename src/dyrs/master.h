@@ -33,23 +33,22 @@
 
 namespace dyrs::core {
 
-struct MasterConfig {
+/// The sim master's config: the migration policy it inherits from
+/// ControlPlaneConfig (binding, ordering, retarget engine, queue depth,
+/// retry, tier) plus the knobs only this master has. Inheriting, rather
+/// than holding a ControlPlaneConfig member, keeps `config.binding` and
+/// `config.tier.*` spelled as on the core config. The constructor rejects
+/// `failure_detection.enabled` (the sim detects failures through the dfs
+/// heartbeat machinery) and fixes `target_trace` to AtRetarget.
+struct MasterConfig : ControlPlaneConfig {
   using Binding = ::dyrs::core::Binding;
   using Ordering = ::dyrs::core::Ordering;
-  Binding binding = Binding::LateTargeted;
-  Ordering ordering = Ordering::Fifo;
   /// Discard a block's migration once a read for it starts (§IV-A1:
   /// "discarded due to missed reads"). Ignem lacks this.
   bool cancel_missed_reads = true;
   /// Period of the Algorithm 1 retargeting pass (separate thread in the
   /// paper; an administrator-tunable rate, §III-D).
   SimDuration retarget_interval = milliseconds(500);
-  /// Pass engine: reference full sweep or incremental RetargetIndex.
-  RetargetConfig retarget;
-  /// Storage-tier admission policy, forwarded to every slave's buffer
-  /// manager (and mirrored into the control-plane config so both backends
-  /// declare tier knobs in one place).
-  TierPolicy tier;
   std::uint64_t seed = 99;
   SlaveConfig slave;
 };

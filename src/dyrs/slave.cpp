@@ -9,16 +9,18 @@
 namespace dyrs::core {
 
 MigrationSlave::MigrationSlave(sim::Simulator& sim, dfs::DataNode& datanode,
-                               SlaveConfig config, Callbacks callbacks)
+                               SlaveConfig config, const ControlPlaneConfig& policy,
+                               Callbacks callbacks)
     : sim_(sim),
       datanode_(datanode),
       config_(config),
+      policy_(policy),
       callbacks_(std::move(callbacks)),
       estimator_({.ewma_alpha = config.ewma_alpha,
                   .reference_block = config.reference_block,
                   .fallback_rate = datanode.node().disk().bandwidth(),
                   .overdue_correction = config.overdue_correction}),
-      buffers_(datanode.node().memory(), &datanode.node().ssd(), config.tier,
+      buffers_(datanode.node().memory(), &datanode.node().ssd(), policy.tier,
                config.memory_limit) {
   DYRS_CHECK(config_.heartbeat_interval > 0);
 }
@@ -28,7 +30,7 @@ int MigrationSlave::queue_capacity() const {
   // block reads fit in a heartbeat at full disk speed (§III-B). At least 1.
   const SimDuration block_time =
       datanode_.node().disk().unloaded_read_time(config_.reference_block);
-  return config_.queue_depth.depth_for(config_.heartbeat_interval, block_time);
+  return policy_.queue_depth.depth_for(config_.heartbeat_interval, block_time);
 }
 
 int MigrationSlave::free_slots() const {
@@ -199,7 +201,7 @@ void MigrationSlave::fail_migration(BlockId block) {
   active_.erase(it);
   buffers_.force_evict(block);  // drop the partially-read pages
   ++m.attempts;
-  if (config_.retry.exhausted(m.attempts)) {
+  if (policy_.retry.exhausted(m.attempts)) {
     ++permanent_failures_;
     DYRS_LOG(Debug, "slave") << "node " << id() << " giving up on block " << block << " after "
                              << m.attempts << " attempts";
@@ -207,7 +209,7 @@ void MigrationSlave::fail_migration(BlockId block) {
     if (callbacks_.on_failed) callbacks_.on_failed(id(), std::move(m));
   } else {
     ++retries_;
-    const SimDuration delay = config_.retry.backoff_for(m.attempts);
+    const SimDuration delay = policy_.retry.backoff_for(m.attempts);
     emitter_.transfer_retry(sim_.now(), block, id(), m.attempts, delay);
     Backoff b;
     b.m = std::move(m);

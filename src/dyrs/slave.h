@@ -17,10 +17,8 @@
 #include <optional>
 #include <unordered_map>
 
+#include "core/control_plane.h"
 #include "core/lifecycle.h"
-#include "core/queue_depth.h"
-#include "core/retry_policy.h"
-#include "core/tier_policy.h"
 #include "core/types.h"
 #include "dfs/datanode.h"
 #include "dyrs/buffer_manager.h"
@@ -41,20 +39,6 @@ struct SlaveConfig {
   Bytes reference_block = 256 * kMiB;
   Bytes memory_limit = 0;             // cap for migrated data; 0 = node RAM
   double scavenge_threshold = 0.9;    // buffer fraction that triggers scavenge
-  /// Local queue depth (§III-B) — shared with the rt backend via
-  /// core::ControlPlaneConfig so one knob drives both.
-  QueueDepthPolicy queue_depth;
-
-  /// Transient-failure handling: a migration whose read hits an (injected)
-  /// I/O error is retried locally with capped exponential backoff; after
-  /// `retry.max_attempts` total tries the slave reports a permanent
-  /// failure and the master re-targets the block at another replica.
-  RetryPolicy retry;
-
-  /// Tier admission/eviction policy for the node's buffer manager — shared
-  /// with the rt backend via core::ControlPlaneConfig. Defaults preserve
-  /// the single-tier behaviour (admit to memory, refuse on pressure).
-  TierPolicy tier;
 };
 
 class MigrationSlave {
@@ -71,8 +55,11 @@ class MigrationSlave {
     std::function<void(NodeId, BoundMigration)> on_failed;
   };
 
+  /// `policy` is the master's: the slave takes its queue depth (§III-B),
+  /// its retry budget for (injected) read errors and its buffer manager's
+  /// tier policy from it.
   MigrationSlave(sim::Simulator& sim, dfs::DataNode& datanode, SlaveConfig config,
-                 Callbacks callbacks);
+                 const ControlPlaneConfig& policy, Callbacks callbacks);
 
   NodeId id() const { return datanode_.id(); }
 
@@ -198,6 +185,7 @@ class MigrationSlave {
   sim::Simulator& sim_;
   dfs::DataNode& datanode_;
   SlaveConfig config_;
+  const ControlPlaneConfig policy_;
   Callbacks callbacks_;
   MigrationEstimator estimator_;
   BufferManager buffers_;

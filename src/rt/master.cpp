@@ -10,17 +10,24 @@ namespace dyrs::rt {
 
 thread_local std::uint64_t RtMaster::stamp_cycle_ = 0;
 
+namespace {
+
+/// Slaves pull, so the rt master binds only late to Algorithm 1 targets;
+/// and it traces each target once, at bind time, because intermediate
+/// retarget passes follow thread timing. Runs in the member initializers,
+/// before any slave thread starts.
+core::ControlPlaneConfig rt_plane_config(core::ControlPlaneConfig policy) {
+  DYRS_CHECK_MSG(policy.binding == core::Binding::LateTargeted,
+                 "the rt master binds late to Algorithm 1 targets only, not "
+                     << core::to_string(policy.binding));
+  policy.target_trace = core::ControlPlaneConfig::TargetTrace::AtBind;
+  return policy;
+}
+
+}  // namespace
+
 RtMaster::RtMaster(Options options)
-    : options_(std::move(options)),
-      plane_(core::ControlPlaneConfig{
-          .binding = core::Binding::LateTargeted,
-          .ordering = options_.ordering,
-          .target_trace = core::ControlPlaneConfig::TargetTrace::AtBind,
-          .retarget = options_.retarget,
-          .queue_depth = options_.queue_depth,
-          .retry = options_.retry,
-          .failure_detection = options_.failure_detection,
-          .tier = options_.tier}) {
+    : options_(std::move(options)), plane_(rt_plane_config(options_)) {
   DYRS_CHECK(!options_.slaves.empty());
   ctr_completed_ = options_.obs.counter("rt.migrations.completed");
   ctr_cancelled_ = options_.obs.counter("rt.migrations.cancelled");
@@ -54,17 +61,8 @@ RtMaster::RtMaster(Options options)
       // emitters agree on the epoch.
       slave_opts.obs = options_.obs;
       slave_opts.trace_epoch = epoch_;
-      // One depth knob for both backends: a slave whose options left
-      // queue_capacity 0 derives it from the shared policy (§III-B).
-      if (slave_opts.queue_capacity == 0) slave_opts.queue_depth = options_.queue_depth;
-      // Likewise for the shared retry and tier policies: the master-level
-      // knob drives every slave that kept the defaults, so one config line
-      // reconfigures the whole cluster like the sim backend's
-      // ControlPlaneConfig does.
-      if (slave_opts.retry == core::RetryPolicy{}) slave_opts.retry = options_.retry;
-      if (slave_opts.tier == core::TierPolicy{}) slave_opts.tier = options_.tier;
       auto slave = std::make_unique<RtSlave>(
-          slave_opts,
+          slave_opts, options_,
           [this](std::vector<RtMigrationDone> dones) { on_complete_batch(std::move(dones)); },
           [this](RtSlave& slave, int space) { pull(slave, space); },
           [this](NodeId node, RtMigration m) { on_failed(node, std::move(m)); });
@@ -93,6 +91,10 @@ std::int64_t RtMaster::now_us() const {
 
 RtMaster::SettleShard& RtMaster::shard_for(BlockId block) const {
   return shards_[static_cast<std::size_t>(block.value()) % kSettleShards];
+}
+
+RtMaster::SettleShard& RtMaster::shard_for(JobId job) const {
+  return shards_[static_cast<std::size_t>(job.value()) % kSettleShards];
 }
 
 std::uint64_t RtMaster::cycle_for(BlockId block) const {
@@ -412,7 +414,14 @@ void RtMaster::on_complete_batch(std::vector<RtMigrationDone> dones) {
         continue;
       }
       sh.bound.erase(it);
-      for (const auto& [job, mode] : done.jobs) ++sh.per_job[job];
+    }
+    // Each job counts in its own stripe, so a job's blocks share one entry.
+    // Counted before completed_ moves: a poller that reads completed()
+    // first then finds the job counted.
+    for (const auto& [job, mode] : done.jobs) {
+      SettleShard& jsh = shard_for(job);
+      std::lock_guard jlock(jsh.mu);
+      ++jsh.per_job[job];
     }
     if (ctr_completed_ != nullptr) ctr_completed_->inc();
     completed_.fetch_add(1, std::memory_order_relaxed);
@@ -585,8 +594,8 @@ std::unordered_map<NodeId, long> RtMaster::completed_per_node() const {
 }
 
 std::unordered_map<JobId, long> RtMaster::completed_per_job() const {
-  // Per-job accounting lives with the shard that settled the block; the
-  // snapshot aggregates shard by shard without ever touching mu_.
+  // Per-job accounting lives in the job's stripe; the snapshot aggregates
+  // shard by shard without ever touching mu_.
   std::unordered_map<JobId, long> out;
   for (const SettleShard& sh : shards_) {
     std::lock_guard slock(sh.mu);

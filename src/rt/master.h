@@ -4,9 +4,9 @@
 // own worker threads, the Algorithm 1 retargeting pass runs in a separate
 // thread off the pull path (§III-D), and the policy state (pending queue,
 // binding log, retarget engine) is guarded by the master mutex. Settlement
-// state — the bound registry, per-block cycle counters and per-job
-// accounting — stripes over a fixed set of shards by block id, with the
-// completion counters lock-free atomics, so completion reports settle and
+// state stripes over a fixed set of shards — the bound registry and
+// per-block cycle counters by block id, per-job accounting by job id — with
+// the completion counters lock-free atomics, so completion reports settle and
 // the `completed*` accessors read without the master mutex, off the pull
 // path. A pull binds and hands the migrations to the slave's queue in one
 // step under the master mutex, so a bound block is always either pending
@@ -59,41 +59,27 @@ class RtMaster {
   /// heartbeats resume).
   enum class NodeState { Alive, Suspect, Dead };
 
-  struct Options {
+  /// The rt master's options: the migration policy it inherits from
+  /// core::ControlPlaneConfig plus the knobs only this master has.
+  /// Inheriting, rather than holding a ControlPlaneConfig member, keeps
+  /// `options.ordering` and `options.retarget` spelled as on the core
+  /// config. The constructor rejects a `binding` other than LateTargeted
+  /// before any slave thread starts, and fixes `target_trace` to AtBind.
+  ///
+  /// A snapshot's queued_bytes is the slave's bound bytes, which move on
+  /// every bind and completion, so at zero thresholds most live
+  /// incremental `retarget` passes are full rescores (EXPERIMENTS.md
+  /// records the measured pass mix). With `failure_detection.enabled`, a
+  /// monitor thread applies a timeout -> suspicion -> declared-dead state
+  /// machine over the age of the slaves' wall-clock heartbeats (published
+  /// every worker-loop iteration and every disk slice). Declaring a node
+  /// dead aborts its bound-but-incomplete lifecycles (heartbeat-loss) and
+  /// requeues the blocks through the control plane with the node on the
+  /// avoid list; a node whose heartbeats resume rejoins the retargeter's
+  /// eligible set.
+  struct Options : core::ControlPlaneConfig {
     std::vector<RtSlave::Options> slaves;
     std::chrono::milliseconds retarget_interval{5};
-    /// Pending-queue ordering for binding decisions (shared policy core).
-    core::Ordering ordering = core::Ordering::Fifo;
-    /// Algorithm 1 pass engine: reference full sweep (default) or the
-    /// incremental RetargetIndex. A snapshot's queued_bytes is the slave's
-    /// bound bytes, which move on every bind and completion, so at zero
-    /// thresholds most live incremental passes are full rescores
-    /// (EXPERIMENTS.md records the measured pass mix).
-    core::RetargetConfig retarget;
-    /// Slave queue-depth policy (§III-B), forwarded to every slave whose
-    /// options left `queue_capacity` 0 — the same knob the sim backend
-    /// reads from its ControlPlaneConfig.
-    core::QueueDepthPolicy queue_depth;
-    /// Master-side failure detection. Slaves publish wall-clock heartbeats
-    /// (every worker-loop iteration and every disk slice); when enabled, a
-    /// monitor thread applies a timeout -> suspicion -> declared-dead state
-    /// machine over heartbeat age. Declaring a node dead aborts its bound-
-    /// but-incomplete lifecycles (heartbeat-loss) and requeues the blocks
-    /// through the control plane with the node on the avoid list; a node
-    /// whose heartbeats resume rejoins the retargeter's eligible set.
-    /// The knob struct itself lives in core (shared declaration surface
-    /// with the sim backend's ControlPlaneConfig); the alias keeps every
-    /// existing `RtMaster::Options::FailureDetection` spelling working.
-    using FailureDetection = core::FailureDetection;
-    FailureDetection failure_detection;
-    /// Local retry budget for transient read failures, forwarded to every
-    /// slave whose options left `retry` at the defaults — the same shared
-    /// policy core the sim backend reads from its ControlPlaneConfig.
-    core::RetryPolicy retry;
-    /// Storage-tier admission/eviction policy, forwarded to every slave
-    /// whose options left `tier` at the defaults. Defaults preserve the
-    /// single-tier behaviour (admit to memory, refuse on pressure).
-    core::TierPolicy tier;
     /// Observability handle shared by the master and every slave. The
     /// atomic counters (rt.migrations.*, rt.retarget.passes, rt.pulls) are
     /// safe to bump from worker threads. Tracing additionally requires a
@@ -157,11 +143,13 @@ class RtMaster {
   void shutdown();
 
  private:
-  /// Settlement state striped by block id (`block % kSettleShards`). The
-  /// completion path touches only the owning shard's lock. Lock order: mu_
-  /// may be held when taking a shard lock, never the reverse, and no
-  /// emission happens while a shard lock is held (the master stamper itself
-  /// reads a shard for the cycle).
+  /// Settlement state striped by block id (`block % kSettleShards`), and
+  /// per-job accounting by job id (`job % kSettleShards`). The completion
+  /// path takes the block's stripe, then each job's, one after the other.
+  /// Lock order: mu_ may be held when taking a shard lock, never the
+  /// reverse; shard locks never nest; and no emission happens while a
+  /// shard lock is held (the master stamper itself reads a shard for the
+  /// cycle).
   struct BoundRec;
   struct SettleShard;
   /// Eight stripes: a report holds a stripe only for a map update, so with
@@ -216,6 +204,7 @@ class RtMaster {
   void drop_untargetable_locked();
   std::uint64_t cycle_for(BlockId block) const;
   SettleShard& shard_for(BlockId block) const;
+  SettleShard& shard_for(JobId job) const;
   bool tracing() const { return options_.obs.tracing(); }
 
   /// Registry entry for a bound-but-unsettled migration: which (node,
@@ -231,7 +220,8 @@ class RtMaster {
     std::unordered_map<BlockId, BoundRec> bound;
     /// Per-block lifecycle count (bumped when a new pending entry opens).
     std::unordered_map<BlockId, std::uint64_t> cycle;
-    /// Per-job completion accounting; aggregated across shards on read.
+    /// Completions of the jobs that stripe here; aggregated across shards
+    /// on read.
     std::unordered_map<JobId, long> per_job;
   };
 

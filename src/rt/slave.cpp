@@ -11,7 +11,7 @@
 
 namespace dyrs::rt {
 
-RtSlave::Options RtSlave::resolve(Options options) {
+RtSlave::Options RtSlave::resolve(Options options, const core::QueueDepthPolicy& depth) {
   if (options.queue_capacity == 0) {
     // §III-B depth: block reads per heartbeat at the unloaded disk rate —
     // the same heuristic the sim slave applies, via the shared policy. A
@@ -20,16 +20,18 @@ RtSlave::Options RtSlave::resolve(Options options) {
         options.heartbeat_interval);
     const auto block_time = static_cast<SimDuration>(
         static_cast<double>(options.reference_block) / options.disk_bandwidth * 1e6);
-    options.queue_capacity = options.queue_depth.depth_for(
+    options.queue_capacity = depth.depth_for(
         static_cast<SimDuration>(heartbeat.count()), block_time, options.drain_batch);
   }
   return options;
 }
 
-RtSlave::RtSlave(Options options, std::function<void(std::vector<RtMigrationDone>)> on_complete,
+RtSlave::RtSlave(Options options, const core::ControlPlaneConfig& policy,
+                 std::function<void(std::vector<RtMigrationDone>)> on_complete,
                  std::function<void(RtSlave&, int)> pull,
                  std::function<void(NodeId, RtMigration)> on_failed)
-    : options_(resolve(std::move(options))),
+    : options_(resolve(std::move(options), policy.queue_depth)),
+      policy_(policy),
       epoch_(options_.trace_epoch == std::chrono::steady_clock::time_point{}
                  ? std::chrono::steady_clock::now()
                  : options_.trace_epoch),
@@ -51,7 +53,7 @@ RtSlave::RtSlave(Options options, std::function<void(std::vector<RtMigrationDone
                   .overdue_correction = true}),
       mem_tier_(Tier::Memory, options_.memory_capacity, gib_per_sec(100)),
       ssd_tier_(Tier::Ssd, options_.ssd_capacity, options_.ssd_bandwidth),
-      buffers_(mem_tier_, &ssd_tier_, options_.tier,
+      buffers_(mem_tier_, &ssd_tier_, policy_.tier,
                options_.memory_capacity == 0 ? mem_tier_.capacity()
                                              : options_.memory_capacity),
       emitter_(options_.obs,
@@ -441,7 +443,7 @@ bool RtSlave::await_retry(const std::stop_token& st) {
       drop_front();
       return false;
     }
-    if (options_.retry.exhausted(++f.m.attempts)) {
+    if (policy_.retry.exhausted(++f.m.attempts)) {
       ++permanent_failures_;
       failed = std::move(f);
       drop_front();
@@ -458,7 +460,7 @@ bool RtSlave::await_retry(const std::stop_token& st) {
 
   // Capped exponential backoff on the worker thread, interruptible by
   // cancel (the migration then settles as cancelled), crash and stop.
-  const SimDuration delay = options_.retry.backoff_for(f.m.attempts);
+  const SimDuration delay = policy_.retry.backoff_for(f.m.attempts);
   emit_cycle_ = f.cycle;
   emitter_.transfer_retry(now_us(), f.m.block, options_.node, f.m.attempts, delay);
   std::unique_lock lock(mu_);

@@ -54,10 +54,8 @@
 #include "cluster/tier_store.h"
 #include "common/ids.h"
 #include "common/tier.h"
+#include "core/control_plane.h"
 #include "core/lifecycle.h"
-#include "core/queue_depth.h"
-#include "core/retry_policy.h"
-#include "core/tier_policy.h"
 #include "core/types.h"
 #include "dyrs/buffer_manager.h"
 #include "dyrs/estimator.h"
@@ -97,16 +95,10 @@ class RtSlave {
     /// behaviour: every admission succeeds and nothing is demoted.
     Bytes memory_capacity = 0;
     Bytes ssd_capacity = 0;
-    /// Tier admission/eviction policy — shared with the sim backend via
-    /// core::ControlPlaneConfig so one knob drives both.
-    core::TierPolicy tier;
-    /// Local queue depth. 0 (the default) derives it from `queue_depth`,
-    /// `heartbeat_interval` and the unloaded reference-block read time —
-    /// the same §III-B heuristic the sim slave applies.
+    /// Local queue depth. 0 (the default) derives it from the policy's
+    /// `queue_depth`, `heartbeat_interval` and the unloaded reference-block
+    /// read time — the same §III-B heuristic the sim slave applies.
     int queue_capacity = 0;
-    /// Shared depth policy, forwarded by RtMaster from its
-    /// ControlPlaneConfig when `queue_capacity` is 0.
-    core::QueueDepthPolicy queue_depth;
     /// Migrations drained per worker cycle (at least 1): their reads go to
     /// the token bucket in one call and their completions in one report.
     /// A derived queue capacity (`queue_capacity == 0`) widens to hold two
@@ -117,8 +109,6 @@ class RtSlave {
     std::chrono::milliseconds heartbeat_interval{25};
     double ewma_alpha = 0.3;
     Bytes reference_block = mib(8);
-    /// Local retry budget for transient read failures (shared policy core).
-    core::RetryPolicy retry;
     /// Observability handle shared with the master. Counter bumps are safe
     /// from the worker thread; tracing additionally requires a thread-safe
     /// sink (ThreadLocalBufferSink) — events are stamped with the rt merge
@@ -129,6 +119,8 @@ class RtSlave {
     std::chrono::steady_clock::time_point trace_epoch{};
   };
 
+  /// `policy` is the master's: the slave takes its derived queue depth,
+  /// its retry budget and its buffer manager's tier policy from it.
   /// `on_complete` and `on_failed` run on the slave's worker thread.
   /// `on_complete` receives every settlement the current drain cycle
   /// produced: up to `drain_batch` elements, one per block at the default.
@@ -136,7 +128,8 @@ class RtSlave {
   /// for `space` more migrations; it hands the ones it binds to this slave
   /// to `accept` before it returns. `on_failed` reports a migration that
   /// exhausted the retry budget.
-  RtSlave(Options options, std::function<void(std::vector<RtMigrationDone>)> on_complete,
+  RtSlave(Options options, const core::ControlPlaneConfig& policy,
+          std::function<void(std::vector<RtMigrationDone>)> on_complete,
           std::function<void(RtSlave&, int)> pull,
           std::function<void(NodeId, RtMigration)> on_failed = nullptr);
   ~RtSlave();
@@ -231,7 +224,7 @@ class RtSlave {
  private:
   /// Applies the derived queue capacity (§III-B) when the caller left it
   /// 0 — resolved before the worker starts, so no synchronization needed.
-  static Options resolve(Options options);
+  static Options resolve(Options options, const core::QueueDepthPolicy& depth);
 
   /// Per-member state of the batch being drained, guarded by mu_ so
   /// cancel() can act on individual members mid-batch.
@@ -270,6 +263,7 @@ class RtSlave {
   std::int64_t now_us() const;
 
   Options options_;
+  const core::ControlPlaneConfig policy_;
   const std::chrono::steady_clock::time_point epoch_;
   ThrottledDisk disk_;
   /// The flash spill device: demotion writes are paced here, outside mu_.

@@ -320,7 +320,7 @@ TierOutcome rt_tier_run(core::TierPolicy tier, Bytes limit,
     options.slaves.push_back(s);
   }
   options.retarget_interval = 60s;
-  options.tier = tier;  // forwarded to every slave left at the defaults
+  options.tier = tier;  // the master's policy is every slave's
   options.obs = obs::ObsContext(&registry, &tracer);
   rt::RtMaster master(std::move(options));
 

@@ -365,18 +365,6 @@ TEST_F(TierFixture, TierLogRecordsAdmissionsAndDemotionsInOrder) {
   EXPECT_EQ(bm.tier_log(), expected);
 }
 
-TEST_F(TierFixture, SsdAdmissionTierBuffersOnFlash) {
-  TierPolicy p = evict_cold();
-  p.admit_tier = Tier::Ssd;
-  BufferManager bm(memory, &ssd, p, mib(128));
-  std::vector<BufferManager::Demotion> demoted;
-  ASSERT_TRUE(bm.try_add(BlockId(1), mib(64), refs({{1, EvictionMode::Explicit}}), &demoted));
-  EXPECT_EQ(bm.tier_of(BlockId(1)), Tier::Ssd);
-  EXPECT_EQ(bm.used(), 0);
-  EXPECT_EQ(bm.ssd_used(), mib(64));
-  EXPECT_EQ(memory.pinned(), 0);
-}
-
 TEST_F(TierFixture, ClearAllReleasesBothTiers) {
   BufferManager bm(memory, &ssd, evict_cold(), mib(128));
   std::vector<BufferManager::Demotion> demoted;

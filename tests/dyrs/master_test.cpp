@@ -5,6 +5,10 @@
 #include <map>
 
 #include "dyrs/strategies.h"
+#include "obs/metrics_registry.h"
+#include "obs/trace.h"
+#include "obs/trace_invariants.h"
+#include "obs/trace_reader.h"
 #include "testing/fixture.h"
 
 namespace dyrs::core {
@@ -73,6 +77,37 @@ TEST_F(MasterFixture, EagerBindingPushesEverythingImmediately) {
   }
   EXPECT_EQ(in_flight, cap * dfs.cluster->size());
   EXPECT_EQ(local, 40);
+}
+
+// Ignem binds at submission; a block none of whose replica holders is
+// reachable cannot bind anywhere, so its lifecycle must end as a recorded
+// cancel instead of vanishing from the pending list unrecorded.
+TEST_F(MasterFixture, EagerBindingRecordsUnbindableBlockAsCancelled) {
+  obs::MetricsRegistry registry;
+  obs::Tracer tracer;
+  obs::MemorySink sink;
+  tracer.set_sink(&sink);
+  auto master = make_ignem(*dfs.cluster, *dfs.namenode, config());
+  master->set_observability(obs::ObsContext(&registry, &tracer));
+  const auto& f = dfs.namenode->create_file("/input", mib(64));
+  for (NodeId n : dfs.namenode->raw_replicas(f.blocks[0])) {
+    dfs.namenode->datanode(n)->crash_process();
+  }
+  master->migrate_files(JobId(1), {"/input"}, EvictionMode::Explicit);
+  dfs.sim.run_until(seconds(10));
+  EXPECT_EQ(master->pending_count(), 0u);
+  EXPECT_EQ(master->bound_count(), 0u);
+  ASSERT_EQ(master->cancels().size(), 1u);
+  EXPECT_EQ(master->cancels()[0].block, f.blocks[0]);
+  EXPECT_EQ(master->cancels()[0].reason, CancelReason::HeartbeatLoss);
+  EXPECT_EQ(registry.find_counter("dyrs.migrations.enqueued")->value(), 1);
+  EXPECT_EQ(registry.find_counter("dyrs.migrations.cancelled")->value(), 1);
+  obs::TraceInvariants oracle;
+  oracle.profile = obs::TraceInvariants::Profile::Sim;
+  oracle.flag_open_lifecycles = true;
+  const auto report = oracle.check(obs::TraceReader(sink.events()));
+  EXPECT_TRUE(report.ok()) << report.summary();
+  EXPECT_EQ(report.lifecycles_closed, 1u);
 }
 
 TEST_F(MasterFixture, DyrsAvoidsSlowNode) {
@@ -344,6 +379,24 @@ TEST_F(MasterFixture, FifoOrderingServesLargeJobFirst) {
   dfs.sim.run_until(seconds(4));
   // FIFO: the small job's block sits behind ~40 blocks of the large job.
   EXPECT_FALSE(dfs.namenode->in_memory(small.blocks[0]));
+}
+
+// The sim detects failures through the dfs heartbeats; the rt detector's
+// knob would silently mean nothing here, so the master refuses it.
+TEST_F(MasterFixture, RejectsRtFailureDetection) {
+  MasterConfig c = config();
+  c.failure_detection.enabled = true;
+  EXPECT_THROW(make_dyrs(*dfs.cluster, *dfs.namenode, c), CheckError);
+}
+
+TEST_F(MasterFixture, MasterQueueDepthReachesEverySlave) {
+  MasterConfig c = config();
+  c.queue_depth.extra_depth = 2;
+  auto master = make_dyrs(*dfs.cluster, *dfs.namenode, c);
+  // §III-B depth: one 64 MiB read at 64 MiB/s per 1 s heartbeat, plus 2.
+  for (NodeId id : dfs.cluster->node_ids()) {
+    EXPECT_EQ(master->slave(id).queue_capacity(), 3) << "node " << id;
+  }
 }
 
 TEST_F(MasterFixture, UnknownSlaveLookupThrows) {

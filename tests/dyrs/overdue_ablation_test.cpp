@@ -25,7 +25,7 @@ struct Rig {
     config.reference_block = mib(64);
     config.overdue_correction = overdue;
     slave = std::make_unique<MigrationSlave>(dfs.sim, *dfs.datanodes[0], config,
-                                             MigrationSlave::Callbacks{});
+                                             ControlPlaneConfig{}, MigrationSlave::Callbacks{});
     heartbeat = dfs.sim.every(seconds(1), [this]() { slave->heartbeat(); });
   }
   ~Rig() { heartbeat.cancel(); }

@@ -30,7 +30,8 @@ struct SlaveFixture : ::testing::Test {
     SlaveConfig config;
     config.heartbeat_interval = seconds(1);
     config.reference_block = mib(64);
-    slave = std::make_unique<MigrationSlave>(dfs.sim, *dfs.datanodes[0], config, cb);
+    slave = std::make_unique<MigrationSlave>(dfs.sim, *dfs.datanodes[0], config,
+                                             ControlPlaneConfig{}, cb);
     heartbeat = dfs.sim.every(seconds(1), [this]() { slave->heartbeat(); });
   }
 
@@ -82,7 +83,7 @@ TEST_F(SlaveFixture, ConcurrentModeRunsAllAtOnce) {
   SlaveConfig config;
   config.serialize_migrations = false;
   config.reference_block = mib(64);
-  MigrationSlave ignem(dfs.sim, *dfs.datanodes[1], config, {});
+  MigrationSlave ignem(dfs.sim, *dfs.datanodes[1], config, ControlPlaneConfig{}, {});
   // Blocks are replicated on all 3 nodes, so datanode 1 hosts them too.
   for (int i = 0; i < 3; ++i) {
     BoundMigration m = bound(file->blocks[static_cast<std::size_t>(i)]);
@@ -103,15 +104,16 @@ TEST_F(SlaveFixture, QueueCapacityFromHeartbeatAndBlockTime) {
                 .seek_alpha = 0.0,
                 .replication = 1,
                 .block_size = mib(64)});
-  MigrationSlave s(fast.sim, *fast.datanodes[0], config, {});
+  MigrationSlave s(fast.sim, *fast.datanodes[0], config, ControlPlaneConfig{}, {});
   EXPECT_EQ(s.queue_capacity(), 4);
 }
 
 TEST_F(SlaveFixture, FreeSlotsShrinkWithQueue) {
   SlaveConfig config;
   config.reference_block = mib(64);
-  config.queue_depth.extra_depth = 2;  // capacity 3
-  MigrationSlave s(dfs.sim, *dfs.datanodes[1], config, {});
+  ControlPlaneConfig policy;
+  policy.queue_depth.extra_depth = 2;  // capacity 3
+  MigrationSlave s(dfs.sim, *dfs.datanodes[1], config, policy, {});
   EXPECT_EQ(s.free_slots(), 3);
   s.enqueue(bound(file->blocks[0]));  // starts immediately -> in flight
   EXPECT_EQ(s.free_slots(), 3);
@@ -192,7 +194,7 @@ TEST_F(SlaveFixture, MemoryLimitStallsQueueUntilEviction) {
   std::vector<MigrationRecord> done;
   MigrationSlave::Callbacks cb;
   cb.on_complete = [&](const MigrationRecord& r) { done.push_back(r); };
-  MigrationSlave s(dfs.sim, *dfs.datanodes[1], config, cb);
+  MigrationSlave s(dfs.sim, *dfs.datanodes[1], config, ControlPlaneConfig{}, cb);
   s.enqueue(bound(file->blocks[0], 1, EvictionMode::Explicit));
   s.enqueue(bound(file->blocks[1], 2, EvictionMode::Explicit));
   dfs.sim.run_until(seconds(5));
@@ -237,7 +239,7 @@ TEST_F(SlaveFixture, ScavengeOnHeartbeatUnderPressure) {
   cb.on_evicted = [&](NodeId, const std::vector<BlockId>& blocks) {
     gone.insert(gone.end(), blocks.begin(), blocks.end());
   };
-  MigrationSlave s(dfs.sim, *dfs.datanodes[1], config, cb);
+  MigrationSlave s(dfs.sim, *dfs.datanodes[1], config, ControlPlaneConfig{}, cb);
   s.job_active_query = [](JobId) { return false; };  // every job is dead
   s.enqueue(bound(file->blocks[0], 7, EvictionMode::Explicit));
   dfs.sim.run_until(seconds(2));
@@ -282,7 +284,7 @@ TEST_F(SlaveFixture, EnqueueNonLocalBlockThrows) {
     if (dn->id() != locs[0]) outsider = dn.get();
   }
   ASSERT_NE(outsider, nullptr);
-  MigrationSlave s(other.sim, *outsider, {}, {});
+  MigrationSlave s(other.sim, *outsider, {}, ControlPlaneConfig{}, {});
   BoundMigration m;
   m.block = f.blocks[0];
   m.size = mib(64);

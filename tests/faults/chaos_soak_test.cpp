@@ -31,7 +31,7 @@ SoakResult run_soak(exec::Scheme scheme, std::uint64_t seed) {
   config.fault_seed = seed + 17;
   config.scheme = scheme;
   config.master.slave.reference_block = mib(128);
-  config.master.slave.retry.backoff = milliseconds(250);
+  config.master.retry.backoff = milliseconds(250);
   exec::Testbed tb(config);
 
   auto& checker = tb.enable_invariant_checks();

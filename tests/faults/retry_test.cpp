@@ -26,7 +26,7 @@ struct RetryFixture : ::testing::Test {
     core::MasterConfig c;
     c.slave.heartbeat_interval = seconds(1);
     c.slave.reference_block = mib(64);
-    c.slave.retry.backoff = milliseconds(250);
+    c.retry.backoff = milliseconds(250);
     c.retarget_interval = milliseconds(500);
     return c;
   }
@@ -103,6 +103,27 @@ TEST_F(RetryFixture, PermanentFailureRetargetsSurvivingReplica) {
     if (c.reason == core::CancelReason::IoError) saw_io_cancel = true;
   }
   EXPECT_EQ(saw_io_cancel, master->migration_permanent_failures() > 0);
+}
+
+// The master's retry policy is every slave's: with a budget of one attempt
+// each replica holder reports its first fault as a permanent failure.
+TEST_F(RetryFixture, MasterRetryPolicyGovernsEverySlave) {
+  core::MasterConfig c = config();
+  c.retry.max_attempts = 1;
+  auto master = core::make_dyrs(*dfs.cluster, *dfs.namenode, c);
+  master->set_job_active_query([](JobId) { return true; });
+  const auto& f = dfs.namenode->create_file("/one", mib(64));
+  const auto replicas = dfs.namenode->raw_replicas(f.blocks[0]);
+  ASSERT_EQ(replicas.size(), 3u);
+  FaultPlan plan;
+  for (int n = 0; n < 4; ++n) plan.io_errors(NodeId(n), 0, seconds(600), 1.0);
+  injector.install(plan);
+  master->migrate_files(JobId(1), {"/one"}, core::EvictionMode::Explicit);
+  dfs.sim.run_until(seconds(30));
+  for (NodeId n : replicas) {
+    EXPECT_EQ(master->slave(n).permanent_failures(), 1) << "node " << n;
+    EXPECT_EQ(master->slave(n).retries(), 0) << "node " << n;
+  }
 }
 
 TEST_F(RetryFixture, ExhaustedEverywhereStaysPendingNotDropped) {

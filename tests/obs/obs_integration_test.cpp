@@ -96,7 +96,7 @@ TEST(ObsIntegration, SpansAndCountersMatchAggregates) {
 TEST(ObsIntegration, ChaosRunHasASpanForEveryCompletedMigration) {
   exec::TestbedConfig config = small_config(exec::Scheme::Dyrs);
   config.fault_seed = 19;
-  config.master.slave.retry.backoff = milliseconds(250);
+  config.master.retry.backoff = milliseconds(250);
   exec::Testbed tb(config);
   MemorySink& sink = tb.trace_to_memory();
 

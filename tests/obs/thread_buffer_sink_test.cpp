@@ -80,7 +80,9 @@ TEST(ThreadLocalBufferSink, SortIsStableWithinEqualKeys) {
   std::vector<TraceEvent> events;
   for (int i = 0; i < 3; ++i) {
     TraceEvent e(i, "sample");
-    e.with("name", "p" + std::to_string(i));  // no merge-key fields: all equal
+    std::string name = "p";
+    name += std::to_string(i);
+    e.with("name", name);  // no merge-key fields: all equal
     events.push_back(e);
   }
   sort_by_merge_key(events);

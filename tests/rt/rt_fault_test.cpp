@@ -36,8 +36,16 @@ RtSlave::Options slave_opts(int node, Rate bw) {
   return o;
 }
 
-RtMaster::Options::FailureDetection fast_detection() {
-  RtMaster::Options::FailureDetection fd;
+/// Master options over `slaves`, Algorithm 1 passes every 2 ms.
+RtMaster::Options master_opts(std::vector<RtSlave::Options> slaves) {
+  RtMaster::Options options;
+  options.slaves = std::move(slaves);
+  options.retarget_interval = 2ms;
+  return options;
+}
+
+core::FailureDetection fast_detection() {
+  core::FailureDetection fd;
   fd.enabled = true;
   fd.monitor_interval = 5ms;
   fd.suspect_after = 60ms;
@@ -171,11 +179,11 @@ TEST(RtFaults, PartitionDeclaredDeadZombieSuppressedThenRejoins) {
 }
 
 TEST(RtFaults, IoErrorWindowRetriesLocallyUntilClean) {
-  auto opts = slave_opts(0, mib_per_sec(400));
+  RtMaster::Options options = master_opts({slave_opts(0, mib_per_sec(400))});
   // Generous local budget: with rate 0.5 the chance of exhausting 50
   // attempts is negligible, so every block settles on its home node.
-  opts.retry = {.max_attempts = 50, .backoff = milliseconds(1), .backoff_cap = milliseconds(4)};
-  RtMaster master({.slaves = {opts}, .retarget_interval = 2ms});
+  options.retry = {.max_attempts = 50, .backoff = milliseconds(1), .backoff_cap = milliseconds(4)};
+  RtMaster master(std::move(options));
 
   faults::RtFaultInjector injector(master, /*seed=*/11);
   faults::FaultPlan plan;
@@ -193,7 +201,7 @@ TEST(RtFaults, IoErrorWindowRetriesLocallyUntilClean) {
 }
 
 TEST(RtFaults, DiskDegradationScalesAndRestoresBandwidth) {
-  RtMaster master({.slaves = {slave_opts(0, mib_per_sec(100))}, .retarget_interval = 2ms});
+  RtMaster master(master_opts({slave_opts(0, mib_per_sec(100))}));
   const Rate base = master.slave(NodeId(0)).disk().bandwidth();
 
   faults::RtFaultInjector injector(master, /*seed=*/5);
@@ -210,7 +218,7 @@ TEST(RtFaults, DiskDegradationScalesAndRestoresBandwidth) {
 }
 
 TEST(RtFaults, StopRestoresUnfinishedWindows) {
-  RtMaster master({.slaves = {slave_opts(0, mib_per_sec(100))}, .retarget_interval = 2ms});
+  RtMaster master(master_opts({slave_opts(0, mib_per_sec(100))}));
   const Rate base = master.slave(NodeId(0)).disk().bandwidth();
 
   faults::RtFaultInjector injector(master, /*seed=*/5);
@@ -228,7 +236,7 @@ TEST(RtFaults, StopRestoresUnfinishedWindows) {
 }
 
 TEST(RtFaults, InstallRejectsUnknownNodeAndDoubleInstall) {
-  RtMaster master({.slaves = {slave_opts(0, mib_per_sec(100))}, .retarget_interval = 2ms});
+  RtMaster master(master_opts({slave_opts(0, mib_per_sec(100))}));
   faults::RtFaultInjector injector(master, /*seed=*/1);
   faults::FaultPlan bad;
   bad.crash_process(NodeId(9), milliseconds(1), milliseconds(2));
@@ -267,11 +275,11 @@ TEST(RtFaults, SuspicionIsAGracePeriodNotADeclaration) {
 // holding a stale scoring basis (the window where a stale target can still
 // point at the failed node).
 TEST(RtFaults, PermanentIoErrorsNeverRebindToAvoidedReplica) {
-  auto bad = slave_opts(0, mib_per_sec(400));  // fastest: Algorithm 1's first pick
-  bad.retry = {.max_attempts = 2, .backoff = milliseconds(1), .backoff_cap = milliseconds(2)};
   RtMaster::Options options;
-  options.slaves = {bad, slave_opts(1, mib_per_sec(100))};
+  // Node 0 is the fastest, Algorithm 1's first pick; only its reads fail.
+  options.slaves = {slave_opts(0, mib_per_sec(400)), slave_opts(1, mib_per_sec(100))};
   options.retarget_interval = 2ms;
+  options.retry = {.max_attempts = 2, .backoff = milliseconds(1), .backoff_cap = milliseconds(2)};
   options.retarget.mode = core::RetargetConfig::Mode::Incremental;
   options.retarget.estimate_threshold = 0.3;
   options.retarget.queued_threshold = 1.0;
@@ -387,7 +395,7 @@ TEST(RtFaults, BatchedZombieCompletionsSuppressedPerMember) {
 }
 
 TEST(RtFaults, DetectionDisabledReportsAlive) {
-  RtMaster master({.slaves = {slave_opts(0, mib_per_sec(100))}, .retarget_interval = 2ms});
+  RtMaster master(master_opts({slave_opts(0, mib_per_sec(100))}));
   master.slave(NodeId(0)).crash();
   std::this_thread::sleep_for(30ms);
   EXPECT_EQ(master.node_state(NodeId(0)), RtMaster::NodeState::Alive);

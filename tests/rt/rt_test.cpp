@@ -41,6 +41,15 @@ RtSlave::Options slave_opts(int node, Rate bw) {
   return o;
 }
 
+/// Master options over `slaves`, Algorithm 1 passes every `retarget_interval`.
+RtMaster::Options master_opts(std::vector<RtSlave::Options> slaves,
+                              std::chrono::milliseconds retarget_interval = 2ms) {
+  RtMaster::Options options;
+  options.slaves = std::move(slaves);
+  options.retarget_interval = retarget_interval;
+  return options;
+}
+
 std::vector<RtBlock> blocks_on_all(int count, int nodes, Bytes size = mib(1)) {
   std::vector<RtBlock> out;
   for (int i = 0; i < count; ++i) {
@@ -186,7 +195,8 @@ TEST(RtSlave, ReadButUnflushedMemberIsCancellable) {
   std::atomic<bool> go{false};
   std::atomic<int> reported{0};
   RtSlave slave(
-      o, [&](std::vector<RtMigrationDone> d) { reported += static_cast<int>(d.size()); },
+      o, core::ControlPlaneConfig{},
+      [&](std::vector<RtMigrationDone> d) { reported += static_cast<int>(d.size()); },
       pull_once(go, {migration(0, 4 * kKiB), migration(1, mib(2))}));
   slave.disk().set_nominal_bandwidth(mib_per_sec(1));
   go = true;
@@ -209,11 +219,12 @@ TEST(RtSlave, FaultedBlockRetriesAfterBackoff) {
   EventLog log;
   tracer.set_sink(&log);
   RtSlave::Options o = slave_opts(0, mib_per_sec(64));
-  o.retry = {.max_attempts = 3, .backoff = milliseconds(1), .backoff_cap = milliseconds(4)};
   o.obs = obs::ObsContext(nullptr, &tracer);
+  core::ControlPlaneConfig policy;
+  policy.retry = {.max_attempts = 3, .backoff = milliseconds(1), .backoff_cap = milliseconds(4)};
   std::atomic<bool> go{false};
   RtSlave slave(
-      o,
+      o, policy,
       [&](std::vector<RtMigrationDone> d) {
         for (const RtMigrationDone& done : d) {
           log.add("complete#" + std::to_string(done.block.value()));
@@ -233,8 +244,8 @@ TEST(RtSlave, FaultedBlockRetriesAfterBackoff) {
 }
 
 TEST(RtMaster, DrainsAllMigrations) {
-  RtMaster master({.slaves = {slave_opts(0, mib_per_sec(200)), slave_opts(1, mib_per_sec(200))},
-                   .retarget_interval = 2ms});
+  RtMaster master(
+      master_opts({slave_opts(0, mib_per_sec(200)), slave_opts(1, mib_per_sec(200))}));
   master.migrate(blocks_on_all(12, 2));
   ASSERT_TRUE(master.wait_idle(10s));
   EXPECT_EQ(master.completed(), 12);
@@ -263,8 +274,8 @@ TEST(RtMaster, RetargeterFirstPassWaitsOneInterval) {
 
 TEST(RtMaster, LoadFollowsBandwidth) {
   // Node 0 is 8x faster; it should complete the bulk of the migrations.
-  RtMaster master({.slaves = {slave_opts(0, mib_per_sec(400)), slave_opts(1, mib_per_sec(50))},
-                   .retarget_interval = 2ms});
+  RtMaster master(
+      master_opts({slave_opts(0, mib_per_sec(400)), slave_opts(1, mib_per_sec(50))}));
   master.migrate(blocks_on_all(24, 2));
   ASSERT_TRUE(master.wait_idle(30s));
   auto per_node = master.completed_per_node();
@@ -272,14 +283,14 @@ TEST(RtMaster, LoadFollowsBandwidth) {
 }
 
 TEST(RtMaster, BuffersHoldRealBytes) {
-  RtMaster master({.slaves = {slave_opts(0, mib_per_sec(500))}, .retarget_interval = 2ms});
+  RtMaster master(master_opts({slave_opts(0, mib_per_sec(500))}));
   master.migrate(blocks_on_all(4, 1, mib(2)));
   ASSERT_TRUE(master.wait_idle(10s));
   EXPECT_EQ(master.slave(NodeId(0)).buffered_bytes(), mib(8));
 }
 
 TEST(RtMaster, EstimatorAdaptsToSlowdown) {
-  RtMaster master({.slaves = {slave_opts(0, mib_per_sec(400))}, .retarget_interval = 2ms});
+  RtMaster master(master_opts({slave_opts(0, mib_per_sec(400))}));
   master.migrate(blocks_on_all(4, 1));
   ASSERT_TRUE(master.wait_idle(10s));
   const double fast = master.slave(NodeId(0)).sec_per_byte();
@@ -290,9 +301,8 @@ TEST(RtMaster, EstimatorAdaptsToSlowdown) {
 }
 
 TEST(RtMaster, ConcurrentMigrateCalls) {
-  RtMaster master({.slaves = {slave_opts(0, mib_per_sec(300)), slave_opts(1, mib_per_sec(300)),
-                              slave_opts(2, mib_per_sec(300))},
-                   .retarget_interval = 2ms});
+  RtMaster master(master_opts({slave_opts(0, mib_per_sec(300)), slave_opts(1, mib_per_sec(300)),
+                               slave_opts(2, mib_per_sec(300))}));
   std::vector<std::jthread> submitters;
   for (int t = 0; t < 4; ++t) {
     submitters.emplace_back([&master, t] {
@@ -313,7 +323,7 @@ TEST(RtMaster, ConcurrentMigrateCalls) {
 }
 
 TEST(RtMaster, CancelPendingMigration) {
-  RtMaster master({.slaves = {slave_opts(0, mib_per_sec(1))}, .retarget_interval = 2ms});
+  RtMaster master(master_opts({slave_opts(0, mib_per_sec(1))}));
   master.migrate(blocks_on_all(10, 1));
   // Most blocks still pending or queued; cancel one that can't have run.
   EXPECT_TRUE(master.cancel(BlockId(9)));
@@ -324,7 +334,7 @@ TEST(RtMaster, CancelPendingMigration) {
 TEST(RtMaster, CancelActiveMigrationUnblocksQuickly) {
   // One slow slave; the first block would take ~8s. Cancelling everything
   // lets wait_idle succeed almost immediately.
-  RtMaster master({.slaves = {slave_opts(0, mib_per_sec(1))}, .retarget_interval = 2ms});
+  RtMaster master(master_opts({slave_opts(0, mib_per_sec(1))}));
   master.migrate(blocks_on_all(3, 1, mib(8)));
   std::this_thread::sleep_for(50ms);  // let the first read start
   // Every block is pending, queued or being read: a pull hands what it
@@ -338,7 +348,7 @@ TEST(RtMaster, CancelActiveMigrationUnblocksQuickly) {
 
 TEST(RtMaster, ShutdownIsIdempotentAndSafeWithPendingWork) {
   auto master = std::make_unique<RtMaster>(
-      RtMaster::Options{.slaves = {slave_opts(0, mib_per_sec(1))}, .retarget_interval = 2ms});
+      master_opts({slave_opts(0, mib_per_sec(1))}));
   master->migrate(blocks_on_all(50, 1));  // would take ~50s: shut down early
   std::this_thread::sleep_for(30ms);
   master->shutdown();
@@ -348,7 +358,7 @@ TEST(RtMaster, ShutdownIsIdempotentAndSafeWithPendingWork) {
 }
 
 TEST(RtMaster, WaitIdleTimesOutWhenBusy) {
-  RtMaster master({.slaves = {slave_opts(0, mib_per_sec(1))}, .retarget_interval = 2ms});
+  RtMaster master(master_opts({slave_opts(0, mib_per_sec(1))}));
   master.migrate(blocks_on_all(3, 1));
   EXPECT_FALSE(master.wait_idle(30ms));
 }
@@ -359,7 +369,7 @@ TEST(RtMaster, CancelRacesBoundTransfer) {
   // finished. A cancel and a completion must never both settle the same
   // migration — if they did, the outstanding count would go negative and
   // completed + cancelled would exceed the rounds.
-  RtMaster master({.slaves = {slave_opts(0, mib_per_sec(400))}, .retarget_interval = 1ms});
+  RtMaster master(master_opts({slave_opts(0, mib_per_sec(400))}, 1ms));
   const int rounds = 60;
   long cancelled = 0;
   for (int i = 0; i < rounds; ++i) {
@@ -450,7 +460,7 @@ TEST(RtMaster, DeadlineCancelAndEvictFindEveryBoundBlock) {
 TEST(RtMaster, WaitIdleReturnsWhenShutdownDiscardsWork) {
   // shutdown() discards queued work; a waiter must observe that and give
   // up (returning false: not drained) instead of sleeping out its timeout.
-  RtMaster master({.slaves = {slave_opts(0, mib_per_sec(1))}, .retarget_interval = 2ms});
+  RtMaster master(master_opts({slave_opts(0, mib_per_sec(1))}));
   master.migrate(blocks_on_all(5, 1));  // ~5s of work on a 1MiB/s disk
   std::jthread stopper([&master] {
     std::this_thread::sleep_for(50ms);
@@ -468,9 +478,9 @@ TEST(RtMaster, SmallestJobFirstBindsSmallJobFirst) {
   // block of the smaller job must be the node's first binding even though
   // it was enqueued last (one migrate() call: the full queue is visible
   // before the worker's first pull).
-  RtMaster master({.slaves = {slave_opts(0, mib_per_sec(200))},
-                   .retarget_interval = 2ms,
-                   .ordering = core::Ordering::SmallestJobFirst});
+  RtMaster::Options options = master_opts({slave_opts(0, mib_per_sec(200))});
+  options.ordering = core::Ordering::SmallestJobFirst;
+  RtMaster master(std::move(options));
   std::vector<RtBlock> blocks;
   for (int i = 0; i < 6; ++i) blocks.push_back({BlockId(i), mib(1), {NodeId(0)}, JobId(1)});
   blocks.push_back({BlockId(100), mib(1), {NodeId(0)}, JobId(2)});
@@ -488,10 +498,10 @@ TEST(RtMaster, RetryExhaustionRetargetsAwayFromBadReplica) {
   // read fails. After the local retry budget is exhausted the master must
   // requeue it with node 0 on the avoid list and Algorithm 1 re-targets
   // the surviving replica.
-  auto fast = slave_opts(0, mib_per_sec(400));
-  auto slow = slave_opts(1, mib_per_sec(50));
-  fast.retry = {.max_attempts = 3, .backoff = milliseconds(1), .backoff_cap = milliseconds(4)};
-  RtMaster master({.slaves = {fast, slow}, .retarget_interval = 2ms});
+  RtMaster::Options options =
+      master_opts({slave_opts(0, mib_per_sec(400)), slave_opts(1, mib_per_sec(50))});
+  options.retry = {.max_attempts = 3, .backoff = milliseconds(1), .backoff_cap = milliseconds(4)};
+  RtMaster master(std::move(options));
   // FaultSurface-style read-fault hook: the first 3 reads of block 7 fail.
   master.slave(NodeId(0)).set_read_fault_hook(
       [count = std::make_shared<std::atomic<int>>(3)](BlockId b) {
@@ -507,13 +517,58 @@ TEST(RtMaster, RetryExhaustionRetargetsAwayFromBadReplica) {
   EXPECT_EQ(master.slave(NodeId(1)).completed(), 1);
 }
 
+// The master's retry policy is every slave's: with a budget of one attempt,
+// each slave reports its first faulted read as a permanent failure.
+TEST(RtMaster, MasterRetryPolicyGovernsEverySlave) {
+  RtMaster::Options options = master_opts({slave_opts(0, mib_per_sec(400)),
+                                           slave_opts(1, mib_per_sec(400)),
+                                           slave_opts(2, mib_per_sec(400))});
+  options.retry.max_attempts = 1;
+  RtMaster master(std::move(options));
+  for (NodeId node : master.nodes()) {
+    // Each slave's first read fails.
+    master.slave(node).set_read_fault_hook([count = std::make_shared<std::atomic<int>>(1)](
+                                               BlockId) { return count->fetch_sub(1) > 0; });
+  }
+  // Two single-replica blocks per node: the faulted one has no other
+  // replica and is dropped, the other completes.
+  std::vector<RtBlock> blocks;
+  for (int n = 0; n < 3; ++n) {
+    for (int i = 0; i < 2; ++i) {
+      blocks.push_back({BlockId(10 * n + i), mib(1), {NodeId(n)}, JobId(1)});
+    }
+  }
+  master.migrate(blocks);
+  ASSERT_TRUE(master.wait_idle(10s));
+  EXPECT_EQ(master.completed(), 3);
+  for (NodeId node : master.nodes()) {
+    EXPECT_EQ(master.slave(node).permanent_failures(), 1) << "node " << node;
+    EXPECT_EQ(master.slave(node).retries(), 0) << "node " << node;
+  }
+}
+
+// Slaves pull, so the rt master binds late to Algorithm 1 targets only. It
+// rejects any other binding before the first slave (and so the first
+// thread) starts: no slave registered its pull histogram.
+TEST(RtMaster, RejectsBindingsItCannotHonour) {
+  for (core::Binding binding : {core::Binding::LateAnyReplica, core::Binding::EagerRandom}) {
+    obs::MetricsRegistry registry;
+    RtMaster::Options options =
+        master_opts({slave_opts(0, mib_per_sec(100)), slave_opts(1, mib_per_sec(100))});
+    options.binding = binding;
+    options.obs = obs::ObsContext(&registry, nullptr);
+    EXPECT_THROW(RtMaster master(std::move(options)), CheckError) << core::to_string(binding);
+    EXPECT_EQ(registry.find_histogram("node0.rt.pull_us"), nullptr);
+  }
+}
+
 TEST(RtMaster, UntargetableMigrationIsDroppedNotHung) {
   // Every replica holder failed permanently: nothing can ever bind the
   // block, so the master must settle it (abort) instead of leaving
   // wait_idle() to hang on an unbindable entry.
-  auto opts = slave_opts(0, mib_per_sec(400));
-  opts.retry = {.max_attempts = 2, .backoff = milliseconds(1), .backoff_cap = milliseconds(2)};
-  RtMaster master({.slaves = {opts}, .retarget_interval = 2ms});
+  RtMaster::Options options = master_opts({slave_opts(0, mib_per_sec(400))});
+  options.retry = {.max_attempts = 2, .backoff = milliseconds(1), .backoff_cap = milliseconds(2)};
+  RtMaster master(std::move(options));
   // FaultSurface-style read-fault hook: the first 2 reads of block 3 fail.
   master.slave(NodeId(0)).set_read_fault_hook(
       [count = std::make_shared<std::atomic<int>>(2)](BlockId b) {
@@ -530,7 +585,7 @@ TEST(RtMaster, UntargetableMigrationIsDroppedNotHung) {
 TEST(RtMaster, MergesDuplicateBlockAndTracksPerJobCompletions) {
   // Block 4 is requested by both jobs in the same batch: one lifecycle,
   // one transfer, but both jobs' accounting and buffer references.
-  RtMaster master({.slaves = {slave_opts(0, mib_per_sec(400))}, .retarget_interval = 2ms});
+  RtMaster master(master_opts({slave_opts(0, mib_per_sec(400))}));
   std::vector<RtBlock> blocks = {{BlockId(0), mib(1), {NodeId(0)}, JobId(1)},
                                  {BlockId(1), mib(1), {NodeId(0)}, JobId(1)},
                                  {BlockId(2), mib(1), {NodeId(0)}, JobId(2)},

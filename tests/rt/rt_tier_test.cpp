@@ -50,7 +50,7 @@ std::vector<RtBlock> single_node_blocks(int count) {
 TEST(RtTier, PressureDemotesToSsdAtSettlement) {
   RtMaster::Options options;
   options.slaves = {tier_slave(0, 2 * kBlock)};
-  options.tier = evict_cold();  // forwarded: the slave left its knob default
+  options.tier = evict_cold();  // the master's policy is every slave's
   RtMaster master(std::move(options));
 
   master.migrate(single_node_blocks(6));

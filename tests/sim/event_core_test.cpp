@@ -160,7 +160,9 @@ std::vector<std::string> run_program(std::uint64_t seed) {
     if (rng.bernoulli(0.3)) q.cancel(any());
     for (int i = 0; i < 2; ++i) {
       const std::size_t h = any();
-      log.push_back("p" + std::to_string(h) + "=" + std::to_string(q.pending(h)));
+      std::string entry = "p";
+      entry += std::to_string(h) + "=" + std::to_string(q.pending(h));
+      log.push_back(entry);
     }
   };
 

@@ -22,7 +22,7 @@ struct MiniDfs {
     Bytes memory = gib(8);
     Bytes ssd = gib(512);
     std::uint64_t placement_seed = 1;
-    std::unique_ptr<dfs::PlacementPolicy> placement;  // default: random
+    std::unique_ptr<dfs::PlacementPolicy> placement{};  // default: random
   };
 
   MiniDfs() : MiniDfs(Options{}) {}

@@ -75,7 +75,9 @@ TEST(Swim, ShuffleNeverExceedsInput) {
   for (const auto& job : wl.jobs()) {
     EXPECT_LE(job.shuffle, job.input);
     EXPECT_GE(job.reducers, 0);
-    if (job.shuffle == 0) EXPECT_EQ(job.reducers, 0);
+    if (job.shuffle == 0) {
+      EXPECT_EQ(job.reducers, 0);
+    }
   }
 }
 
