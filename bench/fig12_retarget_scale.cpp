@@ -2,21 +2,16 @@
 // size (the ROADMAP "10k-node" scale item, motivated by the 12k-server
 // Google trace in the paper's introduction).
 //
-// Sweeps the node count 8 -> 10k with a fixed multi-million-entry pending
-// queue and times, per cluster size:
+// Fills a ControlPlane's pending queue with a fixed multi-million-entry
+// backlog and times ControlPlane::retarget, the pass both masters run, as
+// the node count sweeps 8 -> 10k. Each row reports the fastest and slowest
+// of a few passes over the same queue and snapshots.
 //
-//   ref_full      the reference assign_targets sweep (O(pending x replicas))
-//   inc_cold      RetargetIndex cold pass (== reference policy)
-//   inc_noop      steady-state pass, nothing changed
-//   inc_burst     pass after a burst of fresh enqueues (tail extension)
-//   inc_requeue   pass after bind+requeue churn near the tail (dirty suffix)
-//
-// The headline claim: steady-state incremental passes (noop / burst /
-// requeue) re-score only what changed, so their latency stays near-flat
-// across the node sweep while the reference sweep pays the full queue every
-// pass. The cold pass is also checked for target-exactness against
-// the reference sweep at every cluster size. Results go to stdout and
-// BENCH_retarget.json.
+// The claim: a pass scores every pending entry against its replicas, so
+// its cost follows pending x replicas, not the node count. The shape check
+// holds the largest cluster's pass within 2x of the 8-node pass. Results go
+// to stdout and BENCH_retarget.json.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
@@ -27,15 +22,15 @@
 
 #include "bench/common/bench_util.h"
 #include "common/table.h"
-#include "core/pending_queue.h"
-#include "core/replica_selector.h"
-#include "core/retarget_index.h"
+#include "core/control_plane.h"
 
 using namespace dyrs;
 
 namespace {
 
 using clock_type = std::chrono::steady_clock;
+
+constexpr int kPasses = 5;
 
 double ms_since(clock_type::time_point t0) {
   return std::chrono::duration<double, std::milli>(clock_type::now() - t0).count();
@@ -54,8 +49,7 @@ std::vector<core::SlaveSnapshot> make_snapshots(int nodes, std::mt19937_64& rng)
   return snaps;
 }
 
-void push_block(core::PendingQueue& queue, core::RetargetIndex* index, int block, int nodes,
-                std::mt19937_64& rng) {
+void push_block(core::PendingQueue& queue, int block, int nodes, std::mt19937_64& rng) {
   core::PendingMigration pm;
   pm.block = BlockId(block);
   pm.size = mib(64 + 64 * static_cast<Bytes>(rng() % 4));
@@ -66,100 +60,30 @@ void push_block(core::PendingQueue& queue, core::RetargetIndex* index, int block
     pm.replicas.emplace_back((first + 1 + static_cast<int>(rng() % static_cast<std::uint64_t>(nodes - 1))) % nodes);
   }
   queue.push(std::move(pm));
-  if (index != nullptr) index->note_append(queue, BlockId(block));
 }
 
 struct Row {
   int nodes = 0;
-  double ref_full_ms = 0;
-  double inc_cold_ms = 0;
-  double inc_noop_ms = 0;
-  double inc_burst_ms = 0;
-  double inc_requeue_ms = 0;
-  bool exact = false;
+  double pass_min_ms = 0;
+  double pass_max_ms = 0;
+  std::size_t assigned = 0;  // entries the last pass targeted
 };
 
-Row run_scale(int nodes, int pending, int burst, int churn) {
+Row run_scale(int nodes, int pending) {
   std::mt19937_64 rng(0x5ca1eull + static_cast<std::uint64_t>(nodes));
-  core::PendingQueue queue;
-  int next_block = 0;
-  for (int i = 0; i < pending; ++i) push_block(queue, nullptr, next_block++, nodes, rng);
+  core::ControlPlane plane;
+  for (int i = 0; i < pending; ++i) push_block(plane.queue(), i, nodes, rng);
   const std::vector<core::SlaveSnapshot> snaps = make_snapshots(nodes, rng);
 
   Row row;
   row.nodes = nodes;
-
-  // Reference sweep, and its targets as the exactness baseline.
-  std::vector<core::PendingMigration*> ptrs;
-  ptrs.reserve(queue.size());
-  for (core::PendingMigration& pm : queue) ptrs.push_back(&pm);
-  auto t0 = clock_type::now();
-  core::assign_targets(ptrs, snaps);
-  row.ref_full_ms = ms_since(t0);
-  std::vector<NodeId> ref_targets;
-  ref_targets.reserve(ptrs.size());
-  for (const core::PendingMigration* pm : ptrs) ref_targets.push_back(pm->target);
-
-  core::RetargetIndex index;
-  core::RetargetConfig cfg;
-  cfg.mode = core::RetargetConfig::Mode::Incremental;
-  t0 = clock_type::now();
-  index.pass(queue, core::Ordering::Fifo, cfg, snaps, 1, nullptr);
-  row.inc_cold_ms = ms_since(t0);
-
-  row.exact = true;
-  std::size_t i = 0;
-  for (const core::PendingMigration& pm : queue) {
-    if (pm.target != ref_targets[i++]) {
-      row.exact = false;
-      break;
-    }
-  }
-
-  t0 = clock_type::now();
-  index.pass(queue, core::Ordering::Fifo, cfg, snaps, 2, nullptr);
-  row.inc_noop_ms = ms_since(t0);
-
-  // Bursts of fresh enqueues between passes: tail extension. Min of three
-  // rounds — the first append after a cold pass pays a one-time growth of
-  // the exactly-sized pass cache; steady state is what a master's periodic
-  // pass sees.
-  row.inc_burst_ms = 0;
-  for (int round = 0; round < 3; ++round) {
-    for (int b = 0; b < burst; ++b) push_block(queue, &index, next_block++, nodes, rng);
-    t0 = clock_type::now();
-    index.pass(queue, core::Ordering::Fifo, cfg, snaps, 3 + round, nullptr);
+  for (int pass = 0; pass < kPasses; ++pass) {
+    const auto t0 = clock_type::now();
+    row.assigned = plane.retarget(snaps, pass + 1).assigned;
     const double ms = ms_since(t0);
-    if (round == 0 || ms < row.inc_burst_ms) row.inc_burst_ms = ms;
+    row.pass_min_ms = pass == 0 ? ms : std::min(row.pass_min_ms, ms);
+    row.pass_max_ms = std::max(row.pass_max_ms, ms);
   }
-
-  // Bind + requeue churn near the tail: erase entries, re-add them with an
-  // avoid entry (the failover path), pass re-scores the dirty suffix.
-  std::vector<core::PendingMigration> requeued;
-  requeued.reserve(static_cast<std::size_t>(churn));
-  {
-    auto it = queue.end();
-    for (int c = 0; c < churn; ++c) --it;
-    while (it != queue.end()) {
-      core::PendingMigration pm = *it;
-      const BlockId block = pm.block;
-      it = queue.erase(it);
-      index.note_erase(queue, block);
-      pm.avoid.clear();
-      if (!pm.replicas.empty()) pm.avoid.push_back(pm.replicas.front());
-      pm.target = NodeId::invalid();
-      requeued.push_back(std::move(pm));
-    }
-  }
-  for (core::PendingMigration& pm : requeued) {
-    const BlockId block = pm.block;
-    queue.push(std::move(pm));
-    index.note_append(queue, block);
-  }
-  t0 = clock_type::now();
-  index.pass(queue, core::Ordering::Fifo, cfg, snaps, 4, nullptr);
-  row.inc_requeue_ms = ms_since(t0);
-
   return row;
 }
 
@@ -168,73 +92,46 @@ Row run_scale(int nodes, int pending, int burst, int churn) {
 int main() {
   bench::print_header(
       "fig12: retargeting pass latency, 8 -> 10k nodes",
-      "incremental per-pass latency stays near-flat in cluster size while the "
-      "full sweep pays the whole pending queue");
+      "the pass costs pending x replicas, so its latency stays flat as the "
+      "cluster grows");
 
   const int pending = bench::smoke_scaled(2'000'000, 20'000);
-  const int burst = bench::smoke_scaled(1000, 200);
-  const int churn = bench::smoke_scaled(500, 50);
   const std::vector<int> sweep = bench::smoke_mode()
                                      ? std::vector<int>{8, 32, 128}
                                      : std::vector<int>{8, 64, 512, 2048, 10'000};
 
   std::vector<Row> rows;
   for (int nodes : sweep) {
-    rows.push_back(run_scale(nodes, pending, burst, churn));
+    rows.push_back(run_scale(nodes, pending));
     std::cout << "  measured " << nodes << " nodes\n";
   }
 
-  TextTable table({"nodes", "ref full (ms)", "inc cold (ms)", "inc noop (ms)",
-                   "inc burst (ms)", "inc requeue (ms)", "exact"});
+  TextTable table({"nodes", "pass min (ms)", "pass max (ms)", "targeted"});
   for (const Row& r : rows) {
-    table.add_row({std::to_string(r.nodes), TextTable::num(r.ref_full_ms, 2),
-                   TextTable::num(r.inc_cold_ms, 2),
-                   TextTable::num(r.inc_noop_ms, 3), TextTable::num(r.inc_burst_ms, 3),
-                   TextTable::num(r.inc_requeue_ms, 3), r.exact ? "yes" : "NO"});
+    table.add_row({std::to_string(r.nodes), TextTable::num(r.pass_min_ms, 2),
+                   TextTable::num(r.pass_max_ms, 2), std::to_string(r.assigned)});
   }
   table.print(std::cout);
-  std::cout << "\n(" << pending << " pending blocks; burst = " << burst
-            << " fresh enqueues; requeue churn = " << churn << " tail entries)\n\n";
+  std::cout << "\n(" << pending << " pending blocks, 2 replicas each; " << kPasses
+            << " passes per row)\n\n";
 
   std::ofstream json("BENCH_retarget.json");
-  json << "{\"bench\":\"retarget_scale\",\"pending\":" << pending << ",\"burst\":" << burst
-       << ",\"churn\":" << churn << ",\"sweep\":[";
+  json << "{\"bench\":\"retarget_scale\",\"pending\":" << pending << ",\"passes\":" << kPasses
+       << ",\"sweep\":[";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
-    json << (i ? "," : "") << "{\"nodes\":" << r.nodes << ",\"ref_full_ms\":" << r.ref_full_ms
-         << ",\"inc_cold_ms\":" << r.inc_cold_ms
-         << ",\"inc_noop_ms\":" << r.inc_noop_ms << ",\"inc_burst_ms\":" << r.inc_burst_ms
-         << ",\"inc_requeue_ms\":" << r.inc_requeue_ms
-         << ",\"exact\":" << (r.exact ? "true" : "false") << "}";
+    json << (i ? "," : "") << "{\"nodes\":" << r.nodes << ",\"pass_min_ms\":" << r.pass_min_ms
+         << ",\"pass_max_ms\":" << r.pass_max_ms << ",\"assigned\":" << r.assigned << "}";
   }
   json << "]}\n";
   std::cout << "wrote BENCH_retarget.json\n\n";
 
-  bool all_exact = true;
-  for (const Row& r : rows) all_exact &= r.exact;
-  bench::print_shape_check(all_exact,
-                           "cold incremental pass is target-exact vs the reference "
-                           "sweep at every cluster size");
-
   const Row& smallest = rows.front();
   const Row& largest = rows.back();
-  // Near-flat: the steady-state burst pass may not grow with node count the
-  // way the full sweep's absolute cost dwarfs it. Generous noise floor —
-  // these passes are sub-millisecond against multi-hundred-ms sweeps.
-  const double burst_growth = largest.inc_burst_ms / std::max(smallest.inc_burst_ms, 1e-3);
-  const double sweep_growth =
-      static_cast<double>(largest.nodes) / static_cast<double>(smallest.nodes);
-  bench::print_shape_check(burst_growth < sweep_growth,
-                           "burst-pass latency grows sub-linearly in node count (x" +
-                               TextTable::num(burst_growth, 1) + " over a x" +
-                               TextTable::num(sweep_growth, 0) + " node sweep)");
-  // At full scale (millions pending) the steady-state pass must beat the
-  // sweep by an order of magnitude; the 20k-block smoke queue is too small
-  // for that gap, so smoke only requires "cheaper than the sweep".
-  const double required_gain = bench::smoke_scaled(10.0, 1.0);
+  const double growth = largest.pass_min_ms / std::max(smallest.pass_min_ms, 1e-3);
   bench::print_shape_check(
-      largest.inc_burst_ms < largest.ref_full_ms / required_gain,
-      "steady-state incremental pass beats the full sweep by >" +
-          TextTable::num(required_gain, 0) + "x at max scale");
+      growth <= 2.0, "the " + std::to_string(largest.nodes) + "-node pass is within 2x of the " +
+                         std::to_string(smallest.nodes) + "-node pass (x" +
+                         TextTable::num(growth, 2) + ")");
   return 0;
 }

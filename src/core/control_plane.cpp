@@ -10,7 +10,6 @@ ControlPlane::Enqueued ControlPlane::enqueue(JobId job, EvictionMode mode, Block
   if (PendingMigration* pm = queue_.lookup(block)) {
     pm->jobs[job] = mode;
     merge_avoid(pm->avoid, avoid);
-    index_.note_mutate(block);
     emitter_.enqueue_merged(now, block, job);
     return {pm, false};
   }
@@ -22,7 +21,6 @@ ControlPlane::Enqueued ControlPlane::enqueue(JobId job, EvictionMode mode, Block
   pm.avoid = avoid;
   pm.requested_at = now;
   PendingMigration& entry = queue_.push(std::move(pm));
-  index_.note_append(queue_, block);
   emitter_.enqueue(now, block, job, entry.size, entry.replicas);
   return {&entry, true};
 }
@@ -31,14 +29,10 @@ TargetingStats ControlPlane::retarget(const std::vector<SlaveSnapshot>& snapshot
   if (queue_.empty() || snapshots.empty()) return {};
   const bool trace = emitter_.tracing() &&
                      config_.target_trace == ControlPlaneConfig::TargetTrace::AtRetarget;
-  if (config_.retarget.mode == RetargetConfig::Mode::Incremental) {
-    return index_.pass(queue_, config_.ordering, config_.retarget, snapshots, now,
-                       trace ? &emitter_ : nullptr);
-  }
-  // Reference sweep. Target in the same order binding will consider
-  // entries, so the greedy finish-time accounting matches the eventual
-  // assignment order. A sweep targets only snapshot nodes, so each
-  // emission carries the estimate that scored it.
+  // Target in the same order binding will consider entries, so the greedy
+  // finish-time accounting matches the eventual assignment order. A sweep
+  // targets only snapshot nodes, so each emission carries the estimate
+  // that scored it.
   TargetScorer scorer(snapshots);
   queue_.visit(config_.ordering, [&](PendingQueue::iterator it) {
     const NodeId before = it->target;
@@ -67,7 +61,6 @@ BoundMigration ControlPlane::bind_entry(PendingQueue::iterator it, NodeId node,
   emitter_.bind(now, bm.block, node, now - bm.requested_at);
   binding_log_.emplace_back(bm.block, node);
   queue_.erase(it);
-  index_.note_erase(queue_, bm.block);
   return bm;
 }
 
@@ -80,10 +73,10 @@ std::vector<BoundMigration> ControlPlane::bind_for(NodeId node, int free_slots,
   queue_.visit(config_.ordering, [&](PendingQueue::iterator it) {
     ++scanned;
     // The avoid list gates both modes: a LateTargeted entry can carry a
-    // stale target pointing at a node that has since failed on it (the
-    // target was assigned before the failure, or by an incremental pass
-    // scoring against a held basis) — binding there anyway would hand the
-    // block back to the replica that just proved unable to serve it.
+    // stale target pointing at a node that has since failed on it (a merge
+    // grew the avoid list after the last pass assigned the target) —
+    // binding there anyway would hand the block back to the replica that
+    // just proved unable to serve it.
     if (std::find(it->avoid.begin(), it->avoid.end(), node) != it->avoid.end()) return true;
     const bool eligible =
         targeted ? it->target == node

@@ -28,12 +28,17 @@
 #include "core/pending_queue.h"
 #include "core/queue_depth.h"
 #include "core/replica_selector.h"
-#include "core/retarget_index.h"
 #include "core/retry_policy.h"
 #include "core/tier_policy.h"
 #include "core/types.h"
 
 namespace dyrs::core {
+
+/// Holds no policy: Algorithm 1 has one engine, the full sweep. The
+/// repository benchmark's control-plane replay still copies
+/// `defaults.retarget`; the benchmark change that drops that copy deletes
+/// this field and the type.
+struct RetargetConfig {};
 
 /// The migration policy, declared once. Both masters' configs derive from
 /// it (core::MasterConfig, rt::RtMaster::Options) and every slave is
@@ -52,10 +57,7 @@ struct ControlPlaneConfig {
   /// field only matters where a ControlPlane is built directly.
   enum class TargetTrace { AtRetarget, AtBind };
   TargetTrace target_trace = TargetTrace::AtRetarget;
-  /// Algorithm 1 pass engine: the reference full sweep, or the incremental
-  /// RetargetIndex (cached-prefix replay, dirty-suffix re-score). At zero
-  /// thresholds the two produce identical targets; the differential tests
-  /// assert it.
+  /// Empty; see RetargetConfig. Every pass is the full sweep.
   RetargetConfig retarget;
   /// Slave local-queue depth (§III-B). The control plane never binds more
   /// than a slave's advertised free slots; every slave derives them from
@@ -89,8 +91,6 @@ class ControlPlane {
   PendingQueue& queue() { return queue_; }
   const PendingQueue& queue() const { return queue_; }
   const ControlPlaneConfig& config() const { return config_; }
-  const RetargetIndex& retarget_index() const { return index_; }
-  RetargetIndex& retarget_index() { return index_; }
 
   struct Enqueued {
     PendingMigration* entry = nullptr;
@@ -141,7 +141,6 @@ class ControlPlane {
  private:
   ControlPlaneConfig config_;
   PendingQueue queue_;
-  RetargetIndex index_;
   LifecycleEmitter emitter_;
   obs::Counter* ctr_bind_scanned_ = nullptr;
   std::vector<std::pair<BlockId, NodeId>> binding_log_;

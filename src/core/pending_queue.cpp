@@ -19,7 +19,6 @@ PendingMigration* PendingQueue::lookup(BlockId block) {
 
 PendingMigration& PendingQueue::push(PendingMigration pm) {
   DYRS_CHECK_MSG(!contains(pm.block), "block " << pm.block << " already pending");
-  ++mutations_;
   list_.push_back(std::move(pm));
   auto it = std::prev(list_.end());
   index_[it->block] = it;
@@ -27,7 +26,6 @@ PendingMigration& PendingQueue::push(PendingMigration pm) {
 }
 
 PendingQueue::iterator PendingQueue::erase(iterator it) {
-  ++mutations_;
   index_.erase(it->block);
   return list_.erase(it);
 }
@@ -35,14 +33,12 @@ PendingQueue::iterator PendingQueue::erase(iterator it) {
 bool PendingQueue::erase(BlockId block) {
   auto it = index_.find(block);
   if (it == index_.end()) return false;
-  ++mutations_;
   list_.erase(it->second);
   index_.erase(it);
   return true;
 }
 
 void PendingQueue::clear() {
-  if (!list_.empty()) ++mutations_;
   list_.clear();
   index_.clear();
 }

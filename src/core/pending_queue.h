@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <list>
 #include <unordered_map>
 #include <vector>
@@ -49,12 +48,6 @@ class PendingQueue {
   bool erase(BlockId block);
   void clear();
 
-  /// Monotonic count of structural mutations (push / erase / clear).
-  /// RetargetIndex compares it against the count at its last sync to detect
-  /// queue churn that bypassed the control plane (drivers erase directly on
-  /// cancellation and eviction paths) and fall back to a full re-score.
-  std::uint64_t mutation_count() const { return mutations_; }
-
   /// Calls `visit(iterator)` in binding-consideration order until it
   /// returns false: in place along the list for Fifo, over the `in_order`
   /// copy otherwise. The visitor may erase the visited entry, no other.
@@ -80,7 +73,6 @@ class PendingQueue {
 
   List list_;
   std::unordered_map<BlockId, iterator> index_;
-  std::uint64_t mutations_ = 0;
 };
 
 }  // namespace dyrs::core

@@ -34,8 +34,8 @@
 namespace dyrs::core {
 
 /// The sim master's config: the migration policy it inherits from
-/// ControlPlaneConfig (binding, ordering, retarget engine, queue depth,
-/// retry, tier) plus the knobs only this master has. Inheriting, rather
+/// ControlPlaneConfig (binding, ordering, queue depth, retry, tier) plus
+/// the knobs only this master has. Inheriting, rather
 /// than holding a ControlPlaneConfig member, keeps `config.binding` and
 /// `config.tier.*` spelled as on the core config. The constructor rejects
 /// `failure_detection.enabled` (the sim detects failures through the dfs

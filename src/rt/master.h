@@ -3,7 +3,7 @@
 // Demonstrates the production shape of the protocol: slaves pull from their
 // own worker threads, the Algorithm 1 retargeting pass runs in a separate
 // thread off the pull path (§III-D), and the policy state (pending queue,
-// binding log, retarget engine) is guarded by the master mutex. Settlement
+// binding log) is guarded by the master mutex. Settlement
 // state stripes over a fixed set of shards — the bound registry and
 // per-block cycle counters by block id, per-job accounting by job id — with
 // the completion counters lock-free atomics, so completion reports settle and
@@ -66,17 +66,16 @@ class RtMaster {
   /// config. The constructor rejects a `binding` other than LateTargeted
   /// before any slave thread starts, and fixes `target_trace` to AtBind.
   ///
-  /// A snapshot's queued_bytes is the slave's bound bytes, which move on
-  /// every bind and completion, so at zero thresholds most live
-  /// incremental `retarget` passes are full rescores (EXPERIMENTS.md
-  /// records the measured pass mix). With `failure_detection.enabled`, a
-  /// monitor thread applies a timeout -> suspicion -> declared-dead state
-  /// machine over the age of the slaves' wall-clock heartbeats (published
-  /// every worker-loop iteration and every disk slice). Declaring a node
-  /// dead aborts its bound-but-incomplete lifecycles (heartbeat-loss) and
-  /// requeues the blocks through the control plane with the node on the
-  /// avoid list; a node whose heartbeats resume rejoins the retargeter's
-  /// eligible set.
+  /// Every `retarget` pass re-scores the whole pending queue against fresh
+  /// snapshots: a snapshot's queued_bytes is the slave's bound bytes,
+  /// which move on every bind and completion. With
+  /// `failure_detection.enabled`, a monitor thread applies a timeout ->
+  /// suspicion -> declared-dead state machine over the age of the slaves'
+  /// wall-clock heartbeats (published every worker-loop iteration and
+  /// every disk slice). Declaring a node dead aborts its
+  /// bound-but-incomplete lifecycles (heartbeat-loss) and requeues the
+  /// blocks through the control plane with the node on the avoid list; a
+  /// node whose heartbeats resume rejoins the retargeter's eligible set.
   struct Options : core::ControlPlaneConfig {
     std::vector<RtSlave::Options> slaves;
     std::chrono::milliseconds retarget_interval{5};

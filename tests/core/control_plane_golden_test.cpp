@@ -2,13 +2,13 @@
 // merges and avoid lists, retarget passes over drifting snapshots with one
 // node missing now and then, binds with random slot counts, direct queue
 // erases, requeues) runs on a standalone ControlPlane for every
-// ordering x binding x retarget engine x trace profile. Each scenario folds
-// what it observes into one FNV-1a digest: every bind (block, node, order),
-// every pass's TargetingStats and per-entry targets, and every emitted
-// event's type and fields. The digests were captured from the engine that
-// materialized the whole consideration order on every bind and scored each
-// pass through per-pass hash maps; the in-place bind walk and the dense
-// Algorithm 1 scorer must reproduce every decision bit for bit.
+// ordering x binding x trace profile. Each scenario folds what it observes
+// into one FNV-1a digest: every bind (block, node, order), every pass's
+// TargetingStats and per-entry targets, and every emitted event's type and
+// fields. The digests were captured from the engine that materialized the
+// whole consideration order on every bind and scored each pass through
+// per-pass hash maps; the in-place bind walk and the dense Algorithm 1
+// scorer must reproduce every decision bit for bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -66,7 +66,6 @@ enum class Trace { Untraced, AtRetarget, AtBind };
 struct Scenario {
   Ordering ordering;
   Binding binding;
-  RetargetConfig::Mode mode;
   Trace trace;
   std::uint64_t digest;
 };
@@ -87,7 +86,6 @@ Outcome run(const Scenario& sc) {
   ControlPlaneConfig cfg;
   cfg.binding = sc.binding;
   cfg.ordering = sc.ordering;
-  cfg.retarget.mode = sc.mode;
   cfg.target_trace = sc.trace == Trace::AtBind ? ControlPlaneConfig::TargetTrace::AtBind
                                                : ControlPlaneConfig::TargetTrace::AtRetarget;
   ControlPlane plane(cfg);
@@ -208,7 +206,7 @@ Outcome run(const Scenario& sc) {
 std::string name_of(const Scenario& sc) {
   std::string s = sc.ordering == Ordering::Fifo ? "Fifo" : "Sjf";
   s += sc.binding == Binding::LateTargeted ? "_Targeted" : "_AnyReplica";
-  s += sc.mode == RetargetConfig::Mode::Reference ? "_Reference" : "_Incremental";
+  s += "_Reference";  // every row runs the reference sweep, the one engine
   switch (sc.trace) {
     case Trace::Untraced: s += "_Untraced"; break;
     case Trace::AtRetarget: s += "_AtRetarget"; break;
@@ -234,41 +232,26 @@ TEST_P(ControlPlaneGolden, DecisionsMatchCapturedDigest) {
   EXPECT_EQ(run(sc).digest, out.digest);  // and the sequence itself is deterministic
 }
 
-using Mode = RetargetConfig::Mode;
 constexpr auto kFifo = Ordering::Fifo;
 constexpr auto kSjf = Ordering::SmallestJobFirst;
 constexpr auto kTargeted = Binding::LateTargeted;
 constexpr auto kAny = Binding::LateAnyReplica;
 
-// Reference and Incremental rows share a digest: at zero drift thresholds
-// and one shard the two retarget engines are exact twins.
 INSTANTIATE_TEST_SUITE_P(
     Matrix, ControlPlaneGolden,
     ::testing::Values(
-        Scenario{kFifo, kTargeted, Mode::Reference, Trace::Untraced, 0xd9912b4777bbc500},
-        Scenario{kFifo, kTargeted, Mode::Reference, Trace::AtRetarget, 0x706956bb44169472},
-        Scenario{kFifo, kTargeted, Mode::Reference, Trace::AtBind, 0x3d1ae26157e98434},
-        Scenario{kFifo, kTargeted, Mode::Incremental, Trace::Untraced, 0xd9912b4777bbc500},
-        Scenario{kFifo, kTargeted, Mode::Incremental, Trace::AtRetarget, 0x706956bb44169472},
-        Scenario{kFifo, kTargeted, Mode::Incremental, Trace::AtBind, 0x3d1ae26157e98434},
-        Scenario{kFifo, kAny, Mode::Reference, Trace::Untraced, 0xfb69e1fab122a089},
-        Scenario{kFifo, kAny, Mode::Reference, Trace::AtRetarget, 0x8bbcf78c8ac743e2},
-        Scenario{kFifo, kAny, Mode::Reference, Trace::AtBind, 0x83312a1b1215ff84},
-        Scenario{kFifo, kAny, Mode::Incremental, Trace::Untraced, 0xfb69e1fab122a089},
-        Scenario{kFifo, kAny, Mode::Incremental, Trace::AtRetarget, 0x8bbcf78c8ac743e2},
-        Scenario{kFifo, kAny, Mode::Incremental, Trace::AtBind, 0x83312a1b1215ff84},
-        Scenario{kSjf, kTargeted, Mode::Reference, Trace::Untraced, 0xfe0b4d48cdc06cca},
-        Scenario{kSjf, kTargeted, Mode::Reference, Trace::AtRetarget, 0x09e44f630d343337},
-        Scenario{kSjf, kTargeted, Mode::Reference, Trace::AtBind, 0xbce3854ceb5b639e},
-        Scenario{kSjf, kTargeted, Mode::Incremental, Trace::Untraced, 0xfe0b4d48cdc06cca},
-        Scenario{kSjf, kTargeted, Mode::Incremental, Trace::AtRetarget, 0x09e44f630d343337},
-        Scenario{kSjf, kTargeted, Mode::Incremental, Trace::AtBind, 0xbce3854ceb5b639e},
-        Scenario{kSjf, kAny, Mode::Reference, Trace::Untraced, 0xcfffd3ed7fd1f650},
-        Scenario{kSjf, kAny, Mode::Reference, Trace::AtRetarget, 0xf9421f431c0048cb},
-        Scenario{kSjf, kAny, Mode::Reference, Trace::AtBind, 0x58d1273fc6b1535e},
-        Scenario{kSjf, kAny, Mode::Incremental, Trace::Untraced, 0xcfffd3ed7fd1f650},
-        Scenario{kSjf, kAny, Mode::Incremental, Trace::AtRetarget, 0xf9421f431c0048cb},
-        Scenario{kSjf, kAny, Mode::Incremental, Trace::AtBind, 0x58d1273fc6b1535e}),
+        Scenario{kFifo, kTargeted, Trace::Untraced, 0xd9912b4777bbc500},
+        Scenario{kFifo, kTargeted, Trace::AtRetarget, 0x706956bb44169472},
+        Scenario{kFifo, kTargeted, Trace::AtBind, 0x3d1ae26157e98434},
+        Scenario{kFifo, kAny, Trace::Untraced, 0xfb69e1fab122a089},
+        Scenario{kFifo, kAny, Trace::AtRetarget, 0x8bbcf78c8ac743e2},
+        Scenario{kFifo, kAny, Trace::AtBind, 0x83312a1b1215ff84},
+        Scenario{kSjf, kTargeted, Trace::Untraced, 0xfe0b4d48cdc06cca},
+        Scenario{kSjf, kTargeted, Trace::AtRetarget, 0x09e44f630d343337},
+        Scenario{kSjf, kTargeted, Trace::AtBind, 0xbce3854ceb5b639e},
+        Scenario{kSjf, kAny, Trace::Untraced, 0xcfffd3ed7fd1f650},
+        Scenario{kSjf, kAny, Trace::AtRetarget, 0xf9421f431c0048cb},
+        Scenario{kSjf, kAny, Trace::AtBind, 0x58d1273fc6b1535e}),
     [](const ::testing::TestParamInfo<Scenario>& info) { return name_of(info.param); });
 
 }  // namespace

@@ -271,18 +271,16 @@ TEST(RtFaults, SuspicionIsAGracePeriodNotADeclaration) {
 
 // Regression for the bind_for avoid-list hole: a block whose replica
 // exhausted its retry budget is requeued with that node on its avoid list,
-// and must never bind there again — even under the incremental retargeter
-// holding a stale scoring basis (the window where a stale target can still
-// point at the failed node).
+// and must never bind there again. A merge that grows an entry's avoid
+// list keeps the target the last pass chose, so until the next pass a
+// target can still point at an avoided node; the bind-time avoid check is
+// what keeps the block off it.
 TEST(RtFaults, PermanentIoErrorsNeverRebindToAvoidedReplica) {
   RtMaster::Options options;
   // Node 0 is the fastest, Algorithm 1's first pick; only its reads fail.
   options.slaves = {slave_opts(0, mib_per_sec(400)), slave_opts(1, mib_per_sec(100))};
   options.retarget_interval = 2ms;
   options.retry = {.max_attempts = 2, .backoff = milliseconds(1), .backoff_cap = milliseconds(2)};
-  options.retarget.mode = core::RetargetConfig::Mode::Incremental;
-  options.retarget.estimate_threshold = 0.3;
-  options.retarget.queued_threshold = 1.0;
   RtMaster master(std::move(options));
 
   faults::RtFaultInjector injector(master, /*seed=*/3);
