@@ -1,34 +1,29 @@
 // micro_rt_throughput — sustained drain throughput of the rt exchange.
 //
-// Drains a backlog of small blocks through the exchange at two slave drain
-// cadences and reports sustained blocks/s plus the p99 slave pull latency:
+// Drains a backlog of small blocks through the exchange and reports
+// sustained blocks/s plus the p99 slave pull latency, swept over slave
+// count x local queue depth, each configuration reported as the fastest of
+// five drains. Every slave drain cycle pulls a whole queue, reads it in one
+// token-bucket call and reports it in one completion report, so the depth
+// is also how many blocks a cycle carries; settlement stripes over shard
+// locks, never the master mutex. Blocks are deliberately tiny (4 KiB at
+// 2 GiB/s, ~2us of token time) so the exchange — not the disk — is the
+// bottleneck, which is exactly the regime where HDFS-scale cold-data
+// backlogs (millions of blocks, §V) stress a master. The retarget interval
+// is set beyond the run length so Algorithm 1 passes do not perturb the
+// measurement: pull-is-the-bind does all the targeting.
 //
-//   per-block   drain_batch 1  — one token-bucket read call and one
-//               completion report per block, the default
-//   batched     drain_batch 16 — up to 16 blocks per read call and per
-//               coalesced completion report
-//
-// swept over slave count x local queue depth, each configuration reported
-// as the fastest of five drains. Settlement is the same in both: striped
-// over shard locks, never the master mutex. Blocks are deliberately tiny
-// (4 KiB at 2 GiB/s, ~2us of token time) so the exchange — not the disk —
-// is the bottleneck, which is exactly the regime where HDFS-scale
-// cold-data backlogs (millions of blocks, §V) stress a master.
-// The retarget interval is set beyond the run length so Algorithm 1 passes
-// do not perturb the measurement: pull-is-the-bind does all the targeting.
-//
-// Both cadences are observationally equivalent
-// (tests/rt/rt_batch_equivalence_test); this bench quantifies what
-// batching buys. Results go to stdout and BENCH_rt_throughput.json.
+// What a cycle carries does not change what settles
+// (tests/rt/rt_batch_equivalence_test). Results go to stdout and
+// BENCH_rt_throughput.json.
 //
 //   micro_rt_throughput [--trace FILE]   also run one small traced config
-//                                        (batches of 8) and write its
-//                                        merged JSONL to FILE — CI runs
+//                                        (four blocks per cycle) and write
+//                                        its merged JSONL to FILE — CI runs
 //                                        this twice and diffs `dyrsctl
-//                                        trace --span-seq`, proving
-//                                        batched drains keep the
-//                                        determinism contract.
-#include <algorithm>
+//                                        trace --span-seq`, proving the
+//                                        drain cycle keeps the determinism
+//                                        contract.
 #include <chrono>
 #include <cstring>
 #include <fstream>
@@ -51,11 +46,6 @@ namespace {
 
 using clock_type = std::chrono::steady_clock;
 
-struct ModeSpec {
-  const char* name;
-  int drain_batch;
-};
-
 struct Result {
   double wall_s = 0;
   double blocks_per_s = 0;
@@ -64,9 +54,8 @@ struct Result {
 };
 
 /// Drains `blocks` 4 KiB migrations (every node a replica, so targeting
-/// never starves a slave) at one drain cadence and measures wall time from
-/// migrate() to idle.
-Result run(const ModeSpec& mode, int slaves, int depth, int blocks) {
+/// never starves a slave) and measures wall time from migrate() to idle.
+Result run(int slaves, int depth, int blocks) {
   obs::MetricsRegistry registry;
 
   rt::RtMaster::Options options;
@@ -77,7 +66,6 @@ Result run(const ModeSpec& mode, int slaves, int depth, int blocks) {
     slave.queue_capacity = depth;
     slave.heartbeat_interval = 5ms;
     slave.reference_block = 64 * kKiB;
-    slave.drain_batch = mode.drain_batch;
     options.slaves.push_back(slave);
   }
   options.retarget_interval = 10min;  // no mid-run Algorithm 1 passes
@@ -110,12 +98,12 @@ Result run(const ModeSpec& mode, int slaves, int depth, int blocks) {
   return out;
 }
 
-/// One small traced run with batched drains, written as merged JSONL for
-/// `dyrsctl trace`. Deterministic by the equivalence-test recipe:
-/// a single Algorithm 1 pass against the cold-estimator snapshot (migrate()'s
-/// own; the retargeter's first pass is an interval away) makes the
-/// bindings a pure policy outcome, so two invocations of this binary must
-/// produce byte-identical `--span-seq` output.
+/// One small traced run, written as merged JSONL for `dyrsctl trace`.
+/// Deterministic by the equivalence-test recipe: a single Algorithm 1 pass
+/// against the cold-estimator snapshot (migrate()'s own; the retargeter's
+/// first pass is an interval away) makes the bindings a pure policy
+/// outcome, so two invocations of this binary must produce byte-identical
+/// `--span-seq` output.
 void write_trace(const std::string& path) {
   obs::MetricsRegistry registry;
   obs::Tracer tracer;
@@ -129,7 +117,6 @@ void write_trace(const std::string& path) {
     slave.disk_bandwidth = mib_per_sec(64);
     slave.queue_capacity = 4;
     slave.reference_block = mib(1);
-    slave.drain_batch = 8;
     options.slaves.push_back(slave);
   }
   options.retarget_interval = 60s;
@@ -173,75 +160,54 @@ int main(int argc, char** argv) {
   }
 
   bench::print_header("micro: rt exchange sustained throughput",
-                      "batched drains vs the per-block cadence");
+                      "one drain cycle per queue, over slaves x depth");
 
   const int blocks = bench::smoke_scaled(24'000, 2'400);
-  const ModeSpec modes[] = {{"per-block", 1}, {"batched", 16}};
   const int slave_counts[] = {4, 8, 16};
   const int depths[] = {8, 32};
 
-  // The fastest of five drains per configuration, the two modes taking
-  // turns drain by drain: the host's other tenants only ever slow a drain
-  // down, a smoke-scale drain lasts 10-40 ms, where one descheduled worker
-  // can halve its rate, and side-by-side drains see the same host.
-  Result best[2][3][2];  // mode x slave count x depth
+  // The fastest of five drains per configuration: the host's other tenants
+  // only ever slow a drain down, and a smoke-scale drain lasts 10-40 ms,
+  // where one descheduled worker can halve its rate.
+  Result best[3][2];  // slave count x depth
   bool all_drained = true;
   for (int si = 0; si < 3; ++si) {
     for (int di = 0; di < 2; ++di) {
       for (int rep = 0; rep < 5; ++rep) {
-        for (int mi = 0; mi < 2; ++mi) {
-          const Result one = run(modes[mi], slave_counts[si], depths[di], blocks);
-          all_drained = all_drained && one.drained;
-          if (one.blocks_per_s >= best[mi][si][di].blocks_per_s) best[mi][si][di] = one;
-        }
+        const Result one = run(slave_counts[si], depths[di], blocks);
+        all_drained = all_drained && one.drained;
+        if (one.blocks_per_s >= best[si][di].blocks_per_s) best[si][di] = one;
       }
     }
   }
 
-  TextTable table({"mode", "slaves", "depth", "wall s", "blocks/s", "p99 pull us"});
+  TextTable table({"slaves", "depth", "wall s", "blocks/s", "p99 pull us"});
   std::ofstream json("BENCH_rt_throughput.json");
   json << "{\"bench\":\"rt_throughput\",\"smoke\":" << (bench::smoke_mode() ? "true" : "false")
        << ",\"blocks\":" << blocks << ",\"rows\":[";
   bool first_row = true;
-  for (int mi = 0; mi < 2; ++mi) {
-    for (int si = 0; si < 3; ++si) {
-      for (int di = 0; di < 2; ++di) {
-        const Result& r = best[mi][si][di];
-        table.add_row({modes[mi].name, std::to_string(slave_counts[si]),
-                       std::to_string(depths[di]), TextTable::num(r.wall_s, 3),
-                       TextTable::num(r.blocks_per_s, 0), TextTable::num(r.p99_pull_us, 1)});
-        json << (first_row ? "" : ",") << "{\"mode\":\"" << modes[mi].name
-             << "\",\"slaves\":" << slave_counts[si] << ",\"depth\":" << depths[di]
-             << ",\"blocks\":" << blocks << ",\"wall_s\":" << r.wall_s
-             << ",\"blocks_per_s\":" << r.blocks_per_s << ",\"p99_pull_us\":" << r.p99_pull_us
-             << "}";
-        first_row = false;
-      }
+  for (int si = 0; si < 3; ++si) {
+    for (int di = 0; di < 2; ++di) {
+      const Result& r = best[si][di];
+      table.add_row({std::to_string(slave_counts[si]), std::to_string(depths[di]),
+                     TextTable::num(r.wall_s, 3), TextTable::num(r.blocks_per_s, 0),
+                     TextTable::num(r.p99_pull_us, 1)});
+      json << (first_row ? "" : ",") << "{\"slaves\":" << slave_counts[si]
+           << ",\"depth\":" << depths[di] << ",\"blocks\":" << blocks
+           << ",\"wall_s\":" << r.wall_s << ",\"blocks_per_s\":" << r.blocks_per_s
+           << ",\"p99_pull_us\":" << r.p99_pull_us << "}";
+      first_row = false;
     }
   }
-  // 16 slaves, depth 32.
-  const double one_16 = best[0][2][1].blocks_per_s;
-  const double bat_16 = best[1][2][1].blocks_per_s;
-  const double speedup_batched = one_16 > 0 ? bat_16 / one_16 : 0;
-  json << "],\"speedup_batched_16\":" << speedup_batched << "}\n";
+  json << "]}\n";
 
   table.print(std::cout);
-  std::cout << "\n(" << blocks << " x 4KiB blocks per configuration; speedup at 16 slaves, "
-            << "depth 32:\n batched " << TextTable::num(speedup_batched, 2)
-            << "x over the per-block cadence)\n\n";
+  std::cout << "\n(" << blocks << " x 4KiB blocks per configuration)\n\n";
   bench::maybe_dump_csv("micro_rt_throughput", table);
   std::cout << "wrote BENCH_rt_throughput.json\n\n";
 
   if (!trace_path.empty()) write_trace(trace_path);
 
   bench::print_shape_check(all_drained, "every configuration drained its full backlog");
-  // Smoke backlogs are too small to saturate the exchange, so the smoke
-  // bar only demands that batching wins; the full run enforces the
-  // claimed margin.
-  const double bar = bench::smoke_mode() ? 1.2 : 3.0;
-  bench::print_shape_check(speedup_batched >= bar,
-                           "batched drains >= " + TextTable::num(bar, 1) +
-                               "x per-block blocks/s at 16 slaves (measured " +
-                               TextTable::num(speedup_batched, 2) + "x)");
-  return all_drained && speedup_batched >= bar ? 0 : 1;
+  return all_drained ? 0 : 1;
 }

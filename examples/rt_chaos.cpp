@@ -24,14 +24,15 @@
 // reclaims, and run 2's merged trace passes the rt-faults invariant
 // profile with open-lifecycle flagging on.
 //
-//   rt_chaos [--seed N] [--trace FILE] [--spans FILE] [--drain-batch N]
+//   rt_chaos [--seed N] [--trace FILE] [--spans FILE]
 //     --trace       write run 2's merged JSONL trace to FILE
 //     --spans       write run 2's settlement projection to FILE (one
 //                   "block: span" line per block; CI diffs two same-seed
 //                   runs)
-//     --drain-batch migrations each slave drains per cycle (default 1); at
-//                   4, batched completions racing the phase A/C reclaim
-//                   windows must still settle exactly once per member
+//
+// Each slave holds 3 migrations and reads and reports them in one drain
+// cycle, so completions of several members race the phase A/C reclaim
+// windows and must still settle exactly once per member.
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -86,8 +87,7 @@ std::vector<rt::RtBlock> single_replica(int first_id, int count, int node, Bytes
 }
 
 /// One full chaos scenario; returns the merged trace of all four phases.
-std::vector<obs::TraceEvent> run_once(std::uint64_t seed, obs::ThreadLocalBufferSink& sink,
-                                      int drain_batch) {
+std::vector<obs::TraceEvent> run_once(std::uint64_t seed, obs::ThreadLocalBufferSink& sink) {
   obs::MetricsRegistry registry;
   obs::Tracer tracer;
   tracer.set_sink(&sink);
@@ -100,7 +100,6 @@ std::vector<obs::TraceEvent> run_once(std::uint64_t seed, obs::ThreadLocalBuffer
     slave.queue_capacity = 3;
     slave.reference_block = mib(1);
     slave.heartbeat_interval = 5ms;
-    slave.drain_batch = drain_batch;
     options.slaves.push_back(slave);
   }
   options.retarget_interval = 2ms;
@@ -242,7 +241,6 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 1;
   std::string trace_path;
   std::string spans_path;
-  int drain_batch = 1;
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--seed") && i + 1 < argc) {
       seed = std::stoull(argv[++i]);
@@ -250,23 +248,16 @@ int main(int argc, char** argv) {
       trace_path = argv[++i];
     } else if (!std::strcmp(argv[i], "--spans") && i + 1 < argc) {
       spans_path = argv[++i];
-    } else if (!std::strcmp(argv[i], "--drain-batch") && i + 1 < argc) {
-      drain_batch = std::atoi(argv[++i]);
-      if (drain_batch < 1) {
-        std::cerr << "--drain-batch must be at least 1\n";
-        return 2;
-      }
     } else {
-      std::cerr << "usage: rt_chaos [--seed N] [--trace FILE] [--spans FILE]"
-                   " [--drain-batch N]\n";
+      std::cerr << "usage: rt_chaos [--seed N] [--trace FILE] [--spans FILE]\n";
       return 2;
     }
   }
 
   obs::ThreadLocalBufferSink sink1;
   obs::ThreadLocalBufferSink sink2;
-  const std::vector<obs::TraceEvent> trace1 = run_once(seed, sink1, drain_batch);
-  const std::vector<obs::TraceEvent> trace2 = run_once(seed, sink2, drain_batch);
+  const std::vector<obs::TraceEvent> trace1 = run_once(seed, sink1);
+  const std::vector<obs::TraceEvent> trace2 = run_once(seed, sink2);
 
   const auto set1 = settlement(trace1);
   const auto set2 = settlement(trace2);

@@ -9,13 +9,6 @@
 // settle). Exits 0 only if both runs agree and the oracle passes.
 //
 //   rt_soak [--trace FILE]       also write run 2's merged JSONL to FILE
-//           [--drain-batch N]    migrations each slave drains per cycle
-//                                (default 1)
-//
-// `--drain-batch 4` runs the same scenario with batched drains: the
-// per-block signatures must be identical to the batch-1 run's — the merge
-// key makes batches invisible — so CI diffs the two span sequences
-// directly.
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -43,7 +36,7 @@ constexpr int kSlowBlocks = 8;   // pinned to node 2; 5 of them cancelled
 /// One soak round: 3 slaves (node 2 crippled), 32 single-replica block
 /// migrations, 5 missed-read cancellations racing the slow slave's pulls,
 /// and a mid-run bandwidth degradation on node 0. Returns the merged trace.
-std::vector<obs::TraceEvent> run_once(obs::ThreadLocalBufferSink& sink, int drain_batch) {
+std::vector<obs::TraceEvent> run_once(obs::ThreadLocalBufferSink& sink) {
   obs::MetricsRegistry registry;
   obs::Tracer tracer;
   tracer.set_sink(&sink);
@@ -55,7 +48,6 @@ std::vector<obs::TraceEvent> run_once(obs::ThreadLocalBufferSink& sink, int drai
     slave.disk_bandwidth = n == 2 ? mib_per_sec(4) : mib_per_sec(256);
     slave.queue_capacity = 2;
     slave.reference_block = mib(1);
-    slave.drain_batch = drain_batch;
     options.slaves.push_back(slave);
   }
   options.retarget_interval = 2ms;
@@ -74,9 +66,10 @@ std::vector<obs::TraceEvent> run_once(obs::ThreadLocalBufferSink& sink, int drai
   master.migrate(blocks);
 
   // Missed-read cancellations racing node 2's worker. The slave holds at
-  // most 3 blocks this early (1 active + queue_capacity 2) and each takes
-  // 62.5ms at 4MiB/s, so blocks 103..107 are deterministically still
-  // pending at the master and settle as node-less aborts.
+  // most 2 blocks this early (queue_capacity 2, pulled again only once it
+  // holds nothing) and each takes 62.5ms at 4MiB/s, so blocks 103..107 are
+  // deterministically still pending at the master and settle as node-less
+  // aborts.
   for (int i = 3; i < kSlowBlocks; ++i) {
     if (!master.cancel(BlockId(100 + i))) {
       std::cerr << "cancel of block " << 100 + i << " found nothing\n";
@@ -128,26 +121,19 @@ std::map<std::int64_t, std::string> signatures(const std::vector<obs::TraceEvent
 
 int main(int argc, char** argv) {
   std::string trace_path;
-  int drain_batch = 1;
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--trace") && i + 1 < argc) {
       trace_path = argv[++i];
-    } else if (!std::strcmp(argv[i], "--drain-batch") && i + 1 < argc) {
-      drain_batch = std::atoi(argv[++i]);
-      if (drain_batch < 1) {
-        std::cerr << "--drain-batch must be at least 1\n";
-        return 2;
-      }
     } else {
-      std::cerr << "usage: rt_soak [--trace FILE] [--drain-batch N]\n";
+      std::cerr << "usage: rt_soak [--trace FILE]\n";
       return 2;
     }
   }
 
   obs::ThreadLocalBufferSink sink1;
   obs::ThreadLocalBufferSink sink2;
-  const std::vector<obs::TraceEvent> trace1 = run_once(sink1, drain_batch);
-  const std::vector<obs::TraceEvent> trace2 = run_once(sink2, drain_batch);
+  const std::vector<obs::TraceEvent> trace1 = run_once(sink1);
+  const std::vector<obs::TraceEvent> trace2 = run_once(sink2);
 
   const auto sig1 = signatures(trace1);
   const auto sig2 = signatures(trace2);

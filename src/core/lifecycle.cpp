@@ -92,16 +92,6 @@ void LifecycleEmitter::complete(SimTime at, BlockId block, NodeId node, Bytes si
   emit(e, block, kRankTerminal);
 }
 
-void LifecycleEmitter::complete_batch(
-    const std::vector<CompletionRecord>& records,
-    const std::function<void(const CompletionRecord&)>& before_each) {
-  if (!tracing()) return;
-  for (const CompletionRecord& r : records) {
-    if (before_each) before_each(r);
-    complete(r.at, r.block, r.node, r.size, r.transfer_s);
-  }
-}
-
 void LifecycleEmitter::abort(const CancelRecord& rec) {
   if (!tracing()) return;
   obs::TraceEvent e(rec.at, "mig_abort");

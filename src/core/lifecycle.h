@@ -12,7 +12,6 @@
 // lifecycle rank just before emission and appends the backend's fields.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -40,19 +39,6 @@ inline constexpr int kRankTerminal = 6;
 // above terminal within the cycle that evicted them.
 inline constexpr int kRankDemote = 7;
 
-/// One settled migration inside a coalesced completion report. `cycle` is
-/// a backend cookie (the rt migration cycle): it is never emitted as a
-/// field, but `complete_batch` hands the record to `before_each` so a
-/// merge-key Stamper can key the event off it.
-struct CompletionRecord {
-  SimTime at = 0;
-  BlockId block;
-  NodeId node;
-  Bytes size = 0;
-  double transfer_s = 0.0;
-  std::uint64_t cycle = 1;
-};
-
 class LifecycleEmitter {
  public:
   using Stamper = std::function<void(obs::TraceEvent&, BlockId, int rank)>;
@@ -75,13 +61,6 @@ class LifecycleEmitter {
   void transfer_retry(SimTime at, BlockId block, NodeId node, int attempt, SimDuration delay);
   void transfer_failed(SimTime at, BlockId block, NodeId node, int attempts);
   void complete(SimTime at, BlockId block, NodeId node, Bytes size, double transfer_s);
-  /// Coalesced form of `complete` for batched exchanges: one `mig_complete`
-  /// per record, in record order. `before_each` (when set) runs just before
-  /// each record's emission so the backend can point its Stamper at the
-  /// record — the batch is a transport artifact and must stay invisible in
-  /// the merge key (each member carries its own block/cycle).
-  void complete_batch(const std::vector<CompletionRecord>& records,
-                      const std::function<void(const CompletionRecord&)>& before_each = nullptr);
   void abort(const CancelRecord& rec);
   void requeue(SimTime at, BlockId block, NodeId avoid);
   /// `mig_demote`: capacity pressure moved a buffered block down a tier

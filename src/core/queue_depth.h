@@ -31,18 +31,12 @@ struct QueueDepthPolicy {
     return std::max(1, depth) + extra_depth;
   }
 
-  /// Depth for a slave that drains (and reads) `drain_batch` migrations per
-  /// worker cycle instead of one. The §III-B heuristic still has to cover
-  /// the pull cadence, but a batching slave additionally needs room to hold
-  /// the *next* batch while the current one's reads retire — otherwise the
-  /// disk idles between batched pulls. Two batches of head-room keeps the
-  /// token bucket saturated without deepening early binding beyond what the
-  /// batch size already implies.
+  /// The same §III-B depth: the rt slave drains its whole queue per cycle,
+  /// so no batch size widens it. Kept only because perfbench calls this
+  /// spelling; the next benchmark change deletes it.
   int depth_for(SimDuration heartbeat, SimDuration block_read_time,
-                int drain_batch) const {
-    const int base = depth_for(heartbeat, block_read_time);
-    if (drain_batch <= 1) return base;
-    return std::max(base, 2 * drain_batch);
+                int /*drain_batch*/) const {
+    return depth_for(heartbeat, block_read_time);
   }
 };
 

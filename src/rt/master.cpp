@@ -63,7 +63,7 @@ RtMaster::RtMaster(Options options)
       slave_opts.trace_epoch = epoch_;
       auto slave = std::make_unique<RtSlave>(
           slave_opts, options_,
-          [this](std::vector<RtMigrationDone> dones) { on_complete_batch(std::move(dones)); },
+          [this](std::vector<RtMigrationDone> dones) { on_complete(std::move(dones)); },
           [this](RtSlave& slave, int space) { pull(slave, space); },
           [this](NodeId node, RtMigration m) { on_failed(node, std::move(m)); });
       node_order_.push_back(slave_opts.node);
@@ -220,7 +220,7 @@ void RtMaster::declare_dead_locked(NodeId node) {
   // survivors. The registry is scanned shard by shard; a completion that
   // wins its shard's lock first settles normally and is simply absent
   // here, one that loses finds its record gone and drops as a zombie —
-  // per batch member, never per batch. Sorted by block so the requeue
+  // per report member, never per report. Sorted by block so the requeue
   // order (and therefore the downstream binding order) is deterministic.
   std::vector<BoundRec> recs;
   for (SettleShard& sh : shards_) {
@@ -395,16 +395,13 @@ void RtMaster::settle_outstanding(long n) {
   }
 }
 
-void RtMaster::on_complete_batch(std::vector<RtMigrationDone> dones) {
-  if (dones.empty()) return;
-  std::vector<core::CompletionRecord> settled;
-  if (tracing()) settled.reserve(dones.size());
+void RtMaster::on_complete(std::vector<RtMigrationDone> dones) {
   long n = 0;
   const std::int64_t now = now_us();
   for (const RtMigrationDone& done : dones) {
-    // Zombie suppression is keyed on each batch *member's* (block, node,
-    // cycle): a member whose binding was reclaimed during a partition
-    // window drops here while its batch-mates settle exactly once.
+    // Zombie suppression is keyed on each member's (block, node, cycle): a
+    // member whose binding was reclaimed during a partition window drops
+    // here while the rest of its report settles exactly once.
     SettleShard& sh = shard_for(done.block);
     {
       std::lock_guard slock(sh.mu);
@@ -427,20 +424,10 @@ void RtMaster::on_complete_batch(std::vector<RtMigrationDone> dones) {
     completed_.fetch_add(1, std::memory_order_relaxed);
     per_node_.at(done.node).fetch_add(1, std::memory_order_relaxed);
     ++n;
-    if (tracing()) {
-      settled.push_back({.at = now,
-                         .block = done.block,
-                         .node = done.node,
-                         .size = done.size,
-                         .transfer_s = done.duration_s,
-                         .cycle = done.cycle});
-    }
-  }
-  if (!settled.empty()) {
-    // One coalesced emission per drain cycle; each record stamps with its
-    // own cycle, so the batch stays invisible in the merge key.
-    plane_.emitter().complete_batch(
-        settled, [](const core::CompletionRecord& r) { stamp_cycle_ = r.cycle; });
+    // Outside every shard lock, stamped with the member's own cycle, so how
+    // many members a report carried stays invisible in the merge key.
+    stamp_cycle_ = done.cycle;
+    plane_.emitter().complete(now, done.block, done.node, done.size, done.duration_s);
     stamp_cycle_ = 0;
   }
   if (n > 0) settle_outstanding(n);

@@ -71,11 +71,12 @@ class RtMaster {
   /// which move on every bind and completion. With
   /// `failure_detection.enabled`, a monitor thread applies a timeout ->
   /// suspicion -> declared-dead state machine over the age of the slaves'
-  /// wall-clock heartbeats (published every worker-loop iteration and
-  /// every disk slice). Declaring a node dead aborts its
-  /// bound-but-incomplete lifecycles (heartbeat-loss) and requeues the
-  /// blocks through the control plane with the node on the avoid list; a
-  /// node whose heartbeats resume rejoins the retargeter's eligible set.
+  /// wall-clock heartbeats (published every worker-loop iteration, every
+  /// disk slice and every member a flush settles). Declaring a node dead
+  /// aborts its bound-but-incomplete lifecycles (heartbeat-loss) and
+  /// requeues the blocks through the control plane with the node on the
+  /// avoid list; a node whose heartbeats resume rejoins the retargeter's
+  /// eligible set.
   struct Options : core::ControlPlaneConfig {
     std::vector<RtSlave::Options> slaves;
     std::chrono::milliseconds retarget_interval{5};
@@ -160,13 +161,12 @@ class RtMaster {
   /// Binds up to `space` migrations to `slave` and hands them to its queue
   /// before mu_ is released.
   void pull(RtSlave& slave, int space);
-  /// Settles a drain cycle's coalesced completion reports under the shard
-  /// locks; mu_ is touched only to wake wait_idle (settle_outstanding).
-  /// Zombie suppression is keyed on each batch *member's* (block, node,
-  /// cycle) — a member whose binding was reclaimed drops individually
-  /// while its batch-mates settle. The per-block cadence is simply a batch
-  /// of one.
-  void on_complete_batch(std::vector<RtMigrationDone> dones);
+  /// Settles a drain cycle's completion report under the shard locks; mu_
+  /// is touched only to wake wait_idle (settle_outstanding). Zombie
+  /// suppression is keyed on each *member's* (block, node, cycle) — a
+  /// member whose binding was reclaimed drops individually while the rest
+  /// of the report settles.
+  void on_complete(std::vector<RtMigrationDone> dones);
   /// A migration exhausted its local retry budget at `node`: abort that
   /// lifecycle and requeue the block with the node on its avoid list.
   void on_failed(NodeId node, RtMigration mig);
@@ -232,11 +232,11 @@ class RtMaster {
   std::vector<NodeId> node_order_;    // deterministic snapshot order; fixed at ctor
   /// Settlement shards; a fixed set, so shard_for needs no lock of its own.
   mutable std::array<SettleShard, kSettleShards> shards_;
-  /// Lifecycle counters, lock-free so batched settlement and the
-  /// `completed*` accessors never touch mu_. outstanding_ = queued at
-  /// master + bound at slaves, not done; its transient mid-update dips
-  /// only ever happen while mu_ is held, and wait_idle's predicate runs
-  /// under mu_, so a waiter never observes them.
+  /// Lifecycle counters, lock-free so settlement and the `completed*`
+  /// accessors never touch mu_. outstanding_ = queued at master + bound at
+  /// slaves, not done; its transient mid-update dips only ever happen while
+  /// mu_ is held, and wait_idle's predicate runs under mu_, so a waiter
+  /// never observes them.
   std::atomic<long> outstanding_{0};
   std::atomic<long> completed_{0};
   std::atomic<long> requeued_{0};

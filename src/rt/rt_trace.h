@@ -13,15 +13,15 @@
 // with the LifecycleEmitter (src/core/lifecycle.h); this header adds only
 // the rt-specific lseq encoding.
 //
-// Batched exchanges (RtSlave drain cycles coalescing completions into one
-// on_complete_batch, LifecycleEmitter::complete_batch) do NOT appear in the
-// merge key: a batch is a transport artifact. Every batch member stamps its
-// events individually with its own (block, lseq from its own cycle, tid,
-// tseq), so the merged per-block span sequence is byte-identical whether a
-// completion travelled alone or inside a 16-member batch — which is what
-// lets CI diff span sequences across exchange modes. The only batch-visible
-// ordering is tseq monotonicity on the emitting lane, and that is already
-// guaranteed per thread.
+// How many members a drain cycle carries (RtSlave reads its whole queue and
+// reports it to RtMaster::on_complete at once) does NOT appear in the merge
+// key: a report is a transport artifact. Every member stamps its events
+// individually with its own (block, lseq from its own cycle, tid, tseq), so
+// the merged per-block span sequence is byte-identical whether a completion
+// travelled alone or with 15 others — which is what lets tests diff span
+// sequences across queue depths. The only report-visible ordering is tseq
+// monotonicity on the emitting lane, and that is already guaranteed per
+// thread.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,5 @@
 #include "rt/slave.h"
 
-#include <algorithm>
 #include <chrono>
 #include <optional>
 #include <utility>
@@ -14,14 +13,13 @@ namespace dyrs::rt {
 RtSlave::Options RtSlave::resolve(Options options, const core::QueueDepthPolicy& depth) {
   if (options.queue_capacity == 0) {
     // §III-B depth: block reads per heartbeat at the unloaded disk rate —
-    // the same heuristic the sim slave applies, via the shared policy. A
-    // batching slave widens to hold two drain batches (see QueueDepthPolicy).
+    // the same heuristic the sim slave applies, via the shared policy.
     const auto heartbeat = std::chrono::duration_cast<std::chrono::microseconds>(
         options.heartbeat_interval);
     const auto block_time = static_cast<SimDuration>(
         static_cast<double>(options.reference_block) / options.disk_bandwidth * 1e6);
-    options.queue_capacity = depth.depth_for(
-        static_cast<SimDuration>(heartbeat.count()), block_time, options.drain_batch);
+    options.queue_capacity =
+        depth.depth_for(static_cast<SimDuration>(heartbeat.count()), block_time);
   }
   return options;
 }
@@ -95,30 +93,23 @@ void RtSlave::poke() {
 
 void RtSlave::accept(std::vector<RtMigration> work) {
   std::lock_guard lock(mu_);
-  for (RtMigration& m : work) queue_.push_back(std::move(m));
+  for (RtMigration& m : work) queue_.push_back({.mig = std::move(m)});
 }
 
 bool RtSlave::cancel(BlockId block) {
   bool found = false;
   {
     std::lock_guard lock(mu_);
-    // A batch member is cancellable until the flush settles it: queued (the
-    // read skips it), reading (the read stops within a slice), in its retry
+    // A member is cancellable until the flush settles it: queued (the read
+    // skips it), reading (the read stops within a slice), in its retry
     // backoff (the wait wakes), or read but not flushed yet (the master has
     // not been told it is resident, so the flush drops it unreported).
-    for (std::size_t i = 0; i < batch_.size() && !found; ++i) {
-      if (batch_[i].m.block != block || batch_state_[i] == kBatchCancelled) continue;
-      if (batch_state_[i] == kBatchActive) active_cancelled_.store(true, std::memory_order_relaxed);
-      batch_state_[i] = kBatchCancelled;
+    for (Member& held : queue_) {
+      if (held.mig.m.block != block || held.state == kCancelled) continue;
+      if (held.state == kActive) active_cancelled_.store(true, std::memory_order_relaxed);
+      held.state = kCancelled;
       found = true;
-    }
-    if (!found) {
-      const auto it = std::find_if(queue_.begin(), queue_.end(),
-                                   [block](const RtMigration& m) { return m.m.block == block; });
-      if (it != queue_.end()) {
-        queue_.erase(it);
-        found = true;
-      }
+      break;
     }
   }
   // A cancel can land while the worker sleeps out a retry backoff; wake it
@@ -168,8 +159,6 @@ void RtSlave::crash() {
   queue_.clear();
   buffers_.clear_all();
   data_.clear();
-  batch_.clear();
-  batch_state_.clear();
 }
 
 void RtSlave::restart() {
@@ -234,8 +223,7 @@ void RtSlave::drop_job(JobId job) {
   std::lock_guard lock(mu_);
   // In-flight members too: the worker reads their jobs only under mu_, at
   // the flush, so a member left with no job settles unbuffered.
-  for (auto& m : queue_) m.m.jobs.erase(job);
-  for (auto& m : batch_) m.m.jobs.erase(job);
+  for (Member& held : queue_) held.mig.m.jobs.erase(job);
   // Implicit eviction: buffers nobody references anymore are freed.
   for (BlockId block : buffers_.release_job(job)) data_.erase(block);
 }
@@ -248,8 +236,7 @@ double RtSlave::sec_per_byte() const {
 Bytes RtSlave::bound_bytes() const {
   std::lock_guard lock(mu_);
   Bytes total = 0;
-  for (const auto& m : batch_) total += m.m.size;
-  for (const auto& m : queue_) total += m.m.size;
+  for (const Member& held : queue_) total += held.mig.m.size;
   return total;
 }
 
@@ -302,23 +289,22 @@ void RtSlave::worker_loop(std::stop_token st) {
   while (!st.stop_requested()) {
     beat();
     {
-      std::unique_lock lock(mu_);
+      std::lock_guard lock(mu_);
       if (crashed_) return;
-      // Refill the local queue from the master while there is space.
-      const int space = options_.queue_capacity - static_cast<int>(queue_.size());
-      if (space > 0) {
-        lock.unlock();
-        const auto pull_started = std::chrono::steady_clock::now();
-        pull_(*this, space);
-        if (pull_latency_) {
-          pull_latency_->add(std::chrono::duration<double, std::micro>(
-                                 std::chrono::steady_clock::now() - pull_started)
-                                 .count());
-        }
-        lock.lock();
-        // What the pull accepted after a crash began is cleared by crash().
-        if (crashed_) return;
-      }
+    }
+    // The slave holds nothing between drain cycles: refill the whole queue
+    // from the master.
+    const auto pull_started = std::chrono::steady_clock::now();
+    pull_(*this, options_.queue_capacity);
+    if (pull_latency_) {
+      pull_latency_->add(std::chrono::duration<double, std::micro>(
+                             std::chrono::steady_clock::now() - pull_started)
+                             .count());
+    }
+    {
+      std::unique_lock lock(mu_);
+      // What the pull accepted after a crash began is cleared by crash().
+      if (crashed_) return;
       if (queue_.empty()) {
         // Nothing to do: sleep until poked or stopped. Short timeout keeps
         // the pull loop responsive even if a poke races the wait.
@@ -327,34 +313,26 @@ void RtSlave::worker_loop(std::stop_token st) {
                      [&] { return poked_ || st.stop_requested(); });
         continue;
       }
-      const auto take = std::min<std::size_t>(
-          static_cast<std::size_t>(std::max(1, options_.drain_batch)), queue_.size());
-      for (std::size_t i = 0; i < take; ++i) {
-        batch_.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-        batch_state_.push_back(kBatchQueued);
-      }
     }
-    drain_batch_run(st);
+    drain(st);
   }
 }
 
-void RtSlave::drain_batch_run(const std::stop_token& st) {
-  // The first read takes the whole batch; each faulted member then retries
-  // alone, as a batch of one, after its backoff.
-  std::size_t n = batch_.size();
+void RtSlave::drain(const std::stop_token& st) {
+  // The first read takes every member; each faulted member then retries
+  // alone after its backoff.
+  std::size_t n = queue_.size();
   while (n > 0 && read_and_flush(n, st)) {
     n = 0;
-    while (n == 0 && !batch_.empty() && !st.stop_requested()) n = await_retry(st) ? 1 : 0;
+    while (n == 0 && !queue_.empty() && !st.stop_requested()) n = await_retry(st) ? 1 : 0;
   }
   std::lock_guard lock(mu_);
-  batch_.clear();
-  batch_state_.clear();
+  queue_.clear();
 }
 
 bool RtSlave::read_and_flush(std::size_t n, const std::stop_token& st) {
   std::vector<Bytes> sizes(n);
-  for (std::size_t i = 0; i < n; ++i) sizes[i] = batch_[i].m.size;
+  for (std::size_t i = 0; i < n; ++i) sizes[i] = queue_[i].mig.m.size;
   std::vector<double> service_s(n, 0.0);
 
   disk_.read(
@@ -365,11 +343,11 @@ bool RtSlave::read_and_flush(std::size_t n, const std::stop_token& st) {
       [this](std::size_t i) {
         {
           std::lock_guard lock(mu_);
-          if (batch_state_[i] == kBatchCancelled) return false;
-          batch_state_[i] = kBatchActive;
+          if (queue_[i].state == kCancelled) return false;
+          queue_[i].state = kActive;
           active_cancelled_.store(false, std::memory_order_relaxed);
         }
-        const RtMigration& m = batch_[i];
+        const RtMigration& m = queue_[i].mig;
         emit_cycle_ = m.cycle;
         emitter_.transfer_start(now_us(), m.m.block, options_.node, m.m.size, m.m.attempts + 1);
         return true;
@@ -381,8 +359,8 @@ bool RtSlave::read_and_flush(std::size_t n, const std::stop_token& st) {
         std::lock_guard lock(mu_);
         // A cancel that raced the final slice already returned true to the
         // caller, so the member must settle as cancelled, not completed.
-        if (batch_state_[i] == kBatchCancelled) return;
-        batch_state_[i] = kBatchDone;
+        if (queue_[i].state == kCancelled) return;
+        queue_[i].state = kDone;
         service_s[i] = s;
       });
 
@@ -390,14 +368,15 @@ bool RtSlave::read_and_flush(std::size_t n, const std::stop_token& st) {
   std::vector<core::BufferManager::Demotion> demoted;
   {
     std::lock_guard lock(mu_);
-    if (crashed_) return false;  // crash() clears the batch after joining us
+    if (crashed_) return false;  // crash() clears the queue after joining us
     // Members [0, n) settle here; a faulted one stays for its retry, as do
     // the faulted members still waiting behind a retry (those past n).
     std::size_t kept = 0;
-    for (std::size_t i = 0; i < batch_.size(); ++i) {
-      RtMigration& m = batch_[i];
-      bool keep = i >= n && batch_state_[i] != kBatchCancelled;
-      if (i < n && batch_state_[i] == kBatchDone) {
+    for (std::size_t i = 0; i < queue_.size(); ++i) {
+      Member& held = queue_[i];
+      const RtMigration& m = held.mig;
+      bool keep = i >= n && held.state != kCancelled;
+      if (i < n && held.state == kDone) {
         if (read_fault_hook_ && read_fault_hook_(m.m.block)) {
           keep = true;  // time was spent but no usable data arrived
         } else {
@@ -413,33 +392,33 @@ bool RtSlave::read_and_flush(std::size_t n, const std::stop_token& st) {
                            .cycle = m.cycle,
                            .jobs = m.m.jobs});
         }
+        // Beat per member: pinning a large buffer can outlast a disk slice,
+        // and a flush settles a whole queue under mu_.
+        beat();
       }
       if (!keep) continue;
-      if (kept != i) batch_[kept] = std::move(m);
-      batch_state_[kept++] = kBatchQueued;
+      held.state = kQueued;
+      if (kept != i) queue_[kept] = std::move(held);
+      ++kept;
     }
-    batch_.resize(kept);
-    batch_state_.resize(kept);
+    queue_.resize(kept);
   }
 
   // Spill pacing and demote events happen outside mu_, before the cycle's
-  // coalesced report (mirroring the sim slave, which demotes at admission
-  // time, ahead of the new block's completion record).
+  // report (mirroring the sim slave, which demotes at admission time, ahead
+  // of the new block's completion record).
   if (!demoted.empty()) process_demotions(demoted);
   if (!dones.empty() && on_complete_) on_complete_(std::move(dones));
   return true;
 }
 
 bool RtSlave::await_retry(const std::stop_token& st) {
-  RtMigration& f = batch_.front();
-  const auto drop_front = [this] {
-    batch_.erase(batch_.begin());
-    batch_state_.erase(batch_state_.begin());
-  };
+  RtMigration& f = queue_.front().mig;
+  const auto drop_front = [this] { queue_.erase(queue_.begin()); };
   std::optional<RtMigration> failed;
   {
     std::lock_guard lock(mu_);
-    if (batch_state_.front() == kBatchCancelled) {
+    if (queue_.front().state == kCancelled) {
       drop_front();
       return false;
     }
@@ -465,7 +444,7 @@ bool RtSlave::await_retry(const std::stop_token& st) {
   emitter_.transfer_retry(now_us(), f.m.block, options_.node, f.m.attempts, delay);
   std::unique_lock lock(mu_);
   const auto settled = [&] {
-    return st.stop_requested() || crashed_ || batch_state_.front() == kBatchCancelled;
+    return st.stop_requested() || crashed_ || queue_.front().state == kCancelled;
   };
   cv_.wait_for(lock, std::chrono::microseconds(delay), settled);
   if (!settled()) return true;

@@ -1,12 +1,12 @@
 // Real-threaded DYRS slave.
 //
-// One worker thread per slave serializes migrations exactly like the
-// simulated slave: pop the local FIFO queue, read the block from the
-// throttled disk into a freshly allocated pinned buffer, record its token
-// service time in the shared MigrationEstimator, report completion. The local
-// queue is bounded; the master refills it through pull requests issued by
-// the worker when the queue runs low — the late-binding protocol of
-// §III-A1 with real threads and condition variables.
+// One worker thread per slave serializes migrations like the simulated
+// slave: read each queued block from the throttled disk into a freshly
+// allocated pinned buffer, record its token service time in the shared
+// MigrationEstimator, report completion. The local queue is bounded; the
+// worker pulls from the master once it is empty and the master refills it
+// — the late-binding protocol of §III-A1 with real threads and condition
+// variables.
 //
 // Transient read failures (injected through the FaultSurface read-fault
 // hook, see set_read_fault_hook) are retried in place with the shared
@@ -21,19 +21,21 @@
 // tier decisions. Memory -> ssd spills are paced on a second ThrottledDisk
 // (the flash device); ssd -> disk demotions drop the buffer entirely.
 //
-// There is one data path. Each worker cycle drains max(1, drain_batch)
-// queued migrations, reads them in one ThrottledDisk::read call (sleeps
-// shared across the batch; the call never returns before the token time of
-// what it served), and flushes one coalesced `on_complete` report.
-// drain_batch = 1, the default, is one read and one report per block; a
-// larger batch runs the same engine. A member stays cancellable until the
-// flush settles it, even after its read finished; a faulted member retries
-// alone after its backoff. Per-block trace emission does not depend on the
-// batch size, so merged span sequences are identical at every batch size.
+// There is one data path and one drain cycle. The worker pulls only when it
+// holds nothing, takes up to its queue capacity (by default the §III-B
+// depth: one heartbeat of unloaded reads), reads everything it holds in one
+// ThrottledDisk::read call (sleeps shared across the members; the call never
+// returns before the token time of what it served) and flushes one
+// `on_complete` report. A member stays cancellable until the flush settles
+// it, even after its read finished; a faulted member retries alone after
+// its backoff. Per-block trace emission does not depend on how many members
+// a cycle holds, so merged span sequences are identical at every queue
+// depth.
 //
 // The slave also exposes the rt failure surface: the worker publishes a
-// wall-clock heartbeat every loop iteration and every disk slice;
-// partitions silence it, crash() tears the worker down abandoning
+// wall-clock heartbeat every loop iteration, every disk slice and every
+// member its flush settles (pinning a member's buffer can take longer than
+// a slice); partitions silence it, crash() tears the worker down abandoning
 // in-flight work, and restart() brings a fresh daemon back. The master's
 // failure detector turns silent heartbeats into declared-dead reclaims.
 #pragma once
@@ -42,7 +44,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -95,15 +96,15 @@ class RtSlave {
     /// behaviour: every admission succeeds and nothing is demoted.
     Bytes memory_capacity = 0;
     Bytes ssd_capacity = 0;
-    /// Local queue depth. 0 (the default) derives it from the policy's
-    /// `queue_depth`, `heartbeat_interval` and the unloaded reference-block
-    /// read time — the same §III-B heuristic the sim slave applies.
+    /// Local queue depth: the most a pull hands over, and so the most one
+    /// drain cycle reads and reports. 0 (the default) derives it from the
+    /// policy's `queue_depth`, `heartbeat_interval` and the unloaded
+    /// reference-block read time — the same §III-B heuristic the sim slave
+    /// applies.
     int queue_capacity = 0;
-    /// Migrations drained per worker cycle (at least 1): their reads go to
-    /// the token bucket in one call and their completions in one report.
-    /// A derived queue capacity (`queue_capacity == 0`) widens to hold two
-    /// batches so the disk never idles between batched pulls.
-    int drain_batch = 1;
+    /// Not an option: every cycle drains the whole queue. Kept only because
+    /// perfbench reads it; the next benchmark change deletes it.
+    static constexpr int drain_batch = 1;
     /// How often the worker publishes a wall-clock heartbeat (also the
     /// pull cadence the derived queue depth assumes).
     std::chrono::milliseconds heartbeat_interval{25};
@@ -123,11 +124,11 @@ class RtSlave {
   /// its retry budget and its buffer manager's tier policy from it.
   /// `on_complete` and `on_failed` run on the slave's worker thread.
   /// `on_complete` receives every settlement the current drain cycle
-  /// produced: up to `drain_batch` elements, one per block at the default.
-  /// `pull` is invoked (also on the worker thread) whenever there is room
-  /// for `space` more migrations; it hands the ones it binds to this slave
-  /// to `accept` before it returns. `on_failed` reports a migration that
-  /// exhausted the retry budget.
+  /// produced, up to `queue_capacity` elements. `pull` is invoked (also on
+  /// the worker thread) whenever the slave holds nothing, with room for
+  /// `space` (the queue capacity) migrations; it hands the ones it binds to
+  /// this slave to `accept` before it returns. `on_failed` reports a
+  /// migration that exhausted the retry budget.
   RtSlave(Options options, const core::ControlPlaneConfig& policy,
           std::function<void(std::vector<RtMigrationDone>)> on_complete,
           std::function<void(RtSlave&, int)> pull,
@@ -149,17 +150,16 @@ class RtSlave {
   /// Wakes the worker to pull for work (e.g. after new pending arrived).
   void poke();
 
-  /// Appends migrations bound to this slave to its local queue; called by
-  /// `pull`. The master calls it while still holding the lock it bound
-  /// them under, so no cancel or eviction can miss a block in between.
-  /// Thread-safe.
+  /// Hands migrations bound to this slave to its local queue. Only `pull`
+  /// calls it, on the worker thread, while the slave holds nothing; the
+  /// master calls it while still holding the lock it bound them under, so
+  /// no cancel or eviction can miss a block in between.
   void accept(std::vector<RtMigration> work);
 
-  /// Cancels a local migration of `block` (missed read): removes it from
-  /// the queue, or cancels it in the batch being drained — before, during
-  /// or after its read, or in its retry backoff — until the flush settles
-  /// it; a cancelled member is not reported, buffered or learned from.
-  /// Returns true if anything was cancelled. Thread-safe.
+  /// Cancels a local migration of `block` (missed read) until the flush
+  /// settles it: before, during or after its read, or in its retry
+  /// backoff; a cancelled member is not reported, buffered or learned
+  /// from. Returns true if anything was cancelled. Thread-safe.
   bool cancel(BlockId block);
 
   /// Read-fault hook (the FaultSurface; tests and RtFaultInjector):
@@ -170,8 +170,9 @@ class RtSlave {
 
   // --- failure surface (driven by RtFaultInjector / RtMaster) -----------
   /// Wall-clock microseconds (on the shared trace epoch) of the last
-  /// published heartbeat. The worker beats every loop iteration and every
-  /// disk slice; a partitioned or crashed slave goes silent.
+  /// published heartbeat. The worker beats every loop iteration, every
+  /// disk slice and every member a flush settles; a partitioned or crashed
+  /// slave goes silent.
   std::int64_t last_heartbeat_us() const {
     return last_beat_us_.load(std::memory_order_relaxed);
   }
@@ -195,9 +196,9 @@ class RtSlave {
   /// False between crash() and restart().
   bool running() const;
 
-  /// Drops `job`'s references: from queued and in-flight migrations (they
-  /// still settle for the remaining jobs, or unbuffered if none remain) and
-  /// from buffered blocks, freeing buffers nobody references anymore.
+  /// Drops `job`'s references: from held migrations (they still settle for
+  /// the remaining jobs, or unbuffered if none remain) and from buffered
+  /// blocks, freeing buffers nobody references anymore.
   /// Thread-safe.
   void drop_job(JobId job);
 
@@ -226,28 +227,32 @@ class RtSlave {
   /// 0 — resolved before the worker starts, so no synchronization needed.
   static Options resolve(Options options, const core::QueueDepthPolicy& depth);
 
-  /// Per-member state of the batch being drained, guarded by mu_ so
-  /// cancel() can act on individual members mid-batch.
-  enum BatchState : std::uint8_t {
-    kBatchQueued = 0,     // waiting for its read (a faulted one: its retry)
-    kBatchActive = 1,     // consuming tokens now
-    kBatchDone = 2,       // read finished; completion pending flush
-    kBatchCancelled = 3,  // cancelled; the flush drops it
+  /// Per-member state of the held queue, guarded by mu_ so cancel() can act
+  /// on individual members mid-cycle.
+  enum MemberState : std::uint8_t {
+    kQueued = 0,     // waiting for its read (a faulted one: its retry)
+    kActive = 1,     // consuming tokens now
+    kDone = 2,       // read finished; completion pending flush
+    kCancelled = 3,  // cancelled; the flush drops it
+  };
+  struct Member {
+    RtMigration mig;
+    MemberState state = kQueued;
   };
 
   void worker_loop(std::stop_token st);
-  /// Settles batch_: reads every member in one call, then retries the
-  /// faulted ones one at a time, each as a batch of one after its backoff.
-  void drain_batch_run(const std::stop_token& st);
-  /// Reads batch_[0, n) in one ThrottledDisk::read call and settles them
+  /// Settles queue_: reads every member in one call, then retries the
+  /// faulted ones one at a time after their backoff, and empties it.
+  void drain(const std::stop_token& st);
+  /// Reads queue_[0, n) in one ThrottledDisk::read call and settles them
   /// under mu_: completions are admitted and reported in one on_complete;
-  /// a faulted member stays in batch_ for its retry. Returns false when the
+  /// a faulted member stays in queue_ for its retry. Returns false when the
   /// slave crashed meanwhile (nothing is reported).
   bool read_and_flush(std::size_t n, const std::stop_token& st);
-  /// Counts a retry attempt for batch_'s front member (a faulted read):
+  /// Counts a retry attempt for queue_'s front member (a faulted read):
   /// fails it over to the master once the budget is spent, otherwise sleeps
   /// out its backoff. True when it should be read again; false once it left
-  /// batch_ (failed, cancelled, or the worker is stopping).
+  /// queue_ (failed, cancelled, or the worker is stopping).
   bool await_retry(const std::stop_token& st);
   /// Admits a settled migration into the buffer manager (or folds new refs
   /// into an already-buffered block), appending any demotions it forced to
@@ -282,14 +287,12 @@ class RtSlave {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<RtMigration> queue_;
-  /// The batch being drained and each member's BatchState: parallel
-  /// vectors under mu_, empty outside a drain cycle. Only the worker
-  /// resizes them or writes a member's block, size, cycle or attempts, so
-  /// it reads those without the lock; drop_job() edits members' jobs, which
-  /// the worker reads only under mu_.
-  std::vector<RtMigration> batch_;
-  std::vector<std::uint8_t> batch_state_;
+  /// What the slave holds: one pull's migrations, each with its state;
+  /// under mu_, empty between drain cycles. Only the worker resizes it or
+  /// writes a member's block, size, cycle or attempts, so it reads those
+  /// without the lock; drop_job() edits members' jobs, which the worker
+  /// reads only under mu_.
+  std::vector<Member> queue_;
   /// Set by cancel() when it cancels the member being read; polled every
   /// slice so the read stops without taking mu_.
   std::atomic<bool> active_cancelled_{false};

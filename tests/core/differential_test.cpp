@@ -95,8 +95,7 @@ Outcome sim_run(core::Ordering ordering, const std::vector<std::pair<JobId, int>
 }
 
 Outcome rt_run(core::Ordering ordering, const std::vector<std::pair<JobId, int>>& jobs,
-           int num_nodes = kNodes, int replication = 2, bool heterogeneous = true,
-           int drain_batch = 1) {
+           int num_nodes = kNodes, int replication = 2, bool heterogeneous = true) {
   obs::MetricsRegistry registry;
   obs::Tracer tracer;
   obs::ThreadLocalBufferSink sink;
@@ -109,7 +108,6 @@ Outcome rt_run(core::Ordering ordering, const std::vector<std::pair<JobId, int>>
     s.disk_bandwidth = heterogeneous ? bandwidth_of(n) : mib_per_sec(100);
     s.queue_capacity = 2;
     s.reference_block = kBlock;
-    s.drain_batch = drain_batch;
     options.slaves.push_back(s);
   }
   options.retarget_interval = 60s;  // only migrate()'s pass assigns targets
@@ -164,7 +162,8 @@ void check_traces(const Outcome& sim, const Outcome& rt) {
 
 TEST(Differential, FifoHeterogeneousBindingsAreIdentical) {
   // 16 blocks, one job, FIFO, 2x bandwidth spread: which node each block
-  // binds to is decided entirely by the shared Algorithm 1 pass.
+  // binds to is decided entirely by the shared Algorithm 1 pass. Each rt
+  // slave holds two blocks and reads and reports both in one drain cycle.
   const std::vector<std::pair<JobId, int>> jobs = {{JobId(1), 16}};
   const Outcome sim_out = sim_run(core::Ordering::Fifo, jobs);
   const Outcome rt_out = rt_run(core::Ordering::Fifo, jobs);
@@ -199,22 +198,6 @@ TEST(Differential, SmallestJobFirstBindsSmallJobFirstOnBoth) {
   EXPECT_EQ(sim_out.bindings.at(NodeId(1)),
             (std::vector<BlockId>{BlockId(1), BlockId(3), BlockId(5)}));
   check_traces(sim_out, rt_out);
-}
-
-// Batched drains only change how many blocks a slave reads and reports per
-// cycle, never what binds where: sim, rt at batch 1 and rt at batch 4 must
-// produce one binding projection.
-TEST(Differential, BatchedExchangeBindsIdenticallyToSim) {
-  const std::vector<std::pair<JobId, int>> jobs = {{JobId(1), 16}};
-
-  const Outcome sim_out = sim_run(core::Ordering::Fifo, jobs);
-  const Outcome rt_one = rt_run(core::Ordering::Fifo, jobs);
-  const Outcome rt_bat = rt_run(core::Ordering::Fifo, jobs, kNodes, 2, true, 4);
-
-  ASSERT_FALSE(sim_out.bindings.empty());
-  EXPECT_EQ(sim_out.bindings, rt_bat.bindings);
-  EXPECT_EQ(rt_one.bindings, rt_bat.bindings);
-  check_traces(sim_out, rt_bat);
 }
 
 // --- tier decisions ------------------------------------------------------

@@ -1,14 +1,15 @@
 // Property test: what the rt exchange decides and settles does not depend
-// on how slaves batch their drains.
+// on how many migrations a slave's drain cycle carries.
 //
-// For 200 seeded random schedules (node count, block count, sizes, replica
-// sets and job assignment all drawn from the seed), the same workload runs
-// with every slave at drain_batch 1 (one read call and one completion
-// report per block, the default) and at drain_batch 16 (up to 16 blocks per
-// read call and report), and both must produce identical (a) per-block
-// settlement projections (the `type@node` signature `dyrsctl trace
-// --span-seq` prints), (b) per-node and per-job completion accounting, and
-// (c) per-node binding-log projections. A single migrate() call with a long
+// Each drain cycle reads and reports what the slave's queue holds. For 200
+// seeded random schedules (node count, block count, sizes, replica sets and
+// job assignment all drawn from the seed), the same workload runs with
+// every slave at queue capacity 1 (one read call and one completion report
+// per block) and at queue capacity 16 (up to 16 blocks per read call and
+// report), and both must produce identical (a) per-block settlement
+// projections (the `type@node` signature `dyrsctl trace --span-seq`
+// prints), (b) per-node and per-job completion accounting, and (c)
+// per-node binding-log projections. A single migrate() call with a long
 // retarget interval pins the Algorithm 1 pass to the cold-estimator
 // snapshot, so the decisions are a pure policy outcome — any divergence
 // would be the exchange's fault, not timing's.
@@ -69,7 +70,7 @@ struct Outcome {
   std::unordered_map<JobId, long> per_job;
 };
 
-Outcome run(const Schedule& s, int drain_batch) {
+Outcome run(const Schedule& s, int queue_capacity) {
   obs::MetricsRegistry registry;
   obs::Tracer tracer;
   obs::ThreadLocalBufferSink sink;
@@ -80,9 +81,8 @@ Outcome run(const Schedule& s, int drain_batch) {
     RtSlave::Options slave;
     slave.node = NodeId(n);
     slave.disk_bandwidth = mib_per_sec(64);
-    slave.queue_capacity = 4;
+    slave.queue_capacity = queue_capacity;
     slave.reference_block = mib(1);
-    slave.drain_batch = drain_batch;
     options.slaves.push_back(slave);
   }
   options.retarget_interval = 60s;  // only migrate()'s Algorithm 1 pass runs
@@ -118,14 +118,14 @@ TEST(RtBatchEquivalence, TwoHundredSeededSchedules) {
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     const Schedule s = draw(seed);
     const Outcome one = run(s, 1);
-    const Outcome bat = run(s, 16);
+    const Outcome deep = run(s, 16);
 
     ASSERT_EQ(one.completed, static_cast<long>(s.blocks.size())) << "seed " << seed;
-    EXPECT_EQ(one.settlement, bat.settlement) << "seed " << seed;
-    EXPECT_EQ(one.bindings, bat.bindings) << "seed " << seed;
-    EXPECT_EQ(one.completed, bat.completed) << "seed " << seed;
-    EXPECT_EQ(one.per_node, bat.per_node) << "seed " << seed;
-    EXPECT_EQ(one.per_job, bat.per_job) << "seed " << seed;
+    EXPECT_EQ(one.settlement, deep.settlement) << "seed " << seed;
+    EXPECT_EQ(one.bindings, deep.bindings) << "seed " << seed;
+    EXPECT_EQ(one.completed, deep.completed) << "seed " << seed;
+    EXPECT_EQ(one.per_node, deep.per_node) << "seed " << seed;
+    EXPECT_EQ(one.per_job, deep.per_job) << "seed " << seed;
     if (::testing::Test::HasFailure()) break;  // one seed's dump is enough
   }
 }

@@ -311,9 +311,9 @@ TEST(RtFaults, PermanentIoErrorsNeverRebindToAvoidedReplica) {
 }
 
 // Zombie suppression with *batched* completions: a partitioned slave
-// finishes a whole drain batch and flushes one coalesced report after its
-// bindings were reclaimed. Suppression is keyed on each batch member's
-// (block, node, cycle) — never on the batch — so all four members drop
+// finishes a whole drain cycle and flushes one report of four members after
+// their bindings were reclaimed. Suppression is keyed on each member's
+// (block, node, cycle) — never on the report — so all four drop
 // individually and nothing settles twice or leaks into the counters.
 TEST(RtFaults, BatchedZombieCompletionsSuppressedPerMember) {
   constexpr int kBacklog = 64;
@@ -323,8 +323,6 @@ TEST(RtFaults, BatchedZombieCompletionsSuppressedPerMember) {
   auto victim = slave_opts(1, mib_per_sec(64));
   busy.queue_capacity = 4;
   victim.queue_capacity = 4;
-  busy.drain_batch = 4;
-  victim.drain_batch = 4;
   options.slaves = {busy, victim};
   options.retarget_interval = 10ms;
   // Wider windows than fast_detection(): under TSan the 150ms dead window
@@ -332,7 +330,7 @@ TEST(RtFaults, BatchedZombieCompletionsSuppressedPerMember) {
   // stall its pull — and so its worker-loop heartbeat — for >150ms at
   // sanitizer speed), which would requeue the dual blocks with node 0 on
   // the avoid list too and abort them untargetable. 500ms still declares
-  // the victim dead well before its ~1s batch flush, which is the only
+  // the victim dead well before its ~1s cycle's flush, which is the only
   // ordering this test needs.
   options.failure_detection = fast_detection();
   options.failure_detection.suspect_after = 200ms;
@@ -342,8 +340,8 @@ TEST(RtFaults, BatchedZombieCompletionsSuppressedPerMember) {
   // Node 0 carries a 64MiB single-replica backlog (~1s at 64MiB/s), so the
   // earliest-finish pass sends every 16MiB block to the idle node 1 — even
   // the fourth (cumulative 1.0s vs 1.25s behind the backlog). Node 1 pulls
-  // all four at once and reads them as ONE drain batch (~1s), flushing one
-  // coalesced completion report at the end.
+  // all four at once and reads them in ONE drain cycle (~1s), flushing one
+  // completion report at the end.
   std::vector<RtBlock> blocks;
   for (int i = 0; i < kBacklog; ++i) {
     blocks.push_back({BlockId(i), mib(1), {NodeId(0)}, JobId(1)});
@@ -353,7 +351,7 @@ TEST(RtFaults, BatchedZombieCompletionsSuppressedPerMember) {
     blocks.push_back({BlockId(600 + i), mib(16), {NodeId(1), NodeId(0)}, JobId(2)});
   }
 
-  // Partition node 1 at 40ms — long before its ~1s batch finishes — and
+  // Partition node 1 at 40ms — long before its ~1s cycle finishes — and
   // heal at 1.5s. The detector reclaims all four bindings at ~550ms:
   // block 600 (only replica is the dead node) aborts untargetable, the
   // three dual blocks requeue to node 0 with node 1 on the avoid list.

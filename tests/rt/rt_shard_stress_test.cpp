@@ -1,9 +1,9 @@
-// Concurrency stress for the rt exchange: 16 slaves hammering batched
-// pull/complete against the striped settlement state while two of them
-// crash and restart mid-drain and poller threads snapshot the lock-free
-// accessors continuously. Runs in Release and in the tsan-rt CI job (with
-// a scaled-down block count); the assertions are pure accounting — every
-// block settles exactly once no matter how the batches, reclaims and
+// Concurrency stress for the rt exchange: 16 slaves hammering 32-block
+// pull/complete cycles against the striped settlement state while two of
+// them crash and restart mid-drain and poller threads snapshot the
+// lock-free accessors continuously. Runs in Release and in the tsan-rt CI
+// job (with a scaled-down block count); the assertions are pure accounting
+// — every block settles exactly once no matter how the cycles, reclaims and
 // snapshots interleave.
 #include <gtest/gtest.h>
 
@@ -41,10 +41,9 @@ TEST(RtShardStress, BatchedCrashRestartWithConcurrentPollers) {
     RtSlave::Options s;
     s.node = NodeId(n);
     s.disk_bandwidth = mib_per_sec(2048);
-    s.queue_capacity = 64;
+    s.queue_capacity = 32;  // each drain cycle reads and reports up to 32
     s.reference_block = mib(1);
     s.heartbeat_interval = 5ms;
-    s.drain_batch = 32;
     options.slaves.push_back(s);
   }
   options.retarget_interval = 2ms;
@@ -108,7 +107,7 @@ TEST(RtShardStress, BatchedCrashRestartWithConcurrentPollers) {
   done.store(true, std::memory_order_relaxed);
   for (auto& p : pollers) p.join();
 
-  // Exactly-once settlement: no batch member double-settled through a
+  // Exactly-once settlement: no report member double-settled through a
   // reclaim race, none was lost.
   EXPECT_EQ(master.completed(), kBlocks);
   long per_node_sum = 0;

@@ -181,16 +181,16 @@ TEST(ThrottledDisk, BandwidthChangeMidRead) {
 }
 
 // A member whose read finished but whose completion is not flushed yet can
-// still be cancelled. With drain_batch 2, block 0 (4 KiB) has been read once
-// block 1 (2 MiB, ~2 s on a 1 MiB/s disk) starts; cancelling block 0 then
-// returns true, and the flush drops it: not reported, not buffered and not
-// an estimator sample.
+// still be cancelled. At queue capacity 2 one drain cycle reads both blocks:
+// block 0 (4 KiB) has been read once block 1 (2 MiB, ~2 s on a 1 MiB/s
+// disk) starts; cancelling block 0 then returns true, and the flush drops
+// it: not reported, not buffered and not an estimator sample.
 TEST(RtSlave, ReadButUnflushedMemberIsCancellable) {
   obs::Tracer tracer;
   EventLog log;
   tracer.set_sink(&log);
   RtSlave::Options o = slave_opts(0, mib_per_sec(64));  // the estimator's fallback rate
-  o.drain_batch = 2;
+  o.queue_capacity = 2;
   o.obs = obs::ObsContext(nullptr, &tracer);
   std::atomic<bool> go{false};
   std::atomic<int> reported{0};
@@ -211,9 +211,71 @@ TEST(RtSlave, ReadButUnflushedMemberIsCancellable) {
   EXPECT_DOUBLE_EQ(slave.sec_per_byte(), 1.0 / mib_per_sec(64));
 }
 
-// A faulted member on the default batch of one retries alone after its
-// backoff: transfer_start, transfer_retry, a fresh transfer_start, then its
-// completion report.
+// One drain cycle reads everything a pull handed over and settles it in one
+// report: four blocks pulled together arrive in one on_complete call.
+TEST(RtSlave, OneCycleReportsEveryPulledMigration) {
+  RtSlave::Options o = slave_opts(0, mib_per_sec(64));
+  o.queue_capacity = 4;
+  std::atomic<bool> go{false};
+  std::mutex mu;
+  std::vector<std::size_t> reports;  // members per on_complete call
+  RtSlave slave(
+      o, core::ControlPlaneConfig{},
+      [&](std::vector<RtMigrationDone> d) {
+        std::lock_guard lock(mu);
+        reports.push_back(d.size());
+      },
+      pull_once(go, {migration(0, 64 * kKiB), migration(1, 64 * kKiB), migration(2, 64 * kKiB),
+                     migration(3, 64 * kKiB)}));
+  go = true;
+  slave.poke();
+  const auto reported = [&] {
+    std::lock_guard lock(mu);
+    std::size_t n = 0;
+    for (std::size_t r : reports) n += r;
+    return n;
+  };
+  ASSERT_TRUE(eventually([&] { return reported() == 4; }));
+  std::lock_guard lock(mu);
+  EXPECT_EQ(reports, std::vector<std::size_t>{4});
+}
+
+// A flush settles a whole queue under the slave mutex, and pinning a large
+// buffer can outlast a disk slice, so the flush beats once per settled
+// member. The read-fault hook runs inside the flush once per member; a hook
+// that sleeps must see a fresher heartbeat at every member after the first.
+TEST(RtSlave, FlushBeatsPerSettledMember) {
+  RtSlave::Options o = slave_opts(0, mib_per_sec(64));
+  o.queue_capacity = 4;
+  std::atomic<bool> go{false};
+  std::atomic<int> reports{0};
+  std::atomic<int> settled{0};
+  std::vector<std::int64_t> beats;  // the worker writes it before it reports
+  RtSlave slave(
+      o, core::ControlPlaneConfig{},
+      [&](std::vector<RtMigrationDone> d) {
+        ++reports;
+        settled += static_cast<int>(d.size());
+      },
+      pull_once(go, {migration(0, 64 * kKiB), migration(1, 64 * kKiB), migration(2, 64 * kKiB),
+                     migration(3, 64 * kKiB)}));
+  slave.set_read_fault_hook([&](BlockId) {
+    beats.push_back(slave.last_heartbeat_us());
+    std::this_thread::sleep_for(2ms);  // a slow pin
+    return false;
+  });
+  go = true;
+  slave.poke();
+  ASSERT_TRUE(eventually([&] { return settled == 4; }));
+  EXPECT_EQ(reports, 1);
+  ASSERT_EQ(beats.size(), 4u);
+  for (std::size_t i = 1; i < beats.size(); ++i) {
+    EXPECT_GT(beats[i], beats[i - 1]) << "no heartbeat between members " << i - 1 << " and " << i;
+  }
+}
+
+// A faulted member retries alone after its backoff: transfer_start,
+// transfer_retry, a fresh transfer_start, then its completion report.
 TEST(RtSlave, FaultedBlockRetriesAfterBackoff) {
   obs::Tracer tracer;
   EventLog log;
@@ -688,8 +750,9 @@ std::vector<obs::TraceEvent> traced_run() {
     blocks.push_back({BlockId(100 + i), 256 * kKiB, {NodeId(2)}});
   }
   master.migrate(blocks);
-  // Node 2 holds at most 3 blocks this early (1 active + 2 queued), each
-  // taking 62.5ms, so block 103 is still pending: a node-less abort.
+  // Node 2 holds at most 2 blocks this early (its queue capacity; it pulls
+  // again only once it holds nothing), each taking 62.5ms, so block 103 is
+  // still pending: a node-less abort.
   EXPECT_TRUE(master.cancel(BlockId(103)));
   EXPECT_TRUE(master.wait_idle(30s));
   master.shutdown();  // quiesce emitters before reading buffers
@@ -716,7 +779,7 @@ TEST(RtMaster, AccessorPollingDoesNotStallOnMasterLock) {
   // while the sweep thread saturates the lock.
   RtMaster::Options options;
   options.slaves = {slave_opts(0, mib_per_sec(4)), slave_opts(1, mib_per_sec(4))};
-  for (RtSlave::Options& slave : options.slaves) slave.drain_batch = 8;
+  for (RtSlave::Options& slave : options.slaves) slave.queue_capacity = 8;
   options.retarget_interval = 1ms;
   RtMaster master(std::move(options));
   master.migrate(blocks_on_all(20000, 2));
