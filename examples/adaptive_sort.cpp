@@ -13,6 +13,8 @@ int main() {
   exec::TestbedConfig config;
   config.scheme = exec::Scheme::Dyrs;
   exec::Testbed testbed(config);
+  // The node estimates are sampled right after each master heartbeat.
+  const obs::PeriodicSampler& sampler = testbed.enable_sampling();
 
   // Interference on node 1 toggling every 10 seconds (Fig 9b's pattern).
   testbed.add_alternating_interference(NodeId(1), seconds(10), /*initially_active=*/true, 2);
@@ -26,8 +28,8 @@ int main() {
 
   std::cout << "== adaptive sort: estimated migration time per 256MB block ==\n";
   std::cout << "(interference on node 1 alternates every 10s; node 2 is undisturbed)\n\n";
-  const auto& slow = testbed.master()->estimate_series(NodeId(1));
-  const auto& fast = testbed.master()->estimate_series(NodeId(2));
+  const TimeSeries& slow = sampler.series("node1.dyrs.est_s_per_block");
+  const TimeSeries& fast = sampler.series("node2.dyrs.est_s_per_block");
 
   TextTable table({"t (s)", "node1 est (s)", "", "node2 est (s)", "", "node1 dd"});
   const SimTime end = testbed.simulator().now();

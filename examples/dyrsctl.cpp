@@ -131,7 +131,7 @@ RunResult run_workload(exec::Scheme scheme, const Args& args) {
   out.memory_fraction = tb.metrics().memory_read_fraction();
   if (tb.master() != nullptr) {
     out.migrations = tb.master()->migrations_completed();
-    out.cancelled = static_cast<long>(tb.master()->cancels().size());
+    out.cancelled = tb.registry().find_counter("dyrs.migrations.cancelled")->value();
   }
   if (args.dump_metrics) {
     std::cout << "--- metrics (" << exec::to_string(scheme) << ") ---\n";

@@ -59,7 +59,6 @@ BoundMigration ControlPlane::bind_entry(PendingQueue::iterator it, NodeId node,
     emitter_.target(now, bm.block, node, sec_per_byte);
   }
   emitter_.bind(now, bm.block, node, now - bm.requested_at);
-  binding_log_.emplace_back(bm.block, node);
   queue_.erase(it);
   return bm;
 }

@@ -133,17 +133,11 @@ class ControlPlane {
   int requeue(std::vector<BoundMigration> lost, NodeId avoid,
               const std::function<bool(JobId)>& job_active, const AddPending& add, SimTime now);
 
-  /// (block, node) pairs in bind order. Per-node projections of this log
-  /// are deterministic on both backends; the sim-vs-rt differential test
-  /// compares them directly.
-  const std::vector<std::pair<BlockId, NodeId>>& binding_log() const { return binding_log_; }
-
  private:
   ControlPlaneConfig config_;
   PendingQueue queue_;
   LifecycleEmitter emitter_;
   obs::Counter* ctr_bind_scanned_ = nullptr;
-  std::vector<std::pair<BlockId, NodeId>> binding_log_;
 };
 
 }  // namespace dyrs::core

@@ -32,7 +32,6 @@ inline constexpr int kRankEnqueue = 1;
 inline constexpr int kRankTarget = 2;
 inline constexpr int kRankBind = 3;
 inline constexpr int kRankTransfer = 4;
-inline constexpr int kRankRetry = 5;  // historic; retries now use kRankTransfer
 inline constexpr int kRankTerminal = 6;
 // Demotions happen strictly after the owning cycle's mig_complete (a block
 // must be resident before pressure can push it down), so they take the rank

@@ -67,13 +67,11 @@ inline void merge_avoid(std::vector<NodeId>& avoid, const std::vector<NodeId>& a
   for (NodeId n : add) merge_avoid(avoid, n);
 }
 
-/// Completed-migration record, kept by the master for the figure benches
-/// (straggler timelines, adaptivity traces).
+/// A slave's completion report to its master (one per finished migration).
 struct MigrationRecord {
   BlockId block;
   NodeId node;
   Bytes size = 0;
-  SimTime bound_at = 0;
   SimTime started_at = 0;
   SimTime finished_at = 0;
 };

@@ -40,7 +40,6 @@ MigrationMaster::MigrationMaster(cluster::Cluster& cluster, dfs::NameNode& namen
     auto slave = std::make_unique<MigrationSlave>(cluster_.simulator(), *dn, config_.slave,
                                                   config_, std::move(callbacks));
     dn->on_process_crash = [this, id]() { handle_slave_crash(id); };
-    estimate_series_.emplace(id, TimeSeries("estimate-" + std::to_string(id.value())));
     slaves_.emplace(id, std::move(slave));
     node_order_.push_back(id);
   }
@@ -79,12 +78,6 @@ const MigrationSlave& MigrationMaster::slave(NodeId id) const {
   return *it->second;
 }
 
-const TimeSeries& MigrationMaster::estimate_series(NodeId id) const {
-  auto it = estimate_series_.find(id);
-  DYRS_CHECK(it != estimate_series_.end());
-  return it->second;
-}
-
 void MigrationMaster::set_job_active_query(std::function<bool(JobId)> q) {
   job_active_ = q;  // requeue paths skip migrations whose jobs finished
   for (auto& [id, slave] : slaves_) slave->job_active_query = q;
@@ -104,10 +97,9 @@ void MigrationMaster::set_observability(const obs::ObsContext& obs) {
   hist_pending_wait_s_ = obs.histogram("dyrs.migration.pending_wait_s");
 }
 
-void MigrationMaster::record_cancel(CancelRecord rec) {
+void MigrationMaster::record_cancel(const CancelRecord& rec) {
   if (ctr_cancelled_ != nullptr) ctr_cancelled_->inc();
   plane_.emitter().abort(rec);
-  cancels_.push_back(rec);
 }
 
 bool MigrationMaster::reachable(NodeId id, const MigrationSlave& slave) const {
@@ -220,8 +212,6 @@ void MigrationMaster::pulse() {
       continue;
     }
     slave->heartbeat();
-    estimate_series_.at(id).record(cluster_.simulator().now(),
-                                   slave->estimator().seconds_per_block());
     if (rebuilding_) {
       for (BlockId block : slave->buffers().buffered_blocks()) {
         namenode_.register_memory_replica(block, id);
@@ -264,6 +254,7 @@ void MigrationMaster::handle_migration_complete(const MigrationRecord& record) {
   auto it = bound_.find(record.block);
   if (it != bound_.end() && it->second == record.node) bound_.erase(it);
   namenode_.register_memory_replica(record.block, record.node);
+  ++completed_;
   bytes_migrated_ += static_cast<double>(record.size);
   const double transfer_s = to_seconds(record.finished_at - record.started_at);
   if (ctr_completed_ != nullptr) {
@@ -273,7 +264,6 @@ void MigrationMaster::handle_migration_complete(const MigrationRecord& record) {
   }
   plane_.emitter().complete(record.finished_at, record.block, record.node, record.size,
                             transfer_s);
-  records_.push_back(record);
 }
 
 void MigrationMaster::handle_evicted(NodeId node, const std::vector<BlockId>& blocks) {

@@ -20,7 +20,6 @@
 
 #include "cluster/cluster.h"
 #include "common/random.h"
-#include "common/timeseries.h"
 #include "core/binding.h"
 #include "core/control_plane.h"
 #include "core/replica_selector.h"
@@ -84,17 +83,8 @@ class MigrationMaster final : public MigrationService {
   const MigrationSlave& slave(NodeId id) const;
   std::size_t pending_count() const { return plane_.queue().size(); }
   std::size_t bound_count() const { return bound_.size(); }
-  const std::vector<MigrationRecord>& records() const { return records_; }
-  const std::vector<CancelRecord>& cancels() const { return cancels_; }
-  /// Per-node migration-time estimate sampled every heartbeat (Fig 9).
-  const TimeSeries& estimate_series(NodeId id) const;
-  long migrations_completed() const { return static_cast<long>(records_.size()); }
+  long migrations_completed() const { return completed_; }
   double bytes_migrated() const { return bytes_migrated_; }
-  /// (block, node) binding decisions in bind order — the sim-vs-rt
-  /// differential test compares per-node projections of this log.
-  const std::vector<std::pair<BlockId, NodeId>>& binding_log() const {
-    return plane_.binding_log();
-  }
 
   // --- failure-handling introspection ------------------------------------
   /// True between a master failover and the first heartbeat pulse that
@@ -151,8 +141,8 @@ class MigrationMaster final : public MigrationService {
   void requeue_lost(std::vector<BoundMigration> lost, NodeId avoid);
   void add_pending(JobId job, BlockId block, EvictionMode mode,
                    const std::vector<NodeId>& avoid = {});
-  /// Records the cancel and emits the matching `mig_abort` trace event.
-  void record_cancel(CancelRecord rec);
+  /// Counts the cancel and emits the matching `mig_abort` trace event.
+  void record_cancel(const CancelRecord& rec);
   bool tracing() const { return obs_.tracing(); }
 
   cluster::Cluster& cluster_;
@@ -167,9 +157,7 @@ class MigrationMaster final : public MigrationService {
   ControlPlane plane_;                         // pending state + policy
   std::unordered_map<BlockId, NodeId> bound_;  // bound but not yet completed
 
-  std::vector<MigrationRecord> records_;
-  std::vector<CancelRecord> cancels_;
-  std::unordered_map<NodeId, TimeSeries> estimate_series_;
+  long completed_ = 0;
   double bytes_migrated_ = 0;
   bool rebuilding_ = false;
   long requeued_ = 0;

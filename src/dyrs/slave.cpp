@@ -185,7 +185,6 @@ void MigrationSlave::finish_migration(BlockId block, SimTime finished) {
   record.block = block;
   record.node = id();
   record.size = a.m.size;
-  record.bound_at = a.m.bound_at;
   record.started_at = a.started_at;
   record.finished_at = finished;
   active_.erase(it);

@@ -591,9 +591,4 @@ std::unordered_map<JobId, long> RtMaster::completed_per_job() const {
   return out;
 }
 
-std::vector<std::pair<BlockId, NodeId>> RtMaster::binding_log() const {
-  std::lock_guard lock(mu_);
-  return plane_.binding_log();
-}
-
 }  // namespace dyrs::rt

@@ -2,15 +2,15 @@
 //
 // Demonstrates the production shape of the protocol: slaves pull from their
 // own worker threads, the Algorithm 1 retargeting pass runs in a separate
-// thread off the pull path (§III-D), and the policy state (pending queue,
-// binding log) is guarded by the master mutex. Settlement
-// state stripes over a fixed set of shards — the bound registry and
-// per-block cycle counters by block id, per-job accounting by job id — with
-// the completion counters lock-free atomics, so completion reports settle and
-// the `completed*` accessors read without the master mutex, off the pull
-// path. A pull binds and hands the migrations to the slave's queue in one
-// step under the master mutex, so a bound block is always either pending
-// here or held by exactly one slave, where cancel() and evict_job() find it.
+// thread off the pull path (§III-D), and the policy state (the pending
+// queue) is guarded by the master mutex. Settlement state stripes over a
+// fixed set of shards — the bound registry and per-block cycle counters by
+// block id, per-job accounting by job id — with the completion counters
+// lock-free atomics, so completion reports settle and the `completed*`
+// accessors read without the master mutex, off the pull path. A pull binds
+// and hands the migrations to the slave's queue in one step under the
+// master mutex, so a bound block is always either pending here or held by
+// exactly one slave, where cancel() and evict_job() find it.
 //
 // The master is the *rt backend driver* of the shared migration control
 // plane (src/core): policy decisions (pending ordering, Algorithm 1
@@ -131,9 +131,6 @@ class RtMaster {
   std::unordered_map<JobId, long> completed_per_job() const;
   /// Migrations returned to pending after a permanent slave failure.
   long requeued() const;
-  /// (block, node) binding decisions in bind order — the sim-vs-rt
-  /// differential test compares per-node projections of this log.
-  std::vector<std::pair<BlockId, NodeId>> binding_log() const;
 
   /// Wall-clock microseconds since the master's trace epoch — the
   /// timestamp lane every emitter (slaves, fault injector) shares.

@@ -32,7 +32,6 @@ namespace dyrs::rt {
 
 using core::kRankBind;
 using core::kRankEnqueue;
-using core::kRankRetry;
 using core::kRankTarget;
 using core::kRankTerminal;
 using core::kRankTransfer;

@@ -5,9 +5,9 @@
 // Algorithm 1 pass at enqueue time, the (block -> node) binding decisions
 // must be identical — the sim supplies virtual time and the rt runtime
 // real threads, but policy lives in one place. The comparison is on
-// per-node projections of the binding log: the order *within* a node is a
-// pure policy outcome on both backends, while the interleaving *across*
-// nodes depends on which worker thread wakes first.
+// per-node bind order read from each trace's `mig_bind` events: the order
+// *within* a node is a pure policy outcome on both backends, while the
+// interleaving *across* nodes depends on which worker thread wakes first.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -25,6 +25,7 @@
 #include "obs/trace_invariants.h"
 #include "obs/trace_reader.h"
 #include "rt/master.h"
+#include "testing/bind_order.h"
 #include "testing/fixture.h"
 
 namespace dyrs {
@@ -39,16 +40,8 @@ constexpr Bytes kBlock = mib(2);
 
 Rate bandwidth_of(int node) { return node % 2 == 0 ? mib_per_sec(100) : mib_per_sec(50); }
 
-using Projection = std::map<NodeId, std::vector<BlockId>>;
-
-Projection per_node(const std::vector<std::pair<BlockId, NodeId>>& log) {
-  Projection proj;
-  for (const auto& [block, node] : log) proj[node].push_back(block);
-  return proj;
-}
-
 struct Outcome {
-  Projection bindings;
+  testing::BindOrder bindings;
   std::vector<obs::TraceEvent> events;
 };
 
@@ -91,7 +84,7 @@ Outcome sim_run(core::Ordering ordering, const std::vector<std::pair<JobId, int>
   }
   dfs.sim.run_until(minutes(2));
   EXPECT_EQ(master->migrations_completed(), expected);
-  return {per_node(master->binding_log()), sink.events()};
+  return {testing::bind_order(sink.events()), sink.events()};
 }
 
 Outcome rt_run(core::Ordering ordering, const std::vector<std::pair<JobId, int>>& jobs,
@@ -133,9 +126,9 @@ Outcome rt_run(core::Ordering ordering, const std::vector<std::pair<JobId, int>>
   }
   master.migrate(blocks);
   EXPECT_TRUE(master.wait_idle(30s));
-  Projection bindings = per_node(master.binding_log());
   master.shutdown();  // quiesce emitters before reading buffers
-  return {std::move(bindings), sink.merge_thread_buffers()};
+  std::vector<obs::TraceEvent> events = sink.merge_thread_buffers();
+  return {testing::bind_order(events), std::move(events)};
 }
 
 void check_traces(const Outcome& sim, const Outcome& rt) {

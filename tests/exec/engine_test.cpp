@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "exec/testbed.h"
 #include "obs/observability.h"
@@ -193,6 +195,7 @@ TEST(Engine, InputsInRamAlwaysReadsMemory) {
 
 TEST(Engine, ZeroLeadTimeMeansNoMigrationBenefit) {
   Testbed tb(small_config(Scheme::Dyrs));
+  const obs::MemorySink& sink = tb.trace_to_memory();
   tb.load_file("/in", mib(64));
   auto spec = simple_job("/in");
   spec.platform_overhead = 0;
@@ -201,8 +204,11 @@ TEST(Engine, ZeroLeadTimeMeansNoMigrationBenefit) {
   // The single block's read starts immediately; the migration is missed
   // and cancelled, and the read comes from disk.
   EXPECT_DOUBLE_EQ(tb.metrics().memory_read_fraction(), 0.0);
-  ASSERT_EQ(tb.master()->cancels().size(), 1u);
-  EXPECT_EQ(tb.master()->cancels()[0].reason, core::CancelReason::MissedRead);
+  std::vector<std::string> reasons;
+  for (const obs::TraceEvent& e : sink.events()) {
+    if (e.type == "mig_abort") reasons.push_back(e.str("reason"));
+  }
+  EXPECT_EQ(reasons, std::vector<std::string>{core::to_string(core::CancelReason::MissedRead)});
 }
 
 TEST(Engine, MetricsAggregates) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "workloads/sort.h"
 
 namespace dyrs::exec {
@@ -98,6 +101,53 @@ TEST(Testbed, RunReturnsAtMaxTimeWithUnfinishedWork) {
   const SimTime end = tb.run(/*max_time=*/seconds(10));
   EXPECT_LE(end, seconds(10) + seconds(1));
   EXPECT_TRUE(tb.metrics().jobs().empty());
+}
+
+// Fig 9 and examples/adaptive_sort read the master's per-node estimate
+// from the sampler: at the default cadence, one `nodeN.dyrs.est_s_per_block`
+// sample per heartbeat, equal to the slave estimator's value right after
+// that heartbeat's pulse, overdue correction included.
+TEST(Testbed, EstimateProbeSamplesEachPulse) {
+  TestbedConfig c = tiny(Scheme::Dyrs);
+  c.disk_bandwidth = mib_per_sec(64);
+  c.seek_alpha = 0.0;
+  ASSERT_EQ(c.sample_interval, c.master.slave.heartbeat_interval);
+  Testbed tb(c);
+  tb.add_alternating_interference(NodeId(0), seconds(3), /*initially_active=*/true);
+  const obs::PeriodicSampler& sampler = tb.enable_sampling();
+  tb.load_file("/in", mib(64) * 24);
+  tb.master()->migrate_files(JobId(1), {"/in"}, core::EvictionMode::Explicit);
+
+  constexpr int kTicks = 20;
+  int overdue_raises = 0;
+  for (int tick = 1; tick <= kTicks; ++tick) {
+    const SimTime pulse = seconds(tick);
+    std::vector<double> before;
+    std::vector<long> completed_before;
+    tb.simulator().run_until(pulse - 1);
+    for (NodeId id : tb.cluster().node_ids()) {
+      const core::MigrationSlave& slave = tb.master()->slave(id);
+      before.push_back(slave.estimator().seconds_per_block());
+      completed_before.push_back(slave.migrations_completed());
+    }
+    tb.simulator().run_until(pulse);
+    for (NodeId id : tb.cluster().node_ids()) {
+      const core::MigrationSlave& slave = tb.master()->slave(id);
+      const TimeSeries& series =
+          sampler.series("node" + std::to_string(id.value()) + ".dyrs.est_s_per_block");
+      ASSERT_EQ(series.size(), static_cast<std::size_t>(tick)) << "node " << id;
+      EXPECT_EQ(series.points().back().time, pulse);
+      const double sampled = series.points().back().value;
+      EXPECT_EQ(sampled, slave.estimator().seconds_per_block()) << "node " << id;
+      // A pulse that moved the estimate with no completion in between is
+      // the overdue correction, and the sample carries it.
+      const auto i = static_cast<std::size_t>(id.value());
+      if (slave.migrations_completed() == completed_before[i] && sampled > before[i]) {
+        ++overdue_raises;
+      }
+    }
+  }
+  EXPECT_GT(overdue_raises, 0);
 }
 
 TEST(Testbed, RunCompletesSubmittedWork) {

@@ -6,6 +6,7 @@
 
 #include "dyrs/strategies.h"
 #include "faults/fault_injector.h"
+#include "obs/trace.h"
 #include "testing/fixture.h"
 
 namespace dyrs::faults {
@@ -75,7 +76,11 @@ TEST_F(RetryFixture, BackoffDelaysGrowExponentially) {
 }
 
 TEST_F(RetryFixture, PermanentFailureRetargetsSurvivingReplica) {
+  obs::Tracer tracer;
+  obs::MemorySink sink;
+  tracer.set_sink(&sink);
   auto master = core::make_dyrs(*dfs.cluster, *dfs.namenode, config());
+  master->set_observability(obs::ObsContext(nullptr, &tracer));
   master->set_job_active_query([](JobId) { return true; });
   const auto& f = dfs.namenode->create_file("/one", mib(64));
   const BlockId block = f.blocks[0];
@@ -99,8 +104,10 @@ TEST_F(RetryFixture, PermanentFailureRetargetsSurvivingReplica) {
   EXPECT_GT(master->migration_retries(), 0);
   // IoError cancels were recorded for the failing holders.
   bool saw_io_cancel = false;
-  for (const auto& c : master->cancels()) {
-    if (c.reason == core::CancelReason::IoError) saw_io_cancel = true;
+  for (const obs::TraceEvent& e : sink.events()) {
+    if (e.type == "mig_abort" && e.str("reason") == core::to_string(core::CancelReason::IoError)) {
+      saw_io_cancel = true;
+    }
   }
   EXPECT_EQ(saw_io_cancel, master->migration_permanent_failures() > 0);
 }

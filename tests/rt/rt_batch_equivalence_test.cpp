@@ -9,10 +9,10 @@
 // report), and both must produce identical (a) per-block settlement
 // projections (the `type@node` signature `dyrsctl trace --span-seq`
 // prints), (b) per-node and per-job completion accounting, and (c)
-// per-node binding-log projections. A single migrate() call with a long
-// retarget interval pins the Algorithm 1 pass to the cold-estimator
-// snapshot, so the decisions are a pure policy outcome — any divergence
-// would be the exchange's fault, not timing's.
+// per-node bind order from the trace's `mig_bind` events. A single
+// migrate() call with a long retarget interval pins the Algorithm 1 pass
+// to the cold-estimator snapshot, so the decisions are a pure policy
+// outcome — any divergence would be the exchange's fault, not timing's.
 //
 // The master has one settlement engine and slaves one data path, so this is
 // an invariance property of the one exchange.
@@ -30,6 +30,7 @@
 #include "obs/thread_buffer_sink.h"
 #include "obs/trace.h"
 #include "rt/master.h"
+#include "testing/bind_order.h"
 
 namespace dyrs::rt {
 namespace {
@@ -64,7 +65,7 @@ Schedule draw(std::uint64_t seed) {
 
 struct Outcome {
   std::map<std::int64_t, std::string> settlement;  // per-block type@node span
-  std::map<NodeId, std::vector<BlockId>> bindings;
+  testing::BindOrder bindings;
   long completed = 0;
   std::unordered_map<NodeId, long> per_node;
   std::unordered_map<JobId, long> per_job;
@@ -95,10 +96,11 @@ Outcome run(const Schedule& s, int queue_capacity) {
   out.completed = master.completed();
   out.per_node = master.completed_per_node();
   out.per_job = master.completed_per_job();
-  for (const auto& [block, node] : master.binding_log()) out.bindings[node].push_back(block);
   master.shutdown();  // quiesce emitters before reading buffers
 
-  for (const obs::TraceEvent& e : sink.merge_thread_buffers()) {
+  const std::vector<obs::TraceEvent> events = sink.merge_thread_buffers();
+  out.bindings = testing::bind_order(events);
+  for (const obs::TraceEvent& e : events) {
     if (e.type.rfind("mig_", 0) != 0) continue;
     const std::int64_t block = e.i64("block");
     if (block < 0) continue;

@@ -20,6 +20,7 @@
 #include "obs/trace_invariants.h"
 #include "obs/trace_reader.h"
 #include "rt/master.h"
+#include "testing/bind_order.h"
 
 namespace dyrs::rt {
 namespace {
@@ -276,11 +277,15 @@ TEST(RtFaults, SuspicionIsAGracePeriodNotADeclaration) {
 // target can still point at an avoided node; the bind-time avoid check is
 // what keeps the block off it.
 TEST(RtFaults, PermanentIoErrorsNeverRebindToAvoidedReplica) {
+  obs::Tracer tracer;
+  obs::ThreadLocalBufferSink sink;
+  tracer.set_sink(&sink);
   RtMaster::Options options;
   // Node 0 is the fastest, Algorithm 1's first pick; only its reads fail.
   options.slaves = {slave_opts(0, mib_per_sec(400)), slave_opts(1, mib_per_sec(100))};
   options.retarget_interval = 2ms;
   options.retry = {.max_attempts = 2, .backoff = milliseconds(1), .backoff_cap = milliseconds(2)};
+  options.obs = obs::ObsContext(nullptr, &tracer);
   RtMaster master(std::move(options));
 
   faults::RtFaultInjector injector(master, /*seed=*/3);
@@ -301,10 +306,11 @@ TEST(RtFaults, PermanentIoErrorsNeverRebindToAvoidedReplica) {
 
   // Each block visits node 0 at most once; after the failure joins its
   // avoid list, every further bind is at node 1.
+  injector.stop();
+  master.shutdown();  // quiesce emitters before reading buffers
+  testing::BindOrder binds = testing::bind_order(sink.merge_thread_buffers());
   std::map<BlockId, int> binds_at_bad;
-  for (const auto& [block, node] : master.binding_log()) {
-    if (node == NodeId(0)) ++binds_at_bad[block];
-  }
+  for (BlockId block : binds[NodeId(0)]) ++binds_at_bad[block];
   for (const auto& [block, count] : binds_at_bad) {
     EXPECT_LE(count, 1) << "block " << block << " re-bound to its avoided replica";
   }
