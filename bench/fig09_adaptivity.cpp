@@ -147,7 +147,6 @@ TrackingResult run_tracking(SimDuration period, bool overdue) {
   cluster::Cluster cluster(
       sim, {.num_nodes = 1,
             .node = {.disk = {.name = "d", .bandwidth = mib_per_sec(160), .seek_alpha = 0.15},
-                     .ssd = {},
                      .memory = {.capacity = gib(64), .read_bandwidth = gib_per_sec(25)},
                      .nic_bandwidth = gbit_per_sec(10)},
             .per_node = nullptr});

@@ -87,7 +87,7 @@ BENCHMARK(BM_Estimator_Update);
 void BM_BufferManager_AddRelease(benchmark::State& state) {
   sim::Simulator sim;
   cluster::Memory memory(sim, {.capacity = gib(1024), .read_bandwidth = gib_per_sec(25)});
-  core::BufferManager bm(memory);
+  core::BufferManager bm(&memory);
   std::int64_t next = 0;
   for (auto _ : state) {
     const BlockId block(next);

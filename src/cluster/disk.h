@@ -8,9 +8,8 @@
 #pragma once
 
 #include <functional>
-#include <limits>
+#include <string>
 
-#include "cluster/tier_store.h"
 #include "common/units.h"
 #include "sim/fair_share.h"
 
@@ -18,7 +17,7 @@ namespace dyrs::cluster {
 
 enum class IoClass { MigrationRead, TaskRead, Write, Interference };
 
-class Disk final : public TierStore {
+class Disk {
  public:
   struct Options {
     std::string name = "disk";
@@ -71,18 +70,6 @@ class Disk final : public TierStore {
   /// Unloaded sequential read time for `bytes` — sizing input for slave
   /// migration queues (paper §III-B).
   SimDuration unloaded_read_time(Bytes bytes) const { return resource_.unloaded_duration(bytes); }
-
-  // --- TierStore: the bottom (capacity-unbounded) tier -------------------
-  // Every replica already lives on disk, so "demoting to disk" reserves
-  // nothing: admit always succeeds and tracks no bytes.
-  Tier tier() const override { return Tier::Disk; }
-  Bytes capacity() const override { return std::numeric_limits<Bytes>::max(); }
-  Bytes used() const override { return 0; }
-  bool admit(Bytes) override { return true; }
-  void release(Bytes) override {}
-  double read_seconds(Bytes bytes) const override {
-    return to_seconds(resource_.unloaded_duration(bytes));
-  }
 
   double busy_seconds() const { return resource_.busy_seconds(); }
   double bytes_by_class(IoClass c) const { return bytes_by_class_[static_cast<int>(c)]; }

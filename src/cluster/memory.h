@@ -9,7 +9,6 @@
 
 #include <functional>
 
-#include "cluster/tier_store.h"
 #include "common/check.h"
 #include "common/timeseries.h"
 #include "common/units.h"
@@ -17,7 +16,7 @@
 
 namespace dyrs::cluster {
 
-class Memory final : public TierStore {
+class Memory {
  public:
   struct Options {
     Bytes capacity = gib(128);
@@ -26,17 +25,8 @@ class Memory final : public TierStore {
 
   Memory(sim::Simulator& sim, Options opts) : sim_(sim), opts_(opts) {}
 
-  Bytes capacity() const override { return opts_.capacity; }
+  Bytes capacity() const { return opts_.capacity; }
   Bytes pinned() const { return pinned_; }
-
-  // --- TierStore: the top (fastest, scarcest) tier -----------------------
-  Tier tier() const override { return Tier::Memory; }
-  Bytes used() const override { return pinned_; }
-  bool admit(Bytes bytes) override { return pin(bytes); }
-  void release(Bytes bytes) override { unpin(bytes); }
-  double read_seconds(Bytes bytes) const override {
-    return static_cast<double>(bytes) / opts_.read_bandwidth;
-  }
 
   /// Attempts to pin `bytes` (mmap+mlock). Returns false if it would exceed
   /// capacity; the caller (buffer manager) queues the migration instead.

@@ -6,7 +6,6 @@
 
 #include "cluster/disk.h"
 #include "cluster/memory.h"
-#include "cluster/ssd.h"
 #include "common/ids.h"
 #include "sim/fair_share.h"
 
@@ -16,7 +15,6 @@ class Node {
  public:
   struct Options {
     Disk::Options disk;
-    Ssd::Options ssd;
     Memory::Options memory;
     Rate nic_bandwidth = gbit_per_sec(10);
   };
@@ -28,7 +26,6 @@ class Node {
           d.name = "disk-" + std::to_string(id.value());
           return d;
         }()),
-        ssd_(sim, opts.ssd),
         memory_(sim, opts.memory),
         nic_(sim, {.name = "nic-" + std::to_string(id.value()),
                    .capacity = opts.nic_bandwidth,
@@ -37,8 +34,6 @@ class Node {
   NodeId id() const { return id_; }
   Disk& disk() { return disk_; }
   const Disk& disk() const { return disk_; }
-  Ssd& ssd() { return ssd_; }
-  const Ssd& ssd() const { return ssd_; }
   Memory& memory() { return memory_; }
   const Memory& memory() const { return memory_; }
   sim::FairShareResource& nic() { return nic_; }
@@ -49,7 +44,6 @@ class Node {
  private:
   NodeId id_;
   Disk disk_;
-  Ssd ssd_;
   Memory memory_;
   sim::FairShareResource nic_;
   bool alive_ = true;

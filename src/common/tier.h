@@ -1,33 +1,21 @@
-// Storage tiers of the migration target hierarchy (disk -> SSD -> memory).
+// Storage tiers a block's data can be read from: its disk replicas, and
+// the pinned-memory buffer DYRS migrates cold input into.
 //
-// Shared vocabulary for the whole stack: the cluster hardware models
-// (cluster::TierStore instances), the control-plane admission policy
-// (core::TierPolicy), the buffer manager's residency tracking and the
-// `mig_demote` lifecycle events all name tiers with this enum. Ordered so
-// that a numerically lower tier is colder (slower, larger).
+// Shared vocabulary for the buffer manager's tier-decision log and the
+// `mig_demote` lifecycle events, which both name tiers with this enum.
+// Ordered so that a numerically lower tier is colder (slower, larger).
 #pragma once
 
 namespace dyrs {
 
-enum class Tier { Disk = 0, Ssd = 1, Memory = 2 };
+enum class Tier { Disk = 0, Memory = 1 };
 
 inline const char* to_string(Tier t) {
   switch (t) {
     case Tier::Disk: return "disk";
-    case Tier::Ssd: return "ssd";
     case Tier::Memory: return "memory";
   }
   return "?";
-}
-
-/// The next tier downward (demotion direction); Disk demotes to itself.
-inline Tier lower(Tier t) {
-  switch (t) {
-    case Tier::Memory: return Tier::Ssd;
-    case Tier::Ssd: return Tier::Disk;
-    case Tier::Disk: return Tier::Disk;
-  }
-  return Tier::Disk;
 }
 
 }  // namespace dyrs

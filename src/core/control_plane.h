@@ -69,10 +69,10 @@ struct ControlPlaneConfig {
   /// master's monitor thread applies it; the sim master rejects `enabled`,
   /// because the sim detects failures through the dfs heartbeat machinery.
   FailureDetection failure_detection;
-  /// Storage-tier pressure policy (watermark pair, pressure response).
-  /// Every slave's buffer manager evaluates it with the same
-  /// core::BufferManager code, so tier decisions are identical across
-  /// backends given the same admission sequence.
+  /// Memory-pressure policy (watermark pair, pressure response). Every
+  /// slave's buffer manager evaluates it with the same core::BufferManager
+  /// code, so demotions are identical across backends given the same
+  /// admission sequence.
   TierPolicy tier;
 };
 

@@ -4,6 +4,8 @@
 #include <string>
 #include <utility>
 
+#include "common/tier.h"
+
 namespace dyrs::core {
 
 void LifecycleEmitter::emit(obs::TraceEvent& e, BlockId block, int rank) {
@@ -111,14 +113,13 @@ void LifecycleEmitter::requeue(SimTime at, BlockId block, NodeId avoid) {
   emit(e, block, kRankEnqueue);
 }
 
-void LifecycleEmitter::demote(SimTime at, BlockId block, NodeId node, Tier from, Tier to,
-                              Bytes size) {
+void LifecycleEmitter::demote(SimTime at, BlockId block, NodeId node, Bytes size) {
   if (!tracing()) return;
   obs::TraceEvent e(at, "mig_demote");
   e.with("block", block.value())
       .with("node", node.value())
-      .with("from", std::string(to_string(from)))
-      .with("to", std::string(to_string(to)))
+      .with("from", std::string(to_string(Tier::Memory)))
+      .with("to", std::string(to_string(Tier::Disk)))
       .with("size", static_cast<std::int64_t>(size));
   emit(e, block, kRankDemote);
 }

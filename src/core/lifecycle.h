@@ -15,7 +15,6 @@
 #include <functional>
 #include <vector>
 
-#include "common/tier.h"
 #include "core/types.h"
 #include "obs/obs_context.h"
 #include "obs/trace.h"
@@ -62,9 +61,9 @@ class LifecycleEmitter {
   void complete(SimTime at, BlockId block, NodeId node, Bytes size, double transfer_s);
   void abort(const CancelRecord& rec);
   void requeue(SimTime at, BlockId block, NodeId avoid);
-  /// `mig_demote`: capacity pressure moved a buffered block down a tier
-  /// (memory -> ssd keeps it served from the node; ssd -> disk evicts it).
-  void demote(SimTime at, BlockId block, NodeId node, Tier from, Tier to, Bytes size);
+  /// `mig_demote` (from=memory to=disk): capacity pressure evicted a
+  /// buffered block, which is read from its disk replicas from now on.
+  void demote(SimTime at, BlockId block, NodeId node, Bytes size);
 
  private:
   void emit(obs::TraceEvent& e, BlockId block, int rank);

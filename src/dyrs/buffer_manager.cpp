@@ -1,18 +1,18 @@
 #include "dyrs/buffer_manager.h"
 
+#include <limits>
+
+#include "cluster/memory.h"
 #include "common/check.h"
 
 namespace dyrs::core {
 
-BufferManager::BufferManager(cluster::TierStore& memory, Bytes limit)
-    : BufferManager(memory, nullptr, {}, limit) {}
-
-BufferManager::BufferManager(cluster::TierStore& memory, cluster::TierStore* ssd,
-                             TierPolicy policy, Bytes limit)
+BufferManager::BufferManager(cluster::Memory* memory, TierPolicy policy, Bytes limit)
     : memory_(memory),
-      ssd_(ssd),
       policy_(policy),
-      limit_(limit > 0 ? limit : memory.capacity()) {
+      limit_(limit > 0         ? limit
+             : memory != nullptr ? memory->capacity()
+                                 : std::numeric_limits<Bytes>::max()) {
   DYRS_CHECK(limit_ > 0);
   DYRS_CHECK(policy_.low_watermark <= policy_.high_watermark);
 }
@@ -32,7 +32,7 @@ bool BufferManager::try_add(BlockId block, Bytes size,
     }
   }
   if (used_ + size > limit_) return false;
-  if (!memory_.admit(size)) return false;
+  if (memory_ != nullptr && !memory_->pin(size)) return false;
   used_ += size;
 
   Buffered buf;
@@ -70,8 +70,7 @@ void BufferManager::add_refs(BlockId block, const std::map<JobId, EvictionMode>&
 void BufferManager::mark_resident(BlockId block) {
   // The reservation may already be gone: an implicit read or a job release
   // can race an in-flight migration and evict the unreferenced reservation
-  // before the data lands. Marking it then is a no-op, as in the pre-tier
-  // code where completion never touched the buffer bookkeeping.
+  // before the data lands. Marking it then is a no-op.
   auto it = blocks_.find(block);
   if (it == blocks_.end()) return;
   it->second.resident = true;
@@ -82,43 +81,17 @@ bool BufferManager::over_threshold(double fraction) const {
   return static_cast<double>(used_) >= fraction * static_cast<double>(limit_);
 }
 
-Tier BufferManager::tier_of(BlockId block) const {
-  auto it = blocks_.find(block);
-  DYRS_CHECK_MSG(it != blocks_.end(), "block " << block << " not buffered");
-  return it->second.tier;
-}
-
 void BufferManager::unlink(Buffered& buf) {
-  switch (buf.segment) {
-    case Segment::Probation: probation_.erase(buf.where); break;
-    case Segment::Protected: protected_.erase(buf.where); break;
-    case Segment::Ssd: ssd_lru_.erase(buf.where); break;
-  }
+  (buf.segment == Segment::Probation ? probation_ : protected_).erase(buf.where);
 }
 
 void BufferManager::touch(BlockId block, Buffered& buf) {
+  // SLRU promotion: any renewed demand moves the block to (the front of)
+  // the protected segment.
   unlink(buf);
-  if (buf.segment == Segment::Ssd) {
-    ssd_lru_.push_front(block);
-    buf.where = ssd_lru_.begin();
-  } else {
-    // SLRU promotion: any renewed demand moves the block to (the front of)
-    // the protected segment.
-    buf.segment = Segment::Protected;
-    protected_.push_front(block);
-    buf.where = protected_.begin();
-  }
-}
-
-void BufferManager::release_tier_bytes(const Buffered& buf) {
-  if (buf.tier == Tier::Memory) {
-    memory_.release(buf.size);
-    used_ -= buf.size;
-  } else {
-    DYRS_CHECK(ssd_ != nullptr);
-    ssd_->release(buf.size);
-    ssd_used_ -= buf.size;
-  }
+  buf.segment = Segment::Protected;
+  protected_.push_front(block);
+  buf.where = protected_.begin();
 }
 
 void BufferManager::evict(BlockId block) {
@@ -126,7 +99,8 @@ void BufferManager::evict(BlockId block) {
   DYRS_CHECK(it != blocks_.end());
   DYRS_CHECK_MSG(it->second.refs.empty(), "evicting block with live references");
   unlink(it->second);
-  release_tier_bytes(it->second);
+  if (memory_ != nullptr) memory_->unpin(it->second.size);
+  used_ -= it->second.size;
   blocks_.erase(it);
 }
 
@@ -137,7 +111,7 @@ std::vector<BlockId> BufferManager::evict_if_unreferenced(BlockId block) {
   return {block};
 }
 
-BlockId BufferManager::pick_memory_victim(BlockId exclude) const {
+BlockId BufferManager::pick_victim(BlockId exclude) const {
   // Coldest first: probation back (one-shot blocks), then protected back.
   // Reservations (data still arriving) are never victims.
   for (auto it = probation_.rbegin(); it != probation_.rend(); ++it) {
@@ -149,55 +123,15 @@ BlockId BufferManager::pick_memory_victim(BlockId exclude) const {
   return BlockId::invalid();
 }
 
-bool BufferManager::admit_ssd(Bytes size, std::vector<Demotion>& out) {
-  if (!ssd_ || size > ssd_->capacity()) return false;
-  while (!ssd_->admit(size)) {
-    BlockId victim = BlockId::invalid();
-    for (auto it = ssd_lru_.rbegin(); it != ssd_lru_.rend(); ++it) {
-      if (blocks_.at(*it).resident) {
-        victim = *it;
-        break;
-      }
-    }
-    if (!victim.valid()) return false;
-    demote_to_disk(victim, out);
-  }
-  ssd_used_ += size;
-  return true;
-}
-
 bool BufferManager::demote_one(BlockId exclude, std::vector<Demotion>& out) {
-  const BlockId victim = pick_memory_victim(exclude);
+  const BlockId victim = pick_victim(exclude);
   if (!victim.valid()) return false;
   Buffered& buf = blocks_.at(victim);
-  if (ssd_ && admit_ssd(buf.size, out)) {
-    unlink(buf);
-    memory_.release(buf.size);
-    used_ -= buf.size;
-    buf.tier = Tier::Ssd;
-    buf.segment = Segment::Ssd;
-    ssd_lru_.push_front(victim);
-    buf.where = ssd_lru_.begin();
-    out.push_back({victim, Tier::Memory, Tier::Ssd, buf.size, buf.cookie});
-    tier_log_.push_back({victim, Tier::Memory, Tier::Ssd});
-  } else {
-    // No SSD (or it cannot fit the victim even after its own evictions):
-    // fall straight off the bottom of the hierarchy.
-    demote_to_disk(victim, out);
-  }
+  out.push_back({victim, buf.size, buf.cookie});
+  tier_log_.push_back({victim, Tier::Memory, Tier::Disk});
+  drop_refs(victim, buf);
+  evict(victim);
   return true;
-}
-
-void BufferManager::demote_to_disk(BlockId block, std::vector<Demotion>& out) {
-  auto it = blocks_.find(block);
-  DYRS_CHECK(it != blocks_.end());
-  Buffered& buf = it->second;
-  out.push_back({block, buf.tier, Tier::Disk, buf.size, buf.cookie});
-  tier_log_.push_back({block, buf.tier, Tier::Disk});
-  drop_refs(block, buf);
-  unlink(buf);
-  release_tier_bytes(buf);
-  blocks_.erase(it);
 }
 
 void BufferManager::drop_refs(BlockId block, Buffered& buf) {
@@ -268,22 +202,13 @@ void BufferManager::force_evict(BlockId block) {
 std::vector<BlockId> BufferManager::clear_all() {
   std::vector<BlockId> had;
   had.reserve(blocks_.size());
-  for (auto& [block, buf] : blocks_) {
-    had.push_back(block);
-    if (buf.tier == Tier::Memory) {
-      memory_.release(buf.size);
-    } else {
-      DYRS_CHECK(ssd_ != nullptr);
-      ssd_->release(buf.size);
-    }
-  }
+  for (const auto& [block, buf] : blocks_) had.push_back(block);
+  if (memory_ != nullptr) memory_->unpin(used_);
   blocks_.clear();
   job_blocks_.clear();
   probation_.clear();
   protected_.clear();
-  ssd_lru_.clear();
   used_ = 0;
-  ssd_used_ = 0;
   return had;
 }
 

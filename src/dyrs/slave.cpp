@@ -20,8 +20,7 @@ MigrationSlave::MigrationSlave(sim::Simulator& sim, dfs::DataNode& datanode,
                   .reference_block = config.reference_block,
                   .fallback_rate = datanode.node().disk().bandwidth(),
                   .overdue_correction = config.overdue_correction}),
-      buffers_(datanode.node().memory(), &datanode.node().ssd(), policy.tier,
-               config.memory_limit) {
+      buffers_(&datanode.node().memory(), policy.tier, config.memory_limit) {
   DYRS_CHECK(config_.heartbeat_interval > 0);
 }
 
@@ -141,7 +140,7 @@ void MigrationSlave::maybe_start() {
 bool MigrationSlave::start_migration(BoundMigration m) {
   // Reserve memory up front: mlock consumes pages as it reads. Under
   // EvictColdFirst (or past the high watermark) the reservation may demote
-  // cold resident blocks downward; with the default refuse policy a full
+  // cold resident blocks to disk; with the default refuse policy a full
   // buffer stalls the queue until an eviction or a missed-read
   // cancellation makes room (§IV-A1).
   std::vector<BufferManager::Demotion> demoted;
@@ -266,7 +265,6 @@ void MigrationSlave::heartbeat() {
   }
   if (gauge_memory_used_ != nullptr) {
     gauge_memory_used_->set(static_cast<double>(buffers_.used()));
-    gauge_ssd_used_->set(static_cast<double>(buffers_.ssd_used()));
   }
   if (stalled_ || (!queue_.empty() && (!config_.serialize_migrations || active_.empty()))) {
     maybe_start();
@@ -279,18 +277,17 @@ void MigrationSlave::process_demotions(const std::vector<BufferManager::Demotion
   for (const auto& d : demoted) {
     ++demotions_;
     if (ctr_demotions_ != nullptr) ctr_demotions_->inc();
-    emitter_.demote(sim_.now(), d.block, id(), d.from, d.to, d.size);
-    if (d.to == Tier::Disk) evicted.push_back(d.block);
+    emitter_.demote(sim_.now(), d.block, id(), d.size);
+    evicted.push_back(d.block);
   }
   if (gauge_memory_used_ != nullptr) {
     gauge_memory_used_->set(static_cast<double>(buffers_.used()));
-    gauge_ssd_used_->set(static_cast<double>(buffers_.ssd_used()));
   }
-  // Disk demotions fell off the hierarchy entirely: the master must
-  // unregister their replicas. Call the callback directly — demotions run
-  // inside an admission attempt, so no unstall kick (report_evicted's job)
-  // is needed or safe here.
-  if (!evicted.empty() && callbacks_.on_evicted) callbacks_.on_evicted(id(), evicted);
+  // Demoted blocks fell back to disk: the master must unregister their
+  // replicas. Call the callback directly — demotions run inside an
+  // admission attempt, so no unstall kick (report_evicted's job) is needed
+  // or safe here.
+  if (callbacks_.on_evicted) callbacks_.on_evicted(id(), evicted);
 }
 
 void MigrationSlave::report_evicted(const std::vector<BlockId>& evicted) {

@@ -57,7 +57,7 @@ class MigrationSlave {
 
   /// `policy` is the master's: the slave takes its queue depth (§III-B),
   /// its retry budget for (injected) read errors and its buffer manager's
-  /// tier policy from it.
+  /// pressure policy from it.
   MigrationSlave(sim::Simulator& sim, dfs::DataNode& datanode, SlaveConfig config,
                  const ControlPlaneConfig& policy, Callbacks callbacks);
 
@@ -143,13 +143,12 @@ class MigrationSlave {
   void set_obs(const obs::ObsContext& obs) {
     obs_ = obs;
     emitter_ = LifecycleEmitter(obs);
-    const std::string prefix = "node" + std::to_string(id().value()) + ".tier.";
-    gauge_memory_used_ = obs.gauge(prefix + "memory.used_bytes");
-    gauge_ssd_used_ = obs.gauge(prefix + "ssd.used_bytes");
+    gauge_memory_used_ = obs.gauge("node" + std::to_string(id().value()) +
+                                   ".tier.memory.used_bytes");
     ctr_demotions_ = obs.counter("dyrs.migrations.demoted");
   }
 
-  /// Blocks demoted downward by capacity pressure (memory -> ssd -> disk).
+  /// Blocks demoted to disk by capacity pressure.
   long demotions() const { return demotions_; }
 
   // --- retry statistics -------------------------------------------------
@@ -173,8 +172,8 @@ class MigrationSlave {
 
   void maybe_start();
   bool start_migration(BoundMigration m);
-  /// Emits mig_demote events, reports tier-bottom (disk) demotions as
-  /// evictions to the master, and refreshes the per-tier gauges.
+  /// Emits mig_demote events, reports the demoted blocks as evictions to
+  /// the master, and refreshes the buffer gauge.
   void process_demotions(const std::vector<BufferManager::Demotion>& demoted);
   void finish_migration(BlockId block, SimTime finished);
   void fail_migration(BlockId block);
@@ -202,7 +201,6 @@ class MigrationSlave {
   long permanent_failures_ = 0;
   long demotions_ = 0;
   obs::Gauge* gauge_memory_used_ = nullptr;
-  obs::Gauge* gauge_ssd_used_ = nullptr;
   obs::Counter* ctr_demotions_ = nullptr;
 };
 

@@ -22,8 +22,6 @@ Testbed::Testbed(TestbedConfig config) : config_(config) {
                 .node = {.disk = {.name = "disk",
                                   .bandwidth = config_.disk_bandwidth,
                                   .seek_alpha = config_.seek_alpha},
-                         .ssd = {.capacity = config_.node_ssd,
-                                 .read_bandwidth = config_.ssd_bandwidth},
                          .memory = {.capacity = config_.node_memory,
                                     .read_bandwidth = config_.memory_bandwidth},
                          .nic_bandwidth = config_.nic_bandwidth},

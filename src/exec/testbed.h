@@ -45,8 +45,6 @@ struct TestbedConfig {
   double seek_alpha = 0.15;
   Bytes node_memory = gib(128);
   Rate memory_bandwidth = gib_per_sec(25);
-  Bytes node_ssd = gib(512);
-  Rate ssd_bandwidth = mib_per_sec(500);
   Rate nic_bandwidth = gbit_per_sec(10);
 
   // MiniDFS.

@@ -89,7 +89,16 @@ InvariantReport TraceInvariants::check(const TraceReader& reader) const {
   report.memory_read_rule_active = reader.count_of("mig_enqueue") > 0;
 
   std::map<std::int64_t, BlockState> blocks;
-  std::set<std::pair<std::int64_t, std::int64_t>> completed_on;  // (block, node)
+  using BlockNode = std::pair<std::int64_t, std::int64_t>;
+  std::set<BlockNode> completed_on;
+  // Every mig_complete (demoted=false) and mig_demote (demoted=true) of a
+  // (block, node), in trace order: whether the node held the block in
+  // memory when a read started.
+  struct Residency {
+    SimTime at;
+    bool demoted;
+  };
+  std::map<BlockNode, std::vector<Residency>> residency;
   std::map<std::int64_t, int> down;  // node -> active down-fault windows
   bool failover_seen = false;
   SimTime prev_at = 0;
@@ -193,6 +202,19 @@ InvariantReport TraceInvariants::check(const TraceReader& reader) const {
     }
   };
 
+  // The time of the demote that left `key` out of memory when a read
+  // started at `start`, or -1 if it was resident: the last residency
+  // change before the start decides, where a demote must precede the start
+  // strictly and a fresh completion may coincide with it.
+  auto demoted_before = [&](const BlockNode& key, SimTime start) -> SimTime {
+    auto it = residency.find(key);
+    if (it == residency.end()) return -1;
+    for (auto r = it->second.rbegin(); r != it->second.rend(); ++r) {
+      if (r->demoted ? r->at < start : r->at <= start) return r->demoted ? r->at : -1;
+    }
+    return -1;
+  };
+
   for (std::size_t i = 0; i < events.size(); ++i) {
     const TraceEvent& e = events[i];
     // Merged rt traces are in canonical merge-key order (grouped per block),
@@ -236,10 +258,16 @@ InvariantReport TraceInvariants::check(const TraceReader& reader) const {
       const std::string medium = e.str("medium");
       if (report.memory_read_rule_active &&
           (medium == "local-memory" || medium == "remote-memory")) {
-        if (completed_on.count({e.i64("block"), e.i64("node")}) == 0) {
-          violate("memory-read", i, e,
-                  "memory read of block " + std::to_string(e.i64("block")) + " on node " +
-                      std::to_string(e.i64("node")) + " with no prior mig_complete there");
+        const BlockNode key{e.i64("block"), e.i64("node")};
+        const std::string what = "memory read of block " + std::to_string(key.first) +
+                                 " on node " + std::to_string(key.second);
+        const SimTime start = e.at - e.i64("latency_us", 0);
+        if (completed_on.count(key) == 0) {
+          violate("memory-read", i, e, what + " with no prior mig_complete there");
+        } else if (const SimTime demoted = demoted_before(key, start); demoted >= 0) {
+          violate("demoted-read", i, e,
+                  what + " started at " + std::to_string(start) + "us, after its mig_demote at " +
+                      std::to_string(demoted) + "us with no fresh mig_complete");
         }
       }
       continue;
@@ -391,6 +419,7 @@ InvariantReport TraceInvariants::check(const TraceReader& reader) const {
       }
     } else if (e.type == "mig_complete") {
       completed_on.insert({block, node});
+      residency[{block, node}].push_back({e.at, false});
       if (zombie) {
         ++report.zombie_events;
       } else if ((st.phase == Phase::Transferring || st.phase == Phase::Bound) &&
@@ -434,23 +463,13 @@ InvariantReport TraceInvariants::check(const TraceReader& reader) const {
       }
     } else if (e.type == "mig_demote") {
       // Demotions act on settled data outside the migration lifecycle: the
-      // block must have completed on this node, and the move must go
-      // strictly downward through known tiers.
+      // block must have completed on this node, and it falls from memory
+      // to disk, the only tiers there are.
       ++report.demotions;
-      const auto tier_rank = [](const std::string& t) {
-        if (t == "memory") return 2;
-        if (t == "ssd") return 1;
-        if (t == "disk") return 0;
-        return -1;
-      };
-      const int from = tier_rank(e.str("from"));
-      const int to = tier_rank(e.str("to"));
-      if (from < 0 || to < 0) {
+      residency[{block, node}].push_back({e.at, true});
+      if (e.str("from") != "memory" || e.str("to") != "disk") {
         violate("demote", i, e,
-                "unknown tier in demote: from=" + e.str("from") + " to=" + e.str("to"));
-      } else if (from <= to) {
-        violate("demote", i, e,
-                "demotion not downward: " + e.str("from") + " -> " + e.str("to"));
+                "demotion is not memory -> disk: " + e.str("from") + " -> " + e.str("to"));
       }
       if (completed_on.count({block, node}) == 0) {
         violate("demote", i, e,

@@ -22,8 +22,12 @@
 //                  memory replicas without the migration master).
 //  * demote      — a `mig_demote` acts on settled data: the block must have
 //                  a prior `mig_complete` on that node, and the move must
-//                  be strictly downward through known tiers (memory -> ssd,
-//                  ssd -> disk, or memory -> disk when the ssd is full).
+//                  be memory -> disk.
+//  * demoted-read — a demoted block is read at disk speed: a `read_done`
+//                  served from memory on node N must not start (`at` minus
+//                  `latency_us`) strictly after a `mig_demote` of that
+//                  block on N unless a fresh `mig_complete` there came in
+//                  between. Active whenever memory-read is.
 //
 // Tolerated, never flagged:
 //  * master failover wipes master soft state: open lifecycles at a
@@ -46,7 +50,8 @@
 namespace dyrs::obs {
 
 struct InvariantViolation {
-  std::string rule;  // terminal | queue-wait | order | live-bind | memory-read | demote | policy
+  std::string rule;  // terminal | queue-wait | order | live-bind | memory-read | demote |
+                     // demoted-read | policy
   std::string detail;  // human-readable description
   std::size_t event_index = 0;  // offending event's position in the trace
   SimTime at = -1;

@@ -34,7 +34,6 @@ RtSlave::RtSlave(Options options, const core::ControlPlaneConfig& policy,
                  ? std::chrono::steady_clock::now()
                  : options_.trace_epoch),
       disk_(options_.disk_bandwidth),
-      ssd_(options_.ssd_bandwidth),
       on_complete_(std::move(on_complete)),
       pull_(std::move(pull)),
       on_failed_(std::move(on_failed)),
@@ -42,18 +41,12 @@ RtSlave::RtSlave(Options options, const core::ControlPlaneConfig& policy,
           "node" + std::to_string(options_.node.value()) + ".rt.pull_us")),
       gauge_memory_used_(options_.obs.gauge(
           "node" + std::to_string(options_.node.value()) + ".tier.memory.used_bytes")),
-      gauge_ssd_used_(options_.obs.gauge(
-          "node" + std::to_string(options_.node.value()) + ".tier.ssd.used_bytes")),
       ctr_demotions_(options_.obs.counter("dyrs.migrations.demoted")),
       estimator_({.ewma_alpha = options_.ewma_alpha,
                   .reference_block = options_.reference_block,
                   .fallback_rate = options_.disk_bandwidth,
                   .overdue_correction = true}),
-      mem_tier_(Tier::Memory, options_.memory_capacity, gib_per_sec(100)),
-      ssd_tier_(Tier::Ssd, options_.ssd_capacity, options_.ssd_bandwidth),
-      buffers_(mem_tier_, &ssd_tier_, policy_.tier,
-               options_.memory_capacity == 0 ? mem_tier_.capacity()
-                                             : options_.memory_capacity),
+      buffers_(nullptr, policy_.tier, options_.memory_capacity),
       emitter_(options_.obs,
                [this](obs::TraceEvent& e, BlockId /*block*/, int rank) {
                  // Worker-thread merge key: lseq from the lifecycle's cycle,
@@ -183,10 +176,9 @@ void RtSlave::admit_settled_locked(const RtMigration& next,
   const BlockId block = next.m.block;
   const auto size = static_cast<std::size_t>(next.m.size);
   if (buffers_.contains(block)) {
-    // A re-migrated block: fold the new references in; refresh the real
-    // bytes only if the block still lives in the memory tier.
+    // A re-migrated block: fold the new references in, refresh the bytes.
     buffers_.add_refs(block, next.m.jobs);
-    if (buffers_.tier_of(block) == Tier::Memory) data_[block].assign(size, std::byte{});
+    data_[block].assign(size, std::byte{});
     return;
   }
   const std::size_t before = demoted.size();
@@ -198,24 +190,19 @@ void RtSlave::admit_settled_locked(const RtMigration& next,
   }
   // A refused admission (pressure + RefuseAdmission) still settles the
   // migration — the block just is not buffered — and the attempt may still
-  // have forced demotions out of the ssd cascade, so process them anyway.
+  // have demoted blocks, so process them anyway.
   demotions_ += static_cast<long>(demoted.size() - before);
   if (ctr_demotions_) ctr_demotions_->add(static_cast<long>(demoted.size() - before));
   for (std::size_t i = before; i < demoted.size(); ++i) data_.erase(demoted[i].block);
   if (gauge_memory_used_) gauge_memory_used_->set(static_cast<double>(buffers_.used()));
-  if (gauge_ssd_used_) gauge_ssd_used_->set(static_cast<double>(buffers_.ssd_used()));
 }
 
 void RtSlave::process_demotions(const std::vector<core::BufferManager::Demotion>& demoted) {
   for (const auto& d : demoted) {
-    if (d.to == Tier::Ssd) {
-      // Pace the spill onto the flash device; beats keep the node alive.
-      ssd_.read({d.size}, nullptr, [this] { beat(); });
-    }
     // Demote events merge under the victim's own lifecycle (its admission
     // cycle): kRankDemote sorts strictly after that cycle's terminal event.
     emit_cycle_ = d.cookie != 0 ? d.cookie : 1;
-    emitter_.demote(now_us(), d.block, options_.node, d.from, d.to, d.size);
+    emitter_.demote(now_us(), d.block, options_.node, d.size);
   }
 }
 
@@ -247,17 +234,7 @@ std::size_t RtSlave::buffered_count() const {
 
 Bytes RtSlave::buffered_bytes() const {
   std::lock_guard lock(mu_);
-  return buffers_.used() + buffers_.ssd_used();
-}
-
-Bytes RtSlave::memory_tier_bytes() const {
-  std::lock_guard lock(mu_);
   return buffers_.used();
-}
-
-Bytes RtSlave::ssd_tier_bytes() const {
-  std::lock_guard lock(mu_);
-  return buffers_.ssd_used();
 }
 
 long RtSlave::demotions() const {
@@ -404,9 +381,9 @@ bool RtSlave::read_and_flush(std::size_t n, const std::stop_token& st) {
     queue_.resize(kept);
   }
 
-  // Spill pacing and demote events happen outside mu_, before the cycle's
-  // report (mirroring the sim slave, which demotes at admission time, ahead
-  // of the new block's completion record).
+  // Demote events are emitted outside mu_, before the cycle's report
+  // (mirroring the sim slave, which demotes at admission time, ahead of the
+  // new block's completion record).
   if (!demoted.empty()) process_demotions(demoted);
   if (!dones.empty() && on_complete_) on_complete_(std::move(dones));
   return true;

@@ -15,11 +15,10 @@
 // migration back to the master via `on_failed`, which requeues it with
 // this node on the avoid list.
 //
-// Settled blocks land in the shared core::BufferManager over two counting
-// tiers (memory, ssd): the same SLRU segments, watermark demotion and
-// admission policy the sim slave runs, so both backends make identical
-// tier decisions. Memory -> ssd spills are paced on a second ThrottledDisk
-// (the flash device); ssd -> disk demotions drop the buffer entirely.
+// Settled blocks land in the shared core::BufferManager: the same SLRU
+// segments, watermark demotion and admission policy the sim slave runs, so
+// both backends make identical tier decisions. A demotion drops the
+// block's buffer; the block is read from disk again.
 //
 // There is one data path and one drain cycle. The worker pulls only when it
 // holds nothing, takes up to its queue capacity (by default the §III-B
@@ -52,9 +51,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cluster/tier_store.h"
 #include "common/ids.h"
-#include "common/tier.h"
 #include "core/control_plane.h"
 #include "core/lifecycle.h"
 #include "core/types.h"
@@ -89,13 +86,9 @@ class RtSlave {
   struct Options {
     NodeId node;
     Rate disk_bandwidth = mib_per_sec(100);
-    /// Flash-tier spill bandwidth: paces memory -> ssd demotion writes.
-    Rate ssd_bandwidth = mib_per_sec(500);
-    /// Buffered-tier capacities for the node's buffer manager. 0 (the
-    /// default) means unbounded, which preserves the single-tier
-    /// behaviour: every admission succeeds and nothing is demoted.
+    /// Cap on the node's buffered bytes. 0 (the default) means unbounded:
+    /// every admission succeeds and nothing is demoted.
     Bytes memory_capacity = 0;
-    Bytes ssd_capacity = 0;
     /// Local queue depth: the most a pull hands over, and so the most one
     /// drain cycle reads and reports. 0 (the default) derives it from the
     /// policy's `queue_depth`, `heartbeat_interval` and the unloaded
@@ -121,7 +114,7 @@ class RtSlave {
   };
 
   /// `policy` is the master's: the slave takes its derived queue depth,
-  /// its retry budget and its buffer manager's tier policy from it.
+  /// its retry budget and its buffer manager's pressure policy from it.
   /// `on_complete` and `on_failed` run on the slave's worker thread.
   /// `on_complete` receives every settlement the current drain cycle
   /// produced, up to `queue_capacity` elements. `pull` is invoked (also on
@@ -205,10 +198,7 @@ class RtSlave {
   /// Buffered blocks migrated so far (copies real bytes into real memory).
   std::size_t buffered_count() const;
   Bytes buffered_bytes() const;
-  /// Per-tier occupancy of the buffer manager. Thread-safe.
-  Bytes memory_tier_bytes() const;
-  Bytes ssd_tier_bytes() const;
-  /// Blocks demoted downward by capacity pressure (memory -> ssd -> disk).
+  /// Blocks demoted to disk by capacity pressure.
   long demotions() const;
   /// Copy of the buffer manager's admission/demotion decision log — the
   /// sim-vs-rt differential test compares per-node projections of this.
@@ -259,8 +249,7 @@ class RtSlave {
   /// `demoted`. Caller holds mu_ and processes `demoted` after releasing it.
   void admit_settled_locked(const RtMigration& next,
                             std::vector<core::BufferManager::Demotion>& demoted);
-  /// Paces memory -> ssd spills on the flash device and emits the
-  /// mig_demote lifecycle events. Worker thread, outside mu_.
+  /// Emits the mig_demote lifecycle events. Worker thread, outside mu_.
   void process_demotions(const std::vector<core::BufferManager::Demotion>& demoted);
   /// Publishes a heartbeat unless partitioned.
   void beat();
@@ -271,18 +260,15 @@ class RtSlave {
   const core::ControlPlaneConfig policy_;
   const std::chrono::steady_clock::time_point epoch_;
   ThrottledDisk disk_;
-  /// The flash spill device: demotion writes are paced here, outside mu_.
-  ThrottledDisk ssd_;
   std::function<void(std::vector<RtMigrationDone>)> on_complete_;
   std::function<void(RtSlave&, int)> pull_;
   std::function<void(NodeId, RtMigration)> on_failed_;
   /// Wall-clock latency of each master pull, recorded by the worker thread
   /// only (histograms are single-writer); null when metrics are off.
   obs::Histogram* pull_latency_ = nullptr;
-  /// Per-tier occupancy gauges + demotion counter; null when metrics are
-  /// off. Cached before the worker starts, refreshed at settlement.
+  /// Buffered-bytes gauge + demotion counter; null when metrics are off.
+  /// Cached before the worker starts, refreshed at settlement.
   obs::Gauge* gauge_memory_used_ = nullptr;
-  obs::Gauge* gauge_ssd_used_ = nullptr;
   obs::Counter* ctr_demotions_ = nullptr;
 
   mutable std::mutex mu_;
@@ -297,14 +283,9 @@ class RtSlave {
   /// slice so the read stops without taking mu_.
   std::atomic<bool> active_cancelled_{false};
   core::MigrationEstimator estimator_;
-  /// Capacity accounting for the buffered tiers (mutated under mu_ through
-  /// buffers_); capacity 0 reads as unbounded.
-  cluster::CountingTier mem_tier_;
-  cluster::CountingTier ssd_tier_;
-  /// Shared tier engine (SLRU segments, watermark demotion); under mu_.
+  /// Shared buffer engine (SLRU segments, watermark demotion); under mu_.
   core::BufferManager buffers_;
-  /// Real bytes for *memory-resident* blocks (under mu_). A demotion spills
-  /// or drops the in-memory copy, so ssd-tier blocks carry no bytes here.
+  /// Real bytes for every buffered block (under mu_).
   std::unordered_map<BlockId, std::vector<std::byte>> data_;
   long demotions_ = 0;                            // under mu_
   std::function<bool(BlockId)> read_fault_hook_;  // under mu_

@@ -12,7 +12,9 @@ TEST(Memory, PinWithinCapacity) {
   Memory mem(sim, {.capacity = gib(1), .read_bandwidth = gib_per_sec(25)});
   EXPECT_TRUE(mem.pin(mib(512)));
   EXPECT_EQ(mem.pinned(), mib(512));
-  EXPECT_EQ(mem.available(), gib(1) - mib(512));
+  // The rest of the capacity stays pinnable, and not a byte more.
+  EXPECT_TRUE(mem.pin(gib(1) - mib(512)));
+  EXPECT_FALSE(mem.pin(1));
 }
 
 TEST(Memory, PinBeyondCapacityFails) {

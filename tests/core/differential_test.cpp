@@ -316,9 +316,9 @@ void check_tier_traces(const TierOutcome& sim, const TierOutcome& rt) {
 }
 
 TEST(Differential, EvictColdFirstTierDecisionsAreIdentical) {
-  // A 2-block memory cap with unbounded SSD: every node's third admission
-  // must demote its coldest resident block, on both backends, in the same
-  // per-node order.
+  // A 2-block memory cap: every node's third admission must demote its
+  // coldest resident block to disk, on both backends, in the same per-node
+  // order.
   const std::vector<std::pair<JobId, int>> jobs = {{JobId(1), 16}};
   core::TierPolicy tier;
   tier.on_pressure = core::TierPolicy::OnPressure::EvictColdFirst;

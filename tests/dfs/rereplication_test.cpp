@@ -67,7 +67,6 @@ TEST(Rereplication, AutomaticTimerRecovers) {
   cluster::Cluster cluster(
       sim, {.num_nodes = 5,
             .node = {.disk = {.name = "d", .bandwidth = mib_per_sec(64), .seek_alpha = 0.0},
-                     .ssd = {},
                      .memory = {},
                      .nic_bandwidth = gbit_per_sec(10)},
             .per_node = nullptr});

@@ -5,7 +5,6 @@
 #include <algorithm>
 
 #include "cluster/memory.h"
-#include "cluster/ssd.h"
 #include "common/check.h"
 #include "common/random.h"
 #include "sim/simulator.h"
@@ -25,7 +24,7 @@ struct BufferFixture : ::testing::Test {
 };
 
 TEST_F(BufferFixture, AddPinsMemory) {
-  BufferManager bm(memory);
+  BufferManager bm(&memory);
   EXPECT_TRUE(bm.try_add(BlockId(1), mib(256), refs({{1, EvictionMode::Explicit}})));
   EXPECT_TRUE(bm.contains(BlockId(1)));
   EXPECT_EQ(bm.used(), mib(256));
@@ -33,22 +32,47 @@ TEST_F(BufferFixture, AddPinsMemory) {
 }
 
 TEST_F(BufferFixture, HardLimitBelowNodeMemory) {
-  BufferManager bm(memory, mib(300));
+  BufferManager bm(&memory, {}, mib(300));
   EXPECT_TRUE(bm.try_add(BlockId(1), mib(256), refs({{1, EvictionMode::Explicit}})));
   EXPECT_FALSE(bm.try_add(BlockId(2), mib(256), refs({{1, EvictionMode::Explicit}})));
   EXPECT_FALSE(bm.contains(BlockId(2)));
   EXPECT_EQ(bm.used(), mib(256));
 }
 
+// The rt slave buffers without a node memory object, so its limit alone
+// decides admission.
+TEST_F(BufferFixture, WithoutNodeMemoryLimitAdmitsUpToCapacityAndRefusesBeyond) {
+  BufferManager capped(nullptr, {}, gib(1));
+  EXPECT_TRUE(capped.try_add(BlockId(1), mib(768), refs({{1, EvictionMode::Explicit}})));
+  EXPECT_EQ(capped.used(), mib(768));
+  // A refused admission changes nothing.
+  EXPECT_FALSE(capped.try_add(BlockId(2), mib(512), refs({{1, EvictionMode::Explicit}})));
+  EXPECT_FALSE(capped.contains(BlockId(2)));
+  EXPECT_EQ(capped.used(), mib(768));
+  EXPECT_TRUE(capped.try_add(BlockId(3), mib(256), refs({{1, EvictionMode::Explicit}})));
+  EXPECT_EQ(capped.used(), gib(1));
+  EXPECT_EQ(capped.release_job(JobId(1)).size(), 2u);
+  EXPECT_EQ(capped.used(), 0);
+  EXPECT_EQ(memory.pinned(), 0);  // nothing pinned the node's memory
+}
+
+TEST_F(BufferFixture, WithoutNodeMemoryZeroLimitMeansUnbounded) {
+  BufferManager unbounded(nullptr);
+  EXPECT_TRUE(unbounded.try_add(BlockId(1), gib(1024), refs({{1, EvictionMode::Explicit}})));
+  EXPECT_TRUE(unbounded.try_add(BlockId(2), gib(1024), refs({{1, EvictionMode::Explicit}})));
+  EXPECT_EQ(unbounded.used(), gib(2048));
+  EXPECT_EQ(memory.pinned(), 0);
+}
+
 TEST_F(BufferFixture, NodeMemoryAlsoLimits) {
-  BufferManager bm(memory);  // limit = node capacity (1GiB)
+  BufferManager bm(&memory);  // limit = node capacity (1GiB)
   // Consume most node memory externally (e.g. tasks).
   ASSERT_TRUE(memory.pin(mib(900)));
   EXPECT_FALSE(bm.try_add(BlockId(1), mib(256), refs({{1, EvictionMode::Explicit}})));
 }
 
 TEST_F(BufferFixture, ExplicitReleaseEvictsWhenLastRefDrops) {
-  BufferManager bm(memory);
+  BufferManager bm(&memory);
   ASSERT_TRUE(bm.try_add(BlockId(1), mib(64),
                          refs({{1, EvictionMode::Explicit}, {2, EvictionMode::Explicit}})));
   EXPECT_TRUE(bm.release_job(JobId(1)).empty());  // job 2 still holds it
@@ -60,7 +84,7 @@ TEST_F(BufferFixture, ExplicitReleaseEvictsWhenLastRefDrops) {
 }
 
 TEST_F(BufferFixture, ImplicitEvictionOnRead) {
-  BufferManager bm(memory);
+  BufferManager bm(&memory);
   ASSERT_TRUE(bm.try_add(BlockId(1), mib(64), refs({{1, EvictionMode::Implicit}})));
   auto evicted = bm.on_block_read(BlockId(1), JobId(1));
   ASSERT_EQ(evicted.size(), 1u);
@@ -68,7 +92,7 @@ TEST_F(BufferFixture, ImplicitEvictionOnRead) {
 }
 
 TEST_F(BufferFixture, ExplicitModeIgnoresReads) {
-  BufferManager bm(memory);
+  BufferManager bm(&memory);
   ASSERT_TRUE(bm.try_add(BlockId(1), mib(64), refs({{1, EvictionMode::Explicit}})));
   EXPECT_TRUE(bm.on_block_read(BlockId(1), JobId(1)).empty());
   EXPECT_TRUE(bm.contains(BlockId(1)));
@@ -77,7 +101,7 @@ TEST_F(BufferFixture, ExplicitModeIgnoresReads) {
 TEST_F(BufferFixture, MixedModesPerJob) {
   // Job 1 implicit, job 2 explicit on the same block: job 1's read drops
   // only its own reference.
-  BufferManager bm(memory);
+  BufferManager bm(&memory);
   ASSERT_TRUE(bm.try_add(BlockId(1), mib(64),
                          refs({{1, EvictionMode::Implicit}, {2, EvictionMode::Explicit}})));
   EXPECT_TRUE(bm.on_block_read(BlockId(1), JobId(1)).empty());
@@ -87,14 +111,14 @@ TEST_F(BufferFixture, MixedModesPerJob) {
 }
 
 TEST_F(BufferFixture, ReadByNonReferencingJobIsNoop) {
-  BufferManager bm(memory);
+  BufferManager bm(&memory);
   ASSERT_TRUE(bm.try_add(BlockId(1), mib(64), refs({{1, EvictionMode::Implicit}})));
   EXPECT_TRUE(bm.on_block_read(BlockId(1), JobId(99)).empty());
   EXPECT_TRUE(bm.contains(BlockId(1)));
 }
 
 TEST_F(BufferFixture, AddRefsToBufferedBlock) {
-  BufferManager bm(memory);
+  BufferManager bm(&memory);
   ASSERT_TRUE(bm.try_add(BlockId(1), mib(64), refs({{1, EvictionMode::Implicit}})));
   bm.add_refs(BlockId(1), refs({{2, EvictionMode::Implicit}}));
   bm.on_block_read(BlockId(1), JobId(1));
@@ -106,7 +130,7 @@ TEST_F(BufferFixture, AddRefsToBufferedBlock) {
 TEST_F(BufferFixture, ScavengeDropsDeadJobs) {
   // Paper §III-C3: when memory pressure hits, the slave asks the cluster
   // scheduler which jobs are active and clears dead jobs' references.
-  BufferManager bm(memory);
+  BufferManager bm(&memory);
   ASSERT_TRUE(bm.try_add(BlockId(1), mib(64), refs({{1, EvictionMode::Explicit}})));
   ASSERT_TRUE(bm.try_add(BlockId(2), mib(64), refs({{2, EvictionMode::Explicit}})));
   ASSERT_TRUE(bm.try_add(BlockId(3), mib(64),
@@ -119,7 +143,7 @@ TEST_F(BufferFixture, ScavengeDropsDeadJobs) {
 }
 
 TEST_F(BufferFixture, OverThreshold) {
-  BufferManager bm(memory, mib(100));
+  BufferManager bm(&memory, {}, mib(100));
   EXPECT_FALSE(bm.over_threshold(0.9));
   ASSERT_TRUE(bm.try_add(BlockId(1), mib(95), refs({{1, EvictionMode::Explicit}})));
   EXPECT_TRUE(bm.over_threshold(0.9));
@@ -127,7 +151,7 @@ TEST_F(BufferFixture, OverThreshold) {
 }
 
 TEST_F(BufferFixture, ForceEvictIgnoresRefs) {
-  BufferManager bm(memory);
+  BufferManager bm(&memory);
   ASSERT_TRUE(bm.try_add(BlockId(1), mib(64), refs({{1, EvictionMode::Explicit}})));
   bm.force_evict(BlockId(1));
   EXPECT_FALSE(bm.contains(BlockId(1)));
@@ -138,7 +162,7 @@ TEST_F(BufferFixture, ForceEvictIgnoresRefs) {
 }
 
 TEST_F(BufferFixture, ClearAllReturnsEverythingAndUnpins) {
-  BufferManager bm(memory);
+  BufferManager bm(&memory);
   ASSERT_TRUE(bm.try_add(BlockId(1), mib(64), refs({{1, EvictionMode::Explicit}})));
   ASSERT_TRUE(bm.try_add(BlockId(2), mib(64), refs({{2, EvictionMode::Implicit}})));
   auto had = bm.clear_all();
@@ -149,14 +173,14 @@ TEST_F(BufferFixture, ClearAllReturnsEverythingAndUnpins) {
 }
 
 TEST_F(BufferFixture, DoubleAddThrows) {
-  BufferManager bm(memory);
+  BufferManager bm(&memory);
   ASSERT_TRUE(bm.try_add(BlockId(1), mib(64), refs({{1, EvictionMode::Explicit}})));
   EXPECT_THROW(bm.try_add(BlockId(1), mib(64), refs({{2, EvictionMode::Explicit}})),
                CheckError);
 }
 
 TEST_F(BufferFixture, EmptyRefsThrow) {
-  BufferManager bm(memory);
+  BufferManager bm(&memory);
   EXPECT_THROW(bm.try_add(BlockId(1), mib(64), {}), CheckError);
 }
 
@@ -165,19 +189,19 @@ TEST_F(BufferFixture, EmptyRefsThrow) {
 TEST_F(BufferFixture, AdmissionExactlyAtHardLimit) {
   // A block that lands used() exactly on the limit is admitted; the next
   // byte is refused.
-  BufferManager bm(memory, mib(300));
+  BufferManager bm(&memory, {}, mib(300));
   EXPECT_TRUE(bm.try_add(BlockId(1), mib(300), refs({{1, EvictionMode::Explicit}})));
   EXPECT_EQ(bm.used(), bm.limit());
   EXPECT_FALSE(bm.try_add(BlockId(2), mib(1), refs({{1, EvictionMode::Explicit}})));
   // And a single block larger than the limit can never be admitted.
-  BufferManager small(memory, mib(100));
+  BufferManager small(&memory, {}, mib(100));
   EXPECT_FALSE(small.try_add(BlockId(3), mib(100) + 1, refs({{1, EvictionMode::Explicit}})));
 }
 
 TEST_F(BufferFixture, OverThresholdAtExactBoundary) {
   // over_threshold is >= (crossing the watermark triggers the drain), so
   // used() exactly at fraction * limit counts as over.
-  BufferManager bm(memory, mib(100));
+  BufferManager bm(&memory, {}, mib(100));
   ASSERT_TRUE(bm.try_add(BlockId(1), mib(90), refs({{1, EvictionMode::Explicit}})));
   EXPECT_TRUE(bm.over_threshold(0.9));
   EXPECT_FALSE(bm.over_threshold(0.91));
@@ -189,7 +213,7 @@ TEST_F(BufferFixture, ScavengeRacingReleaseJob) {
   // The scheduler reports job 1 dead right as its explicit release lands:
   // whichever runs second must see consistent bookkeeping and evict
   // nothing twice.
-  BufferManager bm(memory);
+  BufferManager bm(&memory);
   ASSERT_TRUE(bm.try_add(BlockId(1), mib(64), refs({{1, EvictionMode::Explicit}})));
   ASSERT_TRUE(bm.try_add(BlockId(2), mib(64),
                          refs({{1, EvictionMode::Explicit}, {2, EvictionMode::Explicit}})));
@@ -212,7 +236,7 @@ TEST_F(BufferFixture, ForceEvictWithLiveReferencesLeavesJobConsistent) {
   // A cancelled migration force-drops its block while the job still
   // references another: only the victim goes, and the job's remaining
   // bookkeeping stays intact.
-  BufferManager bm(memory);
+  BufferManager bm(&memory);
   ASSERT_TRUE(bm.try_add(BlockId(1), mib(64), refs({{1, EvictionMode::Explicit}})));
   ASSERT_TRUE(bm.try_add(BlockId(2), mib(64), refs({{1, EvictionMode::Explicit}})));
   bm.force_evict(BlockId(1));
@@ -228,18 +252,16 @@ TEST_F(BufferFixture, ForceEvictWithLiveReferencesLeavesJobConsistent) {
 TEST_F(BufferFixture, MarkResidentOnEvictedReservationIsNoop) {
   // An implicit read can evict an unreferenced reservation while its data
   // is still arriving; the completion's mark_resident must be a no-op.
-  BufferManager bm(memory);
+  BufferManager bm(&memory);
   ASSERT_TRUE(bm.try_add(BlockId(1), mib(64), refs({{1, EvictionMode::Implicit}})));
   ASSERT_EQ(bm.on_block_read(BlockId(1), JobId(1)).size(), 1u);
   bm.mark_resident(BlockId(1));  // must not throw
   EXPECT_FALSE(bm.contains(BlockId(1)));
 }
 
-// --- tier hierarchy -------------------------------------------------------
+// --- memory pressure -----------------------------------------------------
 
 struct TierFixture : BufferFixture {
-  cluster::Ssd ssd{sim, {.capacity = gib(1), .read_bandwidth = mib_per_sec(500)}};
-
   static TierPolicy evict_cold() {
     TierPolicy p;
     p.on_pressure = TierPolicy::OnPressure::EvictColdFirst;
@@ -255,35 +277,31 @@ struct TierFixture : BufferFixture {
   }
 };
 
-TEST_F(TierFixture, EvictColdFirstDemotesColdestToSsd) {
-  BufferManager bm(memory, &ssd, evict_cold(), mib(128));  // two blocks
+TEST_F(TierFixture, EvictColdFirstDemotesColdestToDisk) {
+  BufferManager bm(&memory, evict_cold(), mib(128));  // two blocks
   std::vector<BufferManager::Demotion> demoted;
   add_resident(bm, 1);
   add_resident(bm, 2);
   add_resident(bm, 3, &demoted);  // pressure: block 1 (coldest) demotes
   ASSERT_EQ(demoted.size(), 1u);
   EXPECT_EQ(demoted[0].block, BlockId(1));
-  EXPECT_EQ(demoted[0].from, Tier::Memory);
-  EXPECT_EQ(demoted[0].to, Tier::Ssd);
   EXPECT_EQ(demoted[0].size, mib(64));
   EXPECT_EQ(demoted[0].cookie, 1u);  // the victim's admission cookie
-  EXPECT_EQ(bm.tier_of(BlockId(1)), Tier::Ssd);
-  EXPECT_EQ(bm.tier_of(BlockId(3)), Tier::Memory);
+  // The demoted block falls back to disk: evicted, unpinned, and its
+  // references dropped, so releasing the job frees only the other two.
+  EXPECT_FALSE(bm.contains(BlockId(1)));
+  EXPECT_TRUE(bm.contains(BlockId(3)));
   EXPECT_EQ(bm.used(), mib(128));
-  EXPECT_EQ(bm.ssd_used(), mib(64));
-  EXPECT_EQ(ssd.used(), mib(64));
-  // Demoted blocks stay buffered and keep their references.
-  EXPECT_TRUE(bm.contains(BlockId(1)));
+  EXPECT_EQ(memory.pinned(), mib(128));
   auto evicted = bm.release_job(JobId(1));
-  EXPECT_EQ(evicted.size(), 3u);
-  EXPECT_EQ(ssd.used(), 0);
+  EXPECT_EQ(evicted.size(), 2u);
   EXPECT_EQ(memory.pinned(), 0);
 }
 
 TEST_F(TierFixture, ReservationsAreNeverDemotionVictims) {
   // Both buffered blocks are still arriving: there is no safe victim, so
   // admission under pressure must refuse rather than demote one.
-  BufferManager bm(memory, &ssd, evict_cold(), mib(128));
+  BufferManager bm(&memory, evict_cold(), mib(128));
   ASSERT_TRUE(bm.try_add(BlockId(1), mib(64), refs({{1, EvictionMode::Explicit}})));
   ASSERT_TRUE(bm.try_add(BlockId(2), mib(64), refs({{1, EvictionMode::Explicit}})));
   std::vector<BufferManager::Demotion> demoted;
@@ -293,7 +311,7 @@ TEST_F(TierFixture, ReservationsAreNeverDemotionVictims) {
 }
 
 TEST_F(TierFixture, SlruReadProtectsHotBlocksFromDemotion) {
-  BufferManager bm(memory, &ssd, evict_cold(), mib(128));
+  BufferManager bm(&memory, evict_cold(), mib(128));
   add_resident(bm, 1);
   add_resident(bm, 2);
   // A read renews demand for block 1: it moves to the protected segment,
@@ -303,14 +321,14 @@ TEST_F(TierFixture, SlruReadProtectsHotBlocksFromDemotion) {
   add_resident(bm, 3, &demoted);
   ASSERT_EQ(demoted.size(), 1u);
   EXPECT_EQ(demoted[0].block, BlockId(2));
-  EXPECT_EQ(bm.tier_of(BlockId(1)), Tier::Memory);
+  EXPECT_TRUE(bm.contains(BlockId(1)));
 }
 
 TEST_F(TierFixture, WatermarkCrossingDrainsToLowMark) {
   TierPolicy p;  // refuse on pressure, but watermarks drain first
   p.high_watermark = 0.8;
   p.low_watermark = 0.5;
-  BufferManager bm(memory, &ssd, p, mib(320));  // high at 256, low at 160
+  BufferManager bm(&memory, p, mib(320));  // high at 256, low at 160
   std::vector<BufferManager::Demotion> demoted;
   add_resident(bm, 1);
   add_resident(bm, 2);
@@ -321,37 +339,13 @@ TEST_F(TierFixture, WatermarkCrossingDrainsToLowMark) {
   EXPECT_EQ(demoted[0].block, BlockId(1));
   EXPECT_EQ(demoted[1].block, BlockId(2));
   EXPECT_EQ(bm.used(), mib(128));
-  EXPECT_EQ(bm.ssd_used(), mib(128));
+  EXPECT_EQ(memory.pinned(), mib(128));
   // The block that triggered the drain is never its victim.
-  EXPECT_EQ(bm.tier_of(BlockId(4)), Tier::Memory);
-}
-
-TEST_F(TierFixture, SsdOverflowCascadesToDisk) {
-  // SSD fits one block. The second memory demotion must first push the
-  // coldest SSD block off the bottom of the hierarchy (refs dropped, block
-  // evicted) to make room.
-  cluster::Ssd tiny{sim, {.capacity = mib(64), .read_bandwidth = mib_per_sec(500)}};
-  BufferManager bm(memory, &tiny, evict_cold(), mib(128));
-  std::vector<BufferManager::Demotion> demoted;
-  add_resident(bm, 1);
-  add_resident(bm, 2);
-  add_resident(bm, 3, &demoted);  // block 1 -> ssd
-  ASSERT_EQ(demoted.size(), 1u);
-  demoted.clear();
-  add_resident(bm, 4, &demoted);  // block 1 -> disk, block 2 -> ssd
-  ASSERT_EQ(demoted.size(), 2u);
-  EXPECT_EQ(demoted[0].block, BlockId(1));
-  EXPECT_EQ(demoted[0].from, Tier::Ssd);
-  EXPECT_EQ(demoted[0].to, Tier::Disk);
-  EXPECT_EQ(demoted[1].block, BlockId(2));
-  EXPECT_EQ(demoted[1].to, Tier::Ssd);
-  EXPECT_FALSE(bm.contains(BlockId(1)));  // off the hierarchy entirely
-  EXPECT_EQ(tiny.used(), mib(64));
-  EXPECT_EQ(bm.used(), mib(128));
+  EXPECT_TRUE(bm.contains(BlockId(4)));
 }
 
 TEST_F(TierFixture, TierLogRecordsAdmissionsAndDemotionsInOrder) {
-  BufferManager bm(memory, &ssd, evict_cold(), mib(128));
+  BufferManager bm(&memory, evict_cold(), mib(128));
   std::vector<BufferManager::Demotion> demoted;
   add_resident(bm, 1);
   add_resident(bm, 2);
@@ -359,25 +353,10 @@ TEST_F(TierFixture, TierLogRecordsAdmissionsAndDemotionsInOrder) {
   const std::vector<BufferManager::TierDecision> expected = {
       {BlockId(1), Tier::Disk, Tier::Memory},
       {BlockId(2), Tier::Disk, Tier::Memory},
-      {BlockId(1), Tier::Memory, Tier::Ssd},
+      {BlockId(1), Tier::Memory, Tier::Disk},
       {BlockId(3), Tier::Disk, Tier::Memory},
   };
   EXPECT_EQ(bm.tier_log(), expected);
-}
-
-TEST_F(TierFixture, ClearAllReleasesBothTiers) {
-  BufferManager bm(memory, &ssd, evict_cold(), mib(128));
-  std::vector<BufferManager::Demotion> demoted;
-  add_resident(bm, 1);
-  add_resident(bm, 2);
-  add_resident(bm, 3, &demoted);  // one block now on ssd
-  ASSERT_EQ(bm.ssd_used(), mib(64));
-  auto had = bm.clear_all();
-  EXPECT_EQ(had.size(), 3u);
-  EXPECT_EQ(bm.used(), 0);
-  EXPECT_EQ(bm.ssd_used(), 0);
-  EXPECT_EQ(memory.pinned(), 0);
-  EXPECT_EQ(ssd.used(), 0);
 }
 
 // Invariant sweep: after arbitrary interleavings of add/release/read, used()
@@ -387,7 +366,7 @@ class BufferInvariantTest : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(BufferInvariantTest, AccountingStaysConsistent) {
   sim::Simulator sim;
   cluster::Memory memory(sim, {.capacity = gib(4), .read_bandwidth = gib_per_sec(25)});
-  BufferManager bm(memory, gib(2));
+  BufferManager bm(&memory, {}, gib(2));
   Rng rng(GetParam());
   std::vector<BlockId> live;
   Bytes expected_used = 0;

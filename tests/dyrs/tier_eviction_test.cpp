@@ -1,8 +1,7 @@
-// End-to-end tier eviction on the sim backend: a master-driven run under
-// memory pressure must demote cold blocks downward (memory -> SSD -> disk),
-// keep the namenode's memory-replica registry consistent with what each
-// node can still serve, refresh the per-tier gauges, and leave an
-// oracle-clean trace including the mig_demote events.
+// End-to-end demotion on the sim backend: a master-driven run under memory
+// pressure must demote cold blocks to disk, unregister their memory
+// replicas so later reads go to disk, refresh the buffer gauge, and leave
+// an oracle-clean trace including the mig_demote events.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -30,13 +29,12 @@ struct TierRun {
   obs::Tracer tracer;
   obs::MemorySink sink;
 
-  TierRun(int num_blocks, Bytes memory_limit, Bytes ssd_capacity, TierPolicy tier)
+  TierRun(int num_blocks, Bytes memory_limit, TierPolicy tier)
       : dfs([&] {
           testing::MiniDfs::Options o;
           o.num_nodes = 1;  // all pressure lands on one node
           o.replication = 1;
           o.block_size = kBlock;
-          o.ssd = ssd_capacity;
           o.placement = std::make_unique<dfs::RoundRobinPlacement>();
           return o;
         }()) {
@@ -48,12 +46,31 @@ struct TierRun {
     master = make_dyrs(*dfs.cluster, *dfs.namenode, cfg);
     tracer.set_sink(&sink);
     master->set_observability(obs::ObsContext(&registry, &tracer));
+    dfs.client->set_observability(obs::ObsContext(&registry, &tracer));
     dfs.namenode->create_file("/tier/input", kBlock * num_blocks);
     master->migrate_files(JobId(1), {"/tier/input"}, EvictionMode::Explicit);
     dfs.sim.run_until(minutes(2));
   }
 
   MigrationSlave& slave() { return master->slave(NodeId(0)); }
+
+  /// Reads `block` on the node and returns the medium its `read_done`
+  /// trace event names.
+  std::string read(BlockId block) {
+    dfs.client->read_block(block, NodeId(0), JobId(1), nullptr);
+    dfs.sim.run_until(dfs.sim.now() + minutes(1));
+    for (auto e = sink.events().rbegin(); e != sink.events().rend(); ++e) {
+      if (e->type == "read_done" && e->i64("block") == block.value()) return e->str("medium");
+    }
+    return "none";
+  }
+
+  obs::InvariantReport check_trace() const {
+    obs::TraceInvariants oracle;
+    oracle.profile = obs::TraceInvariants::Profile::Sim;
+    oracle.flag_open_lifecycles = false;  // job 1 still holds its references
+    return oracle.check(obs::TraceReader(sink.events()));
+  }
 };
 
 TierPolicy evict_cold() {
@@ -62,78 +79,62 @@ TierPolicy evict_cold() {
   return p;
 }
 
-TEST(TierEviction, PressureDemotesToSsdAndKeepsBlocksBuffered) {
-  // 8 blocks into a 2-block memory cap with a roomy SSD: six demotions,
-  // every block still buffered (and registered) somewhere on the node.
-  TierRun run(8, 2 * kBlock, gib(1), evict_cold());
+TEST(TierEviction, PressureDemotesToDiskAndUnregistersReplicas) {
+  // 8 blocks into a 2-block memory cap: six demotions, each of which drops
+  // the block from the buffer and from the memory-replica registry.
+  TierRun run(8, 2 * kBlock, evict_cold());
   EXPECT_EQ(run.master->migrations_completed(), 8);
   EXPECT_EQ(run.slave().demotions(), 6);
-  EXPECT_EQ(run.slave().buffers().buffered_count(), 8u);
+  EXPECT_EQ(run.slave().buffers().buffered_count(), 2u);
   EXPECT_EQ(run.slave().buffers().used(), 2 * kBlock);
-  EXPECT_EQ(run.slave().buffers().ssd_used(), 6 * kBlock);
-  // Memory -> SSD keeps the replica served from the node: the registry
-  // still lists all 8.
-  EXPECT_EQ(run.dfs.namenode->memory_replica_count(), 8u);
+  EXPECT_EQ(run.dfs.namenode->memory_replica_count(), 2u);
 
-  // Per-tier gauges and the demotion counter reflect the final state.
+  // The buffer gauge and the demotion counter reflect the final state.
   EXPECT_EQ(run.registry.gauge("node0.tier.memory.used_bytes").value(),
             static_cast<double>(2 * kBlock));
-  EXPECT_EQ(run.registry.gauge("node0.tier.ssd.used_bytes").value(),
-            static_cast<double>(6 * kBlock));
   EXPECT_EQ(run.registry.counter("dyrs.migrations.demoted").value(), 6);
 
   // The trace carries the demote lifecycle events and stays oracle-clean.
-  obs::TraceInvariants oracle;
-  oracle.profile = obs::TraceInvariants::Profile::Sim;
-  oracle.flag_open_lifecycles = false;  // job 1 still holds its references
-  const auto report = oracle.check(obs::TraceReader(run.sink.events()));
+  const auto report = run.check_trace();
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_EQ(report.demotions, 6u);
 }
 
-TEST(TierEviction, SsdOverflowEvictsToDiskAndUnregistersReplica) {
-  // SSD fits a single block: the second demotion cascades, pushing the
-  // coldest SSD block off the hierarchy. Its references drop, the slave
-  // reports the eviction, and the master unregisters the memory replica.
-  TierRun run(4, 2 * kBlock, kBlock, evict_cold());
+TEST(TierEviction, DemotedBlockIsReadFromDisk) {
+  // The coldest block is demoted first. It must leave the registry, so its
+  // next read is served by the disk; a block still buffered reads from
+  // memory. The oracle's demoted-read rule checks the same from the trace.
+  TierRun run(4, 2 * kBlock, evict_cold());
   EXPECT_EQ(run.master->migrations_completed(), 4);
-  auto& buffers = run.slave().buffers();
-  EXPECT_EQ(buffers.buffered_count(), 3u);       // one block fell to disk
-  EXPECT_FALSE(buffers.contains(BlockId(0)));    // the coldest one
-  EXPECT_EQ(buffers.ssd_used(), kBlock);
-  EXPECT_EQ(run.dfs.namenode->memory_replica_count(), 3u);
-  for (const auto& [block, node] : run.dfs.namenode->memory_replica_entries()) {
-    EXPECT_NE(block, BlockId(0));
-  }
+  ASSERT_GT(run.slave().demotions(), 0);
+  ASSERT_FALSE(run.slave().buffers().contains(BlockId(0)));
+  EXPECT_TRUE(run.dfs.namenode->memory_locations(BlockId(0)).empty());
+  ASSERT_TRUE(run.slave().buffers().contains(BlockId(3)));
 
-  obs::TraceInvariants oracle;
-  oracle.profile = obs::TraceInvariants::Profile::Sim;
-  oracle.flag_open_lifecycles = false;
-  const auto report = oracle.check(obs::TraceReader(run.sink.events()));
+  EXPECT_EQ(run.read(BlockId(0)), "local-disk");
+  EXPECT_EQ(run.read(BlockId(3)), "local-memory");
+  const auto report = run.check_trace();
   EXPECT_TRUE(report.ok()) << report.summary();
 }
 
 TEST(TierEviction, EvictJobReleasesAllTiersAndRegistry) {
-  TierRun run(8, 2 * kBlock, gib(1), evict_cold());
-  ASSERT_EQ(run.slave().buffers().ssd_used(), 6 * kBlock);
+  TierRun run(8, 2 * kBlock, evict_cold());
+  ASSERT_EQ(run.slave().buffers().buffered_count(), 2u);
   run.master->evict_job(JobId(1));
   run.dfs.sim.run_until(minutes(3));
   EXPECT_EQ(run.slave().buffers().buffered_count(), 0u);
   EXPECT_EQ(run.slave().buffers().used(), 0);
-  EXPECT_EQ(run.slave().buffers().ssd_used(), 0);
   EXPECT_EQ(run.dfs.namenode->memory_replica_count(), 0u);
-  EXPECT_EQ(run.dfs.cluster->node(NodeId(0)).ssd().used(), 0);
+  EXPECT_EQ(run.dfs.cluster->node(NodeId(0)).memory().pinned(), 0);
 }
 
 TEST(TierEviction, DefaultPolicyPreservesSingleTierStall) {
-  // The default policy (refuse on pressure, watermarks off) is the seed's
-  // single-tier behaviour: a full buffer stalls the queue, nothing ever
-  // reaches the SSD.
-  TierRun run(4, 2 * kBlock, gib(1), TierPolicy{});
+  // The default policy (refuse on pressure, watermarks off) is the
+  // paper's behaviour: a full buffer stalls the queue, nothing is demoted.
+  TierRun run(4, 2 * kBlock, TierPolicy{});
   EXPECT_EQ(run.master->migrations_completed(), 2);
   EXPECT_TRUE(run.slave().stalled());
   EXPECT_EQ(run.slave().demotions(), 0);
-  EXPECT_EQ(run.slave().buffers().ssd_used(), 0);
   // Ending the job releases the buffers and discards the stalled work.
   run.master->evict_job(JobId(1));
   run.dfs.sim.run_until(minutes(4));

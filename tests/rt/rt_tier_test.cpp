@@ -1,8 +1,8 @@
-// Tier behaviour of the real-threaded backend: settlement-time admission
-// into the CountingTier pair, capacity-pressure demotion (memory -> SSD ->
-// disk), per-tier gauges and the demotion counter, mig_demote events that
-// stay oracle-clean in the merged trace, and demotions composing with the
-// failure detector's crash/requeue path.
+// Memory pressure on the real-threaded backend: settlement-time admission
+// into the buffer manager, capacity-pressure demotion to disk (the block's
+// buffer is dropped), the buffer gauge and the demotion counter, mig_demote
+// events that stay oracle-clean in the merged trace, and demotions
+// composing with the failure detector's crash/requeue path.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -24,14 +24,13 @@ using namespace std::chrono_literals;
 
 constexpr Bytes kBlock = mib(1);
 
-RtSlave::Options tier_slave(int node, Bytes memory_capacity, Bytes ssd_capacity = 0) {
+RtSlave::Options tier_slave(int node, Bytes memory_capacity) {
   RtSlave::Options o;
   o.node = NodeId(node);
   o.disk_bandwidth = mib_per_sec(64);
   o.queue_capacity = 2;
   o.reference_block = kBlock;
   o.memory_capacity = memory_capacity;
-  o.ssd_capacity = ssd_capacity;
   return o;
 }
 
@@ -47,7 +46,7 @@ std::vector<RtBlock> single_node_blocks(int count) {
   return blocks;
 }
 
-TEST(RtTier, PressureDemotesToSsdAtSettlement) {
+TEST(RtTier, PressureDemotesToDiskAtSettlement) {
   RtMaster::Options options;
   options.slaves = {tier_slave(0, 2 * kBlock)};
   options.tier = evict_cold();  // the master's policy is every slave's
@@ -59,16 +58,15 @@ TEST(RtTier, PressureDemotesToSsdAtSettlement) {
   RtSlave& slave = master.slave(NodeId(0));
   EXPECT_EQ(master.completed(), 6);
   EXPECT_EQ(slave.demotions(), 4);
-  EXPECT_EQ(slave.buffered_count(), 6u);  // demoted blocks stay buffered
-  EXPECT_EQ(slave.memory_tier_bytes(), 2 * kBlock);
-  EXPECT_EQ(slave.ssd_tier_bytes(), 4 * kBlock);
+  EXPECT_EQ(slave.buffered_count(), 2u);  // demoted blocks dropped their buffers
+  EXPECT_EQ(slave.buffered_bytes(), 2 * kBlock);
 
   // Admissions in settlement order, each demotion logged as it happened.
   const auto log = slave.tier_log();
   int admissions = 0, demotes = 0;
   for (const auto& d : log) {
-    if (d.from == Tier::Disk) ++admissions;
-    if (d.from == Tier::Memory && d.to == Tier::Ssd) ++demotes;
+    if (d.from == Tier::Disk && d.to == Tier::Memory) ++admissions;
+    if (d.from == Tier::Memory && d.to == Tier::Disk) ++demotes;
   }
   EXPECT_EQ(admissions, 6);
   EXPECT_EQ(demotes, 4);
@@ -91,9 +89,7 @@ TEST(RtTier, GaugesAndDemotionCounterTrackTiers) {
   ASSERT_TRUE(master.wait_idle(30s));
 
   EXPECT_EQ(registry.gauge("node0.tier.memory.used_bytes").value(),
-            static_cast<double>(master.slave(NodeId(0)).memory_tier_bytes()));
-  EXPECT_EQ(registry.gauge("node0.tier.ssd.used_bytes").value(),
-            static_cast<double>(master.slave(NodeId(0)).ssd_tier_bytes()));
+            static_cast<double>(master.slave(NodeId(0)).buffered_bytes()));
   EXPECT_EQ(registry.counter("dyrs.migrations.demoted").value(),
             master.slave(NodeId(0)).demotions());
 
@@ -106,28 +102,6 @@ TEST(RtTier, GaugesAndDemotionCounterTrackTiers) {
   const auto report = oracle.check(obs::TraceReader(sink.merge_thread_buffers()));
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_EQ(report.demotions, 4u);
-}
-
-TEST(RtTier, SsdCapCascadesToDisk) {
-  RtMaster::Options options;
-  options.slaves = {tier_slave(0, 2 * kBlock, /*ssd_capacity=*/kBlock)};
-  options.tier = evict_cold();
-  RtMaster master(std::move(options));
-
-  master.migrate(single_node_blocks(6));
-  ASSERT_TRUE(master.wait_idle(30s));
-
-  RtSlave& slave = master.slave(NodeId(0));
-  EXPECT_EQ(master.completed(), 6);
-  EXPECT_EQ(slave.memory_tier_bytes(), 2 * kBlock);
-  EXPECT_EQ(slave.ssd_tier_bytes(), kBlock);
-  EXPECT_EQ(slave.buffered_count(), 3u);  // the rest fell off the bottom
-  int to_disk = 0;
-  for (const auto& d : slave.tier_log()) {
-    if (d.to == Tier::Disk) ++to_disk;
-  }
-  EXPECT_EQ(to_disk, 3);
-  master.shutdown();
 }
 
 TEST(RtTier, RefuseAdmissionStillSettlesMigrations) {
@@ -144,12 +118,11 @@ TEST(RtTier, RefuseAdmissionStillSettlesMigrations) {
   EXPECT_EQ(master.completed(), 6);
   EXPECT_EQ(slave.demotions(), 0);
   EXPECT_EQ(slave.buffered_count(), 2u);
-  EXPECT_EQ(slave.memory_tier_bytes(), 2 * kBlock);
-  EXPECT_EQ(slave.ssd_tier_bytes(), 0);
+  EXPECT_EQ(slave.buffered_bytes(), 2 * kBlock);
   master.shutdown();
 }
 
-TEST(RtTier, EvictJobReleasesBothTiers) {
+TEST(RtTier, EvictJobReleasesBuffers) {
   RtMaster::Options options;
   options.slaves = {tier_slave(0, 2 * kBlock)};
   options.tier = evict_cold();
@@ -157,18 +130,18 @@ TEST(RtTier, EvictJobReleasesBothTiers) {
 
   master.migrate(single_node_blocks(6));
   ASSERT_TRUE(master.wait_idle(30s));
-  ASSERT_GT(master.slave(NodeId(0)).ssd_tier_bytes(), 0);
+  ASSERT_GT(master.slave(NodeId(0)).demotions(), 0);
+  ASSERT_EQ(master.slave(NodeId(0)).buffered_count(), 2u);
 
   master.evict_job(JobId(1));
   RtSlave& slave = master.slave(NodeId(0));
   EXPECT_EQ(slave.buffered_count(), 0u);
-  EXPECT_EQ(slave.memory_tier_bytes(), 0);
-  EXPECT_EQ(slave.ssd_tier_bytes(), 0);
+  EXPECT_EQ(slave.buffered_bytes(), 0);
   master.shutdown();
 }
 
-// A slave crash mid-run under tier pressure: its buffered blocks (both
-// tiers) die with the process, the failure detector requeues the bound
+// A slave crash mid-run under memory pressure: its buffered blocks die
+// with the process, the failure detector requeues the bound
 // work to the survivor, and the survivor's own demotions proceed — the
 // whole episode staying oracle-clean.
 TEST(RtTier, DemotionsComposeWithCrashRequeue) {
@@ -204,11 +177,10 @@ TEST(RtTier, DemotionsComposeWithCrashRequeue) {
   EXPECT_EQ(master.pending(), 0u);
 
   // Everything not settled before the crash ended up on node 0, whose
-  // 2-block cap forces most of it down to SSD.
+  // 2-block cap demotes most of it to disk.
   RtSlave& survivor = master.slave(NodeId(0));
   EXPECT_GT(survivor.demotions(), 0);
-  EXPECT_EQ(survivor.memory_tier_bytes(), 2 * kBlock);
-  EXPECT_GT(survivor.ssd_tier_bytes(), 0);
+  EXPECT_EQ(survivor.buffered_bytes(), 2 * kBlock);
 
   ASSERT_TRUE(injector.wait_done(10000ms));
   master.shutdown();

@@ -20,7 +20,6 @@ struct MiniDfs {
     int replication = 3;
     Bytes block_size = mib(64);
     Bytes memory = gib(8);
-    Bytes ssd = gib(512);
     std::uint64_t placement_seed = 1;
     std::unique_ptr<dfs::PlacementPolicy> placement{};  // default: random
   };
@@ -33,8 +32,6 @@ struct MiniDfs {
                  .num_nodes = o.num_nodes,
                  .node = {.disk = {.name = "disk", .bandwidth = o.disk_bw,
                                    .seek_alpha = o.seek_alpha},
-                          .ssd = {.capacity = o.ssd,
-                                  .read_bandwidth = mib_per_sec(500)},
                           .memory = {.capacity = o.memory,
                                      .read_bandwidth = gib_per_sec(25)},
                           .nic_bandwidth = gbit_per_sec(10)},
