@@ -27,22 +27,36 @@ ControlPlane::Enqueued ControlPlane::enqueue(JobId job, EvictionMode mode, Block
 
 TargetingStats ControlPlane::retarget(const std::vector<SlaveSnapshot>& snapshots, SimTime now) {
   if (queue_.empty() || snapshots.empty()) return {};
+  scorer_.start(snapshots);
+  return run_pass(now);
+}
+
+TargetingStats ControlPlane::retarget(const TargetScorer::Fetch& fetch, SimTime now) {
+  if (queue_.empty()) return {};
+  scorer_.start(fetch);
+  return run_pass(now);
+}
+
+TargetingStats ControlPlane::run_pass(SimTime now) {
   const bool trace = emitter_.tracing() &&
                      config_.target_trace == ControlPlaneConfig::TargetTrace::AtRetarget;
   // Target in the same order binding will consider entries, so the greedy
   // finish-time accounting matches the eventual assignment order. A sweep
-  // targets only snapshot nodes, so each emission carries the estimate
+  // targets only reporting nodes, so each emission carries the estimate
   // that scored it.
-  TargetScorer scorer(snapshots);
-  queue_.visit(config_.ordering, [&](PendingQueue::iterator it) {
-    const NodeId before = it->target;
-    const double sec_per_byte = scorer.assign(*it);
-    if (trace && it->target.valid() && it->target != before) {
-      emitter_.target(now, it->block, it->target, sec_per_byte);
+  queue_.retarget(config_.ordering, [&](PendingMigration& pm) {
+    const NodeId before = pm.target;
+    const double sec_per_byte = scorer_.assign(pm);
+    if (trace && pm.target.valid() && pm.target != before) {
+      emitter_.target(now, pm.block, pm.target, sec_per_byte);
     }
-    return true;
   });
-  return scorer.stats();
+  const TargetingStats& stats = scorer_.stats();
+  if (ctr_scored_ != nullptr) {
+    ctr_scored_->add(static_cast<std::int64_t>(stats.assigned + stats.untargetable));
+    ctr_snapshot_nodes_->add(static_cast<std::int64_t>(stats.snapshot_nodes));
+  }
+  return stats;
 }
 
 BoundMigration ControlPlane::bind_entry(PendingQueue::iterator it, NodeId node,
@@ -69,7 +83,7 @@ std::vector<BoundMigration> ControlPlane::bind_for(NodeId node, int free_slots,
   if (free_slots <= 0 || queue_.empty() || config_.binding == Binding::EagerRandom) return out;
   const bool targeted = config_.binding == Binding::LateTargeted;
   std::int64_t scanned = 0;
-  queue_.visit(config_.ordering, [&](PendingQueue::iterator it) {
+  auto consider = [&](PendingQueue::iterator it) {
     ++scanned;
     // The avoid list gates both modes: a LateTargeted entry can carry a
     // stale target pointing at a node that has since failed on it (a merge
@@ -84,7 +98,14 @@ std::vector<BoundMigration> ControlPlane::bind_for(NodeId node, int free_slots,
     if (!eligible) return true;
     out.push_back(bind_entry(it, node, sec_per_byte, now));
     return --free_slots > 0;
-  });
+  };
+  // A Fifo pass leaves `node`'s list in FIFO order, so walking it binds the
+  // same entries in the same order as walking the whole queue would.
+  if (targeted && config_.ordering == Ordering::Fifo) {
+    queue_.visit_targeted(node, consider);
+  } else {
+    queue_.visit(config_.ordering, consider);
+  }
   if (ctr_bind_scanned_ != nullptr) ctr_bind_scanned_->add(scanned);
   return out;
 }

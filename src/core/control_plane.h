@@ -81,11 +81,15 @@ class ControlPlane {
   explicit ControlPlane(ControlPlaneConfig config = {}) : config_(config) {}
 
   /// Wires lifecycle tracing (with the backend's merge-key stamper, if any)
-  /// and `ctrl.bind.entries_scanned`, the entries bind_for's walks visited.
+  /// and the work counters: `ctrl.bind.entries_scanned` (entries bind_for
+  /// visited), `ctrl.retarget.entries_scored` (entries Algorithm 1 passes
+  /// scored) and `ctrl.retarget.snapshot_nodes` (node snapshots they read).
   void set_observability(const obs::ObsContext& obs,
                          LifecycleEmitter::Stamper stamper = nullptr) {
     emitter_ = LifecycleEmitter(obs, std::move(stamper));
     ctr_bind_scanned_ = obs.counter("ctrl.bind.entries_scanned");
+    ctr_scored_ = obs.counter("ctrl.retarget.entries_scored");
+    ctr_snapshot_nodes_ = obs.counter("ctrl.retarget.snapshot_nodes");
   }
   LifecycleEmitter& emitter() { return emitter_; }
   PendingQueue& queue() { return queue_; }
@@ -104,18 +108,25 @@ class ControlPlane {
   Enqueued enqueue(JobId job, EvictionMode mode, BlockId block, Bytes size,
                    std::vector<NodeId> replicas, const std::vector<NodeId>& avoid, SimTime now);
 
-  /// Algorithm 1 pass: sets each pending entry's earliest-finish target.
-  /// `snapshots` must be in the backend's deterministic node order (both
-  /// drivers precompute a sorted order at construction — the slave set is
-  /// fixed, so no per-pass sort is needed).
+  /// Algorithm 1 pass: sets each pending entry's earliest-finish target
+  /// and files it under that target's list. `snapshots` lists every
+  /// reporting node.
   TargetingStats retarget(const std::vector<SlaveSnapshot>& snapshots, SimTime now);
+  /// The same pass, reading a node's snapshot only when an entry first
+  /// names it as a candidate replica (not on its avoid list), at most once
+  /// per pass; `fetch` returns false for a node that is not reporting. Both
+  /// masters use this form, so a pass costs the nodes the queue names, not
+  /// the cluster.
+  TargetingStats retarget(const TargetScorer::Fetch& fetch, SimTime now);
 
   /// Binds up to `free_slots` pending entries eligible for `node` under
   /// the configured binding mode (target match for LateTargeted; replica
   /// holder not on the avoid list for LateAnyReplica; nothing for
   /// EagerRandom — eager strategies pick nodes themselves via bind_entry).
-  /// The walk stops once the slots are filled. Emits `mig_bind` (and
-  /// `mig_target` in AtBind mode) per binding.
+  /// LateTargeted with Fifo walks only `node`'s target list; the other
+  /// modes walk the queue in consideration order. The walk stops once the
+  /// slots are filled. Emits `mig_bind` (and `mig_target` in AtBind mode)
+  /// per binding.
   std::vector<BoundMigration> bind_for(NodeId node, int free_slots, double sec_per_byte,
                                        SimTime now);
 
@@ -134,10 +145,16 @@ class ControlPlane {
               const std::function<bool(JobId)>& job_active, const AddPending& add, SimTime now);
 
  private:
+  /// Runs the pass `scorer_` was started for over the whole queue.
+  TargetingStats run_pass(SimTime now);
+
   ControlPlaneConfig config_;
   PendingQueue queue_;
+  TargetScorer scorer_;  // reused pass to pass, so a pass allocates nothing
   LifecycleEmitter emitter_;
   obs::Counter* ctr_bind_scanned_ = nullptr;
+  obs::Counter* ctr_scored_ = nullptr;
+  obs::Counter* ctr_snapshot_nodes_ = nullptr;
 };
 
 }  // namespace dyrs::core

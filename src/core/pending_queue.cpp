@@ -19,13 +19,14 @@ PendingMigration* PendingQueue::lookup(BlockId block) {
 
 PendingMigration& PendingQueue::push(PendingMigration pm) {
   DYRS_CHECK_MSG(!contains(pm.block), "block " << pm.block << " already pending");
-  list_.push_back(std::move(pm));
-  auto it = std::prev(list_.end());
-  index_[it->block] = it;
-  return *it;
+  Entry& e = list_.emplace_back(std::move(pm));
+  e.self_ = std::prev(list_.end());
+  index_[e.block] = e.self_;
+  return e;
 }
 
 PendingQueue::iterator PendingQueue::erase(iterator it) {
+  unlink(*it);
   index_.erase(it->block);
   return list_.erase(it);
 }
@@ -33,6 +34,7 @@ PendingQueue::iterator PendingQueue::erase(iterator it) {
 bool PendingQueue::erase(BlockId block) {
   auto it = index_.find(block);
   if (it == index_.end()) return false;
+  unlink(*it->second);
   list_.erase(it->second);
   index_.erase(it);
   return true;
@@ -41,6 +43,40 @@ bool PendingQueue::erase(BlockId block) {
 void PendingQueue::clear() {
   list_.clear();
   index_.clear();
+  std::fill(heads_.begin(), heads_.end(), nullptr);
+}
+
+void PendingQueue::unlink(Entry& e) {
+  if (!e.filed_.valid()) return;
+  (e.prev_ != nullptr ? e.prev_->next_ : heads_[static_cast<std::size_t>(e.filed_.value())]) =
+      e.next_;
+  if (e.next_ != nullptr) e.next_->prev_ = e.prev_;
+  e.prev_ = e.next_ = nullptr;
+  e.filed_ = NodeId::invalid();
+}
+
+void PendingQueue::refile(Entry& e) {
+  if (!e.target.valid()) {
+    unlink(e);
+    return;
+  }
+  const auto id = static_cast<std::size_t>(e.target.value());
+  if (id >= heads_.size()) {
+    heads_.resize(id + 1, nullptr);
+    last_filed_.resize(id + 1, nullptr);
+  }
+  Entry* after = last_filed_[id];
+  if (e.filed_ != e.target || e.prev_ != after) {
+    // Entries this pass already filed here precede `e`; the rest follow.
+    unlink(e);
+    Entry*& link = after != nullptr ? after->next_ : heads_[id];
+    e.prev_ = after;
+    e.next_ = link;
+    if (e.next_ != nullptr) e.next_->prev_ = &e;
+    link = &e;
+    e.filed_ = e.target;
+  }
+  last_filed_[id] = &e;
 }
 
 std::vector<PendingQueue::iterator> PendingQueue::in_order(Ordering ordering) {

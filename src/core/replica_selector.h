@@ -12,6 +12,7 @@
 // blocks have equal size.
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "common/ids.h"
@@ -29,15 +30,30 @@ struct SlaveSnapshot {
 struct TargetingStats {
   std::size_t assigned = 0;    // blocks that received a target
   std::size_t untargetable = 0;  // no replica on any reporting slave
+  std::size_t snapshot_nodes = 0;  // nodes whose snapshot the pass read
 };
 
 /// One Algorithm 1 pass, scoring entries one at a time in the caller's
 /// order. Each snapshot's sec/byte and running load (queued plus targeted
 /// work) sit in arrays indexed by snapshot position, reached through a
-/// node -> slot table; a node listed twice counts with its last values.
+/// node -> slot table. Snapshots come either all up front (a node listed
+/// twice counts with its last values) or one node at a time from a fetch
+/// callback, called the first time an entry names the node as a candidate
+/// replica and memoized for the rest of the pass.
 class TargetScorer {
  public:
-  explicit TargetScorer(const std::vector<SlaveSnapshot>& slaves);
+  /// Fills the node's snapshot and returns true, or returns false when the
+  /// node is not reporting.
+  using Fetch = std::function<bool(NodeId, SlaveSnapshot&)>;
+
+  TargetScorer() = default;
+  explicit TargetScorer(const std::vector<SlaveSnapshot>& slaves) { start(slaves); }
+  /// Starts a pass over `slaves`. A scorer can run pass after pass; each
+  /// start keeps the previous pass's buffers.
+  void start(const std::vector<SlaveSnapshot>& slaves);
+  /// Starts a pass that reads snapshots through `fetch`, which must
+  /// outlive the pass.
+  void start(const Fetch& fetch);
   /// Targets `block` at its earliest-finish replica that is neither
   /// avoided nor silent (ties go to the first listed), or invalid, and
   /// charges the block to that node. Returns its sec_per_byte (0 if none).
@@ -45,7 +61,17 @@ class TargetScorer {
   const TargetingStats& stats() const { return stats_; }
 
  private:
-  std::vector<std::size_t> slot_of_;  // node id -> slot + 1; 0 = not reporting
+  static constexpr std::size_t kSilent = static_cast<std::size_t>(-1);
+  void clear();
+  /// The node's slot + 1, kSilent when it is not reporting; fetches the
+  /// node's snapshot on first use.
+  std::size_t slot_of(NodeId node);
+  void set_slot(std::size_t id, std::size_t slot);
+  std::size_t add(const SlaveSnapshot& s);
+
+  const Fetch* fetch_ = nullptr;
+  std::vector<std::size_t> slot_of_;  // node id -> slot + 1; 0 = not read yet
+  std::vector<std::size_t> touched_;  // node ids whose slot_of_ entry is set
   std::vector<double> sec_per_byte_;
   std::vector<double> load_seconds_;
   TargetingStats stats_;

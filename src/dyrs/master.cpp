@@ -1,6 +1,7 @@
 #include "dyrs/master.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/check.h"
 #include "common/log.h"
@@ -41,9 +42,13 @@ MigrationMaster::MigrationMaster(cluster::Cluster& cluster, dfs::NameNode& namen
                                                   config_, std::move(callbacks));
     dn->on_process_crash = [this, id]() { handle_slave_crash(id); };
     slaves_.emplace(id, std::move(slave));
-    node_order_.push_back(id);
   }
-  std::sort(node_order_.begin(), node_order_.end());
+  for (auto& [id, slave] : slaves_) {
+    const auto i = static_cast<std::size_t>(id.value());
+    if (i >= position_.size()) position_.resize(i + 1);
+    position_[i] = pulse_order_.size();
+    pulse_order_.push_back(slave.get());
+  }
   heartbeat_timer_ =
       cluster_.simulator().every(config_.slave.heartbeat_interval, [this]() { pulse(); });
   if (config_.binding == MasterConfig::Binding::LateTargeted) {
@@ -93,6 +98,7 @@ void MigrationMaster::set_observability(const obs::ObsContext& obs) {
   ctr_cancelled_ = obs.counter("dyrs.migrations.cancelled");
   ctr_requeued_ = obs.counter("dyrs.migrations.requeued");
   ctr_bytes_ = obs.counter("dyrs.migrations.bytes");
+  ctr_pulse_visits_ = obs.counter("dyrs.pulse.slave_visits");
   hist_transfer_s_ = obs.histogram("dyrs.migration.transfer_s");
   hist_pending_wait_s_ = obs.histogram("dyrs.migration.pending_wait_s");
 }
@@ -130,13 +136,21 @@ void MigrationMaster::add_pending(JobId job, BlockId block, EvictionMode mode,
   const auto memory_nodes = namenode_.memory_locations(block);
   if (!memory_nodes.empty()) {
     std::map<JobId, EvictionMode> refs{{job, mode}};
-    for (NodeId n : memory_nodes) slave(n).buffers().add_refs(block, refs);
+    for (NodeId n : memory_nodes) {
+      MigrationSlave& holder = slave(n);
+      holder.buffers().add_refs(block, refs);
+      note_handed(job, holder);
+    }
     return;
   }
   // Already bound to a slave: merge the job into the local migration.
   auto bit = bound_.find(block);
   if (bit != bound_.end()) {
-    if (slave(bit->second).add_refs_if_local(block, {{job, mode}})) return;
+    MigrationSlave& holder = slave(bit->second);
+    if (holder.add_refs_if_local(block, {{job, mode}})) {
+      note_handed(job, holder);
+      return;
+    }
     bound_.erase(bit);  // stale (completed+evicted or crashed); fall through
   }
   // Already pending: merge without touching the namenode (the control
@@ -189,28 +203,54 @@ void MigrationMaster::eager_bind_all() {
 
 void MigrationMaster::retarget_now() {
   if (plane_.queue().empty()) return;
-  std::vector<SlaveSnapshot> snapshots;
-  snapshots.reserve(node_order_.size());
-  for (NodeId id : node_order_) {
-    MigrationSlave& s = *slaves_.at(id);
-    if (!reachable(id, s)) continue;
-    snapshots.push_back({.node = id,
-                         .sec_per_byte = s.estimator().per_byte_estimate(),
-                         .queued_bytes = s.bound_bytes()});
+  // With every slave out of reach there is no pass: targets stay as they
+  // were. Otherwise a pass reads only the replica holders entries name.
+  if (std::none_of(pulse_order_.begin(), pulse_order_.end(),
+                   [this](const MigrationSlave* s) { return reachable(s->id(), *s); })) {
+    return;
   }
-  if (snapshots.empty()) return;
-  plane_.retarget(snapshots, cluster_.simulator().now());
+  plane_.retarget(
+      [this](NodeId id, SlaveSnapshot& out) {
+        auto it = slaves_.find(id);
+        if (it == slaves_.end() || !reachable(id, *it->second)) return false;
+        const MigrationSlave& s = *it->second;
+        out = {.node = id,
+               .sec_per_byte = s.estimator().per_byte_estimate(),
+               .queued_bytes = s.bound_bytes()};
+        return true;
+      },
+      cluster_.simulator().now());
+}
+
+bool MigrationMaster::has_work_for(const MigrationSlave& slave) const {
+  switch (config_.binding) {
+    case MasterConfig::Binding::LateTargeted:
+      return plane_.queue().has_targeted(slave.id()) && slave.free_slots() > 0;
+    case MasterConfig::Binding::LateAnyReplica:
+      return !plane_.queue().empty() && slave.free_slots() > 0;
+    case MasterConfig::Binding::EagerRandom: return false;
+  }
+  return true;
 }
 
 void MigrationMaster::pulse() {
-  for (auto& [id, slave] : slaves_) {
+  // Slaves are visited in the slaves_ map's order, as always. A slave
+  // whose heartbeat would change nothing and that has no work to pull is
+  // skipped: visiting it would change nothing either.
+  for (MigrationSlave* slave : pulse_order_) {
+    const NodeId id = slave->id();
     if (!reachable(id, *slave)) {
       // Once the namenode declares the node dead (heartbeat loss: silent
       // death or partition), work bound there moves back to pending and is
       // retargeted at a surviving replica rather than waiting forever.
-      if (!namenode_.available(id)) reclaim_bound_on(id, CancelReason::HeartbeatLoss);
+      if (!namenode_.available(id)) {
+        if (ctr_pulse_visits_ != nullptr) ctr_pulse_visits_->inc();
+        reclaim_bound_on(id, CancelReason::HeartbeatLoss);
+      }
       continue;
     }
+    if (!rebuilding_ && slave->idle() && !has_work_for(*slave)) continue;
+    if (ctr_pulse_visits_ != nullptr) ctr_pulse_visits_->inc();
     slave->heartbeat();
     if (rebuilding_) {
       for (BlockId block : slave->buffers().buffered_blocks()) {
@@ -231,7 +271,15 @@ void MigrationMaster::pull_for(MigrationSlave& slave) {
   }
 }
 
+void MigrationMaster::note_handed(JobId job, const MigrationSlave& slave) {
+  std::vector<std::uint64_t>& mask = handed_[job];
+  if (mask.empty()) mask.resize((pulse_order_.size() + 63) / 64);
+  const std::size_t pos = position_[static_cast<std::size_t>(slave.id().value())];
+  mask[pos / 64] |= std::uint64_t{1} << (pos % 64);
+}
+
 void MigrationMaster::finish_bind(BoundMigration bm, MigrationSlave& slave) {
+  for (const auto& [job, mode] : bm.jobs) note_handed(job, slave);
   if (ctr_bound_ != nullptr) ctr_bound_->inc();
   if (hist_pending_wait_s_ != nullptr) {
     hist_pending_wait_s_->add(to_seconds(bm.bound_at - bm.requested_at));
@@ -364,9 +412,17 @@ void MigrationMaster::evict_job(JobId job) {
       ++it;
     }
   }
-  // Then clear buffer references (and orphaned bound migrations).
-  for (auto& [id, slave] : slaves_) {
-    slave->release_job(job);
+  // Then clear buffer references (and orphaned bound migrations). Only a
+  // slave handed one of the job's references can hold one; the others'
+  // release would be a no-op. Positions ascend in pulse order.
+  if (auto hit = handed_.find(job); hit != handed_.end()) {
+    const std::vector<std::uint64_t> mask = std::move(hit->second);
+    handed_.erase(hit);
+    for (std::size_t w = 0; w < mask.size(); ++w) {
+      for (std::uint64_t bits = mask[w]; bits != 0; bits &= bits - 1) {
+        pulse_order_[w * 64 + static_cast<std::size_t>(std::countr_zero(bits))]->release_job(job);
+      }
+    }
   }
   for (auto bit = bound_.begin(); bit != bound_.end();) {
     if (slave(bit->second).cancel_for_job(bit->first, job)) {

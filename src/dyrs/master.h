@@ -14,6 +14,7 @@
 //   * Binding::EagerRandom   + no-cancel + concurrent    -> Ignem
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -119,8 +120,15 @@ class MigrationMaster final : public MigrationService {
   const MasterConfig& config() const { return config_; }
 
  private:
-  void pulse();  // per-heartbeat: slave heartbeats, reports, pulls
+  /// Per heartbeat: slave heartbeats, reports and pulls, for the slaves
+  /// that have something to do.
+  void pulse();
   void pull_for(MigrationSlave& slave);
+  /// True if pull_for could bind work to `slave`.
+  bool has_work_for(const MigrationSlave& slave) const;
+  /// Records that `slave` was handed a reference of `job`, so evict_job
+  /// releases the job there.
+  void note_handed(JobId job, const MigrationSlave& slave);
   /// A slave the master can currently exchange messages with: process and
   /// server up, no partition, and not declared dead by the namenode.
   bool reachable(NodeId id, const MigrationSlave& slave) const;
@@ -151,9 +159,15 @@ class MigrationMaster final : public MigrationService {
   Rng rng_;
 
   std::unordered_map<NodeId, std::unique_ptr<MigrationSlave>> slaves_;
-  /// Deterministic snapshot order for retarget passes; the slave set is
-  /// fixed at construction, so this is computed once, not per pass.
-  std::vector<NodeId> node_order_;
+  /// The slaves in `slaves_`'s iteration order, which pulse and evict_job
+  /// keep (the set is fixed at construction, so the order never changes),
+  /// and each slave's position in it by node id.
+  std::vector<MigrationSlave*> pulse_order_;
+  std::vector<std::size_t> position_;
+  /// Per job, a bitmask over pulse_order_ positions of the slaves handed
+  /// one of its references (a binding, or refs added to a buffered or
+  /// bound block). evict_job releases the job only there, and drops it.
+  std::unordered_map<JobId, std::vector<std::uint64_t>> handed_;
   ControlPlane plane_;                         // pending state + policy
   std::unordered_map<BlockId, NodeId> bound_;  // bound but not yet completed
 
@@ -172,6 +186,7 @@ class MigrationMaster final : public MigrationService {
   obs::Counter* ctr_cancelled_ = nullptr;
   obs::Counter* ctr_requeued_ = nullptr;
   obs::Counter* ctr_bytes_ = nullptr;
+  obs::Counter* ctr_pulse_visits_ = nullptr;
   obs::Histogram* hist_transfer_s_ = nullptr;
   obs::Histogram* hist_pending_wait_s_ = nullptr;
 

@@ -271,6 +271,13 @@ void MigrationSlave::heartbeat() {
   }
 }
 
+bool MigrationSlave::idle() const {
+  return active_.empty() && queue_.empty() && !stalled_ &&
+         !(job_active_query && buffers_.over_threshold(config_.scavenge_threshold)) &&
+         (gauge_memory_used_ == nullptr ||
+          gauge_memory_used_->value() == static_cast<double>(buffers_.used()));
+}
+
 void MigrationSlave::process_demotions(const std::vector<BufferManager::Demotion>& demoted) {
   if (demoted.empty()) return;
   std::vector<BlockId> evicted;

@@ -100,6 +100,11 @@ class MigrationSlave {
   /// Periodic work: overdue estimator update, stalled-queue retry,
   /// threshold-triggered scavenging.
   void heartbeat();
+  /// True when heartbeat() would change nothing: no migration in flight,
+  /// queued or stalled, no scavenge due, and the memory gauge already at
+  /// the buffers' size. The master's pulse skips an idle slave it has no
+  /// work to hand.
+  bool idle() const;
 
   // --- eviction entry points (routed via master) ------------------------
   std::vector<BlockId> release_job(JobId job);

@@ -135,6 +135,8 @@ void Engine::try_schedule() {
   while (progress && !(map_queue_.empty() && reduce_queue_.empty())) {
     progress = false;
     for (int i = 0; i < cluster_.size(); ++i) {
+      // Every later node would find both queues empty.
+      if (map_queue_.empty() && reduce_queue_.empty()) break;
       const NodeId node(i);
       if (!cluster_.node(node).alive()) continue;
       if (slots(node).map_free > 0 && schedule_map_on(node)) progress = true;

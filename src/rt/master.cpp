@@ -174,18 +174,23 @@ void RtMaster::sample_estimates_locked() {
 void RtMaster::retarget_locked() {
   if (plane_.queue().empty()) return;
   if (ctr_retarget_passes_ != nullptr) ctr_retarget_passes_->inc();
-  std::vector<core::SlaveSnapshot> snapshots;
-  snapshots.reserve(node_order_.size());
-  for (NodeId id : node_order_) {
-    // Declared-dead nodes leave the eligible set; Algorithm 1 only ranks
-    // survivors until their heartbeats resume (rejoin re-admits them).
-    if (node_dead_locked(id)) continue;
-    RtSlave& s = *slaves_.at(id);
-    snapshots.push_back(
-        {.node = id, .sec_per_byte = s.sec_per_byte(), .queued_bytes = s.bound_bytes()});
+  // Declared-dead nodes leave the eligible set; Algorithm 1 only ranks
+  // survivors until their heartbeats resume (rejoin re-admits them).
+  if (std::all_of(node_order_.begin(), node_order_.end(),
+                  [this](NodeId id) { return node_dead_locked(id); })) {
+    return;  // every node is down: nothing to rank
   }
-  if (snapshots.empty()) return;  // every node is down: nothing to rank
-  plane_.retarget(snapshots, now_us());
+  // The pass reads (and so locks) only the slaves that pending entries
+  // name as replica holders, each at most once.
+  plane_.retarget(
+      [this](NodeId id, core::SlaveSnapshot& out) {
+        auto it = slaves_.find(id);
+        if (it == slaves_.end() || node_dead_locked(id)) return false;
+        const RtSlave& s = *it->second;
+        out = {.node = id, .sec_per_byte = s.sec_per_byte(), .queued_bytes = s.bound_bytes()};
+        return true;
+      },
+      now_us());
 }
 
 bool RtMaster::node_dead_locked(NodeId node) const {

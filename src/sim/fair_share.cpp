@@ -74,8 +74,11 @@ void FairShareResource::on_tick() {
   advance();
   // Collect drained flows, remove them, then fire callbacks with the
   // resource already in its post-completion state so reentrant start_flow
-  // calls from callbacks observe consistent rates.
-  std::vector<CompletionFn> done;
+  // calls from callbacks observe consistent rates. The list reuses one
+  // member buffer; it is moved out while the callbacks run, so a reentrant
+  // tick would fill a buffer of its own.
+  std::vector<CompletionFn> done = std::move(done_);
+  done.clear();
   auto drained = [](const Flow& f) { return !f.infinite && f.remaining <= kDrainEpsilonBytes; };
   for (Flow& flow : flows_) {
     if (drained(flow)) done.push_back(std::move(flow.on_complete));
@@ -87,6 +90,8 @@ void FairShareResource::on_tick() {
   for (auto& fn : done) {
     if (fn) fn(now);
   }
+  done.clear();
+  done_ = std::move(done);
 }
 
 FairShareResource::FlowId FairShareResource::start_flow(Bytes bytes, CompletionFn on_complete) {

@@ -103,6 +103,7 @@ class FairShareResource {
   double seek_alpha_;
 
   Flows flows_;  // ascending id: ids only grow, so start_* appends
+  std::vector<CompletionFn> done_;  // on_tick's reused completion list
   FlowId next_id_ = 1;
   int interference_count_ = 0;
 

@@ -8,7 +8,11 @@
 // fields. The digests were captured from the engine that materialized the
 // whole consideration order on every bind and scored each pass through
 // per-pass hash maps; the in-place bind walk and the dense Algorithm 1
-// scorer must reproduce every decision bit for bit.
+// scorer must reproduce every decision bit for bit. The MasterErases row
+// adds the erase paths the masters take directly (evict-style walks that
+// erase entries through their iterators, and `queue().clear()` on
+// failover); its digest was captured from the whole-queue bind walk,
+// before the per-target lists existed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -68,6 +72,7 @@ struct Scenario {
   Binding binding;
   Trace trace;
   std::uint64_t digest;
+  bool master_erases = false;  // adds evict-style iterator erases and clear()
 };
 
 struct Outcome {
@@ -76,6 +81,8 @@ struct Outcome {
   int avoid_skips = 0;         // bind walks that passed an eligible but avoided entry
   int untargetable_passes = 0;
   int target_events = 0;
+  int evict_erases = 0;  // entries erased by evict-style walks
+  int clears = 0;
 };
 
 bool contains(const std::vector<NodeId>& v, NodeId n) {
@@ -173,7 +180,31 @@ Outcome run(const Scenario& sc) {
       }
       out.binds += static_cast<int>(got.size());
     } else if (op < 90) {
-      d.mix(plane.queue().erase(BlockId(rng.below(kBlocks))) ? 1 : 0);
+      const int kind = sc.master_erases ? rng.below(10) : 0;
+      if (kind < 5) {
+        d.mix(plane.queue().erase(BlockId(rng.below(kBlocks))) ? 1 : 0);
+      } else if (kind < 9) {
+        // A master's evict_job: drop the job, erase emptied entries in place.
+        const JobId job(1 + rng.below(5));
+        PendingQueue& queue = plane.queue();
+        std::uint64_t erased = 0;
+        for (auto it = queue.begin(); it != queue.end();) {
+          it->jobs.erase(job);
+          if (it->jobs.empty()) {
+            it = queue.erase(it);
+            ++erased;
+          } else {
+            ++it;
+          }
+        }
+        d.mix(0xe71c);
+        d.mix(erased);
+        out.evict_erases += static_cast<int>(erased);
+      } else {
+        plane.queue().clear();  // a master failover
+        d.mix(0xc1ea);
+        ++out.clears;
+      }
     } else if (!bound.empty()) {
       const auto k = static_cast<std::size_t>(rng.below(bound.size()));
       auto [m, failed] = std::move(bound[k]);
@@ -212,6 +243,7 @@ std::string name_of(const Scenario& sc) {
     case Trace::AtRetarget: s += "_AtRetarget"; break;
     case Trace::AtBind: s += "_AtBind"; break;
   }
+  if (sc.master_erases) s += "_MasterErases";
   return s;
 }
 
@@ -227,6 +259,10 @@ TEST_P(ControlPlaneGolden, DecisionsMatchCapturedDigest) {
   EXPECT_GT(out.untargetable_passes, 0);
   if (sc.trace != Trace::Untraced) {
     EXPECT_GT(out.target_events, 0);
+  }
+  if (sc.master_erases) {
+    EXPECT_GT(out.evict_erases, 0);
+    EXPECT_GT(out.clears, 0);
   }
   EXPECT_EQ(out.digest, sc.digest) << std::hex << "0x" << out.digest;
   EXPECT_EQ(run(sc).digest, out.digest);  // and the sequence itself is deterministic
@@ -251,7 +287,8 @@ INSTANTIATE_TEST_SUITE_P(
         Scenario{kSjf, kTargeted, Trace::AtBind, 0xbce3854ceb5b639e},
         Scenario{kSjf, kAny, Trace::Untraced, 0xcfffd3ed7fd1f650},
         Scenario{kSjf, kAny, Trace::AtRetarget, 0xf9421f431c0048cb},
-        Scenario{kSjf, kAny, Trace::AtBind, 0x58d1273fc6b1535e}),
+        Scenario{kSjf, kAny, Trace::AtBind, 0x58d1273fc6b1535e},
+        Scenario{kFifo, kTargeted, Trace::AtRetarget, 0x6e2f5cb764f6cc0a, /*master_erases=*/true}),
     [](const ::testing::TestParamInfo<Scenario>& info) { return name_of(info.param); });
 
 }  // namespace

@@ -170,9 +170,56 @@ TEST(ControlPlaneTrace, TargetClearedWhenItsNodeLeavesTheSnapshots) {
 }
 
 // ---------------------------------------------------------------------------
-// ctrl.bind.entries_scanned: the bind walk visits entries in consideration
-// order and stops once the free slots are filled, so a pull costs what it
-// hands out, not the length of the queue.
+// A pass that fetches snapshots reads each candidate replica holder once,
+// and no other node, and targets exactly as a pass over every snapshot.
+
+TEST(ControlPlaneRetarget, FetchReadsEachNamedHolderOnceAndMatchesTheFullSweep) {
+  TracedPlane lazy;
+  TracedPlane full;
+  for (TracedPlane* t : {&lazy, &full}) {
+    t->add(1, 0, mib(2), {0, 1}, 0);
+    t->add(1, 1, mib(1), {1, 2}, 1);
+    t->add(2, 2, mib(4), {2, 3}, 2, /*avoid=*/{3});  // node 3 only via an avoided replica
+    t->add(2, 3, mib(1), {0, 9}, 3);                 // node 9 is not reporting
+  }
+  const std::vector<SlaveSnapshot> snaps = {snap(0, 2e-6, mib(1)), snap(1, 1e-6),
+                                            snap(2, 3e-6), snap(3, 1e-6), snap(4, 1e-6)};
+  std::vector<NodeId> fetched;
+  const TargetScorer::Fetch fetch = [&](NodeId node, SlaveSnapshot& out) {
+    fetched.push_back(node);
+    for (const SlaveSnapshot& s : snaps) {
+      if (s.node == node) {
+        out = s;
+        return true;
+      }
+    }
+    return false;
+  };
+  const TargetingStats a = lazy.plane.retarget(fetch, 4);
+  const TargetingStats b = full.plane.retarget(snaps, 4);
+  EXPECT_EQ(fetched, nodes({0, 1, 2, 9}));  // first-use order, each once
+  EXPECT_EQ(a.assigned, b.assigned);
+  EXPECT_EQ(a.untargetable, b.untargetable);
+  EXPECT_EQ(a.snapshot_nodes, 4u);
+  EXPECT_EQ(b.snapshot_nodes, snaps.size());
+  for (int block = 0; block < 4; ++block) {
+    EXPECT_EQ(lazy.plane.queue().lookup(BlockId(block))->target,
+              full.plane.queue().lookup(BlockId(block))->target);
+  }
+  EXPECT_EQ(lazy.registry.find_counter("ctrl.retarget.snapshot_nodes")->value(), 4);
+  EXPECT_EQ(lazy.registry.find_counter("ctrl.retarget.entries_scored")->value(), 4);
+
+  // Memoized per pass, not across passes.
+  fetched.clear();
+  lazy.plane.retarget(fetch, 5);
+  EXPECT_EQ(fetched, nodes({0, 1, 2, 9}));
+  EXPECT_EQ(lazy.registry.find_counter("ctrl.retarget.snapshot_nodes")->value(), 8);
+}
+
+// ---------------------------------------------------------------------------
+// ctrl.bind.entries_scanned: a LateTargeted Fifo pull walks only the
+// pulling node's target list and stops once the free slots are filled, so
+// a pull costs what it hands out, not the length of the queue.
 
 std::int64_t bind_scanned(const obs::MetricsRegistry& registry) {
   const obs::Counter* c = registry.find_counter("ctrl.bind.entries_scanned");
@@ -190,13 +237,20 @@ TEST(ControlPlaneBindScan, FilledSlotsStopTheWalkAtAnyQueueLength) {
       plane.enqueue(JobId(1), EvictionMode::Explicit, BlockId(b), mib(1),
                     nodes({b < kFirst ? 0 : 1}), {}, b);
     }
-    plane.retarget({snap(0, 1e-6), snap(1, 1e-6)}, queued);
+    plane.retarget({snap(0, 1e-6), snap(1, 1e-6), snap(2, 1e-6)}, queued);
     ASSERT_EQ(plane.bind_for(NodeId(0), kFirst, 1e-6, queued + 1).size(),
               static_cast<std::size_t>(kFirst));
     EXPECT_EQ(bind_scanned(registry), kFirst);
-    // Slots the queue cannot fill send the walk to the end of the list.
+    // A pull for a node with nothing targeted scans nothing, however many
+    // entries wait for other nodes.
     EXPECT_TRUE(plane.bind_for(NodeId(0), 1, 1e-6, queued + 2).empty());
-    EXPECT_EQ(bind_scanned(registry), kFirst + (queued - kFirst));
+    EXPECT_TRUE(plane.bind_for(NodeId(2), 3, 1e-6, queued + 3).empty());
+    EXPECT_EQ(bind_scanned(registry), kFirst);
+    // Node 1's pull takes its list's head.
+    const auto got = plane.bind_for(NodeId(1), 1, 1e-6, queued + 4);
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0].block, BlockId(kFirst));
+    EXPECT_EQ(bind_scanned(registry), kFirst + 1);
   }
 }
 

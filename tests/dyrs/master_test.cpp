@@ -222,6 +222,30 @@ TEST_F(MasterFixture, ExplicitModeSurvivesReadsUntilEvictCommand) {
   EXPECT_FALSE(dfs.namenode->in_memory(b));
 }
 
+// A pulse skips a slave with nothing to do, but not one whose memory gauge
+// lags its buffers: the gauge keeps the value a heartbeat would have set.
+TEST_F(MasterFixture, IdleSlaveGaugeFollowsItsBuffersAtThePulse) {
+  auto master = make_dyrs(*dfs.cluster, *dfs.namenode, config());
+  trace(*master);
+  const auto& f = dfs.namenode->create_file("/input", mib(64));
+  master->migrate_files(JobId(1), {"/input"}, EvictionMode::Explicit);
+  dfs.sim.run_until(seconds(10));
+  const NodeId holder = dfs.namenode->memory_locations(f.blocks[0])[0];
+  const obs::Gauge* gauge =
+      registry.find_gauge("node" + std::to_string(holder.value()) + ".tier.memory.used_bytes");
+  ASSERT_NE(gauge, nullptr);
+  EXPECT_EQ(gauge->value(), static_cast<double>(mib(64)));
+
+  // Evicting frees the buffer between pulses; the slave is idle from now
+  // on, and its gauge moves at the next pulse, as a heartbeat would move it.
+  master->evict_job(JobId(1));
+  EXPECT_EQ(master->slave(holder).buffers().used(), 0);
+  EXPECT_EQ(gauge->value(), static_cast<double>(mib(64)));
+  dfs.sim.run_until(seconds(11) + milliseconds(500));
+  EXPECT_EQ(gauge->value(), 0.0);
+  EXPECT_TRUE(master->slave(holder).idle());
+}
+
 TEST_F(MasterFixture, EvictJobClearsPendingToo) {
   auto master = make_dyrs(*dfs.cluster, *dfs.namenode, config());
   dfs.namenode->create_file("/input", mib(64) * 30);
