@@ -77,8 +77,9 @@ void DFSClient::set_observability(const obs::ObsContext& obs) {
 }
 
 void DFSClient::finish(const ReadInfo& info, JobId job, const ReadDoneFn& done) {
-  auto& counters = served_[info.source];
-  ++counters[static_cast<std::size_t>(info.medium)];
+  const auto node = static_cast<std::size_t>(info.source.value());
+  if (node >= served_.size()) served_.resize(node + 1);
+  ++served_[node][static_cast<std::size_t>(info.medium)];
   ++total_reads_;
   if (obs::Counter* c = medium_counters_[static_cast<std::size_t>(info.medium)]) c->inc();
   if (obs_.tracing()) {
@@ -94,17 +95,17 @@ void DFSClient::finish(const ReadInfo& info, JobId job, const ReadDoneFn& done) 
 }
 
 long DFSClient::reads_served(NodeId node) const {
-  auto it = served_.find(node);
-  if (it == served_.end()) return 0;
+  const auto i = static_cast<std::size_t>(node.value());
+  if (!node.valid() || i >= served_.size()) return 0;
   long sum = 0;
-  for (long c : it->second) sum += c;
+  for (long c : served_[i]) sum += c;
   return sum;
 }
 
 long DFSClient::reads_served(NodeId node, ReadMedium medium) const {
-  auto it = served_.find(node);
-  if (it == served_.end()) return 0;
-  return it->second[static_cast<std::size_t>(medium)];
+  const auto i = static_cast<std::size_t>(node.value());
+  if (!node.valid() || i >= served_.size()) return 0;
+  return served_[i][static_cast<std::size_t>(medium)];
 }
 
 }  // namespace dyrs::dfs

@@ -13,7 +13,7 @@
 
 #include <array>
 #include <functional>
-#include <unordered_map>
+#include <vector>
 
 #include "cluster/cluster.h"
 #include "common/random.h"
@@ -63,7 +63,7 @@ class DFSClient {
   obs::ObsContext obs_;
   std::array<obs::Counter*, 4> medium_counters_{};  // indexed by ReadMedium
 
-  std::unordered_map<NodeId, std::array<long, 4>> served_;
+  std::vector<std::array<long, 4>> served_;  // indexed by NodeId
   long total_reads_ = 0;
 };
 

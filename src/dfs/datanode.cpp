@@ -4,6 +4,13 @@
 
 namespace dyrs::dfs {
 
+void DataNode::add_block(BlockId block) {
+  DYRS_CHECK_MSG(block.valid(), "node " << id() << " given an invalid block");
+  const auto b = static_cast<std::size_t>(block.value());
+  if (b >= stored_.size()) stored_.resize(b + 1);
+  stored_[b] = true;
+}
+
 cluster::Disk::FlowId DataNode::read_from_disk(BlockId block, Bytes bytes,
                                                cluster::IoClass io_class,
                                                cluster::Disk::CompletionFn done) {

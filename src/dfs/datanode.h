@@ -8,7 +8,7 @@
 #pragma once
 
 #include <functional>
-#include <unordered_set>
+#include <vector>
 
 #include "cluster/node.h"
 #include "dfs/types.h"
@@ -22,10 +22,14 @@ class DataNode {
   NodeId id() const { return node_.id(); }
   cluster::Node& node() { return node_; }
 
-  void add_block(BlockId block) { stored_.insert(block); }
-  void remove_block(BlockId block) { stored_.erase(block); }
-  bool has_block(BlockId block) const { return stored_.count(block) > 0; }
-  std::size_t stored_block_count() const { return stored_.size(); }
+  void add_block(BlockId block);
+  void remove_block(BlockId block) {
+    if (has_block(block)) stored_[static_cast<std::size_t>(block.value())] = false;
+  }
+  bool has_block(BlockId block) const {
+    const auto b = static_cast<std::size_t>(block.value());
+    return block.valid() && b < stored_.size() && stored_[b];
+  }
 
   /// True when both the server and the datanode process are up.
   bool serving() const { return node_.alive() && process_alive_; }
@@ -63,7 +67,7 @@ class DataNode {
 
  private:
   cluster::Node& node_;
-  std::unordered_set<BlockId> stored_;
+  std::vector<bool> stored_;  // bitmap by BlockId (the namespace numbers blocks densely)
   bool process_alive_ = true;
   bool partitioned_ = false;
 };

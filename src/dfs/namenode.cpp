@@ -26,52 +26,63 @@ NameNode::NameNode(sim::Simulator& sim, Options opts,
 
 NameNode::~NameNode() { rereplication_timer_.cancel(); }
 
+const NameNode::Member* NameNode::member(NodeId id) const {
+  const auto i = static_cast<std::size_t>(id.value());
+  if (!id.valid() || i >= members_.size() || members_[i].dn == nullptr) return nullptr;
+  return &members_[i];
+}
+
+bool NameNode::heard_recently(const Member& m) const {
+  return sim_.now() - m.last_heartbeat <= opts_.heartbeat_interval * opts_.heartbeat_miss_limit;
+}
+
 void NameNode::register_datanode(DataNode* dn) {
   DYRS_CHECK(dn != nullptr);
-  DYRS_CHECK_MSG(!datanodes_.count(dn->id()), "datanode " << dn->id() << " already registered");
-  datanodes_[dn->id()] = dn;
-  last_heartbeat_[dn->id()] = sim_.now();
+  const NodeId id = dn->id();
+  DYRS_CHECK_MSG(id.valid(), "datanode with invalid id");
+  DYRS_CHECK_MSG(member(id) == nullptr, "datanode " << id << " already registered");
+  const auto i = static_cast<std::size_t>(id.value());
+  if (i >= members_.size()) members_.resize(i + 1);
+  members_[i] = {.dn = dn, .last_heartbeat = sim_.now()};
+  ++datanode_count_;
 }
 
 DataNode* NameNode::datanode(NodeId id) {
-  auto it = datanodes_.find(id);
-  DYRS_CHECK_MSG(it != datanodes_.end(), "unknown datanode " << id);
-  return it->second;
+  const Member* m = member(id);
+  DYRS_CHECK_MSG(m != nullptr, "unknown datanode " << id);
+  return m->dn;
 }
 
 void NameNode::heartbeat(NodeId from) {
-  DYRS_CHECK(datanodes_.count(from));
-  last_heartbeat_[from] = sim_.now();
+  DYRS_CHECK(member(from) != nullptr);
+  members_[static_cast<std::size_t>(from.value())].last_heartbeat = sim_.now();
 }
 
 bool NameNode::available(NodeId id) const {
-  auto it = last_heartbeat_.find(id);
-  if (it == last_heartbeat_.end()) return false;
-  const SimDuration silence = sim_.now() - it->second;
-  return silence <= opts_.heartbeat_interval * opts_.heartbeat_miss_limit;
+  const Member* m = member(id);
+  return m != nullptr && heard_recently(*m);
 }
 
 bool NameNode::serving(NodeId id) const {
-  auto it = datanodes_.find(id);
-  return it != datanodes_.end() && available(id) && it->second->serving();
+  const Member* m = member(id);
+  return m != nullptr && heard_recently(*m) && m->dn->serving();
 }
 
 const FileMeta& NameNode::create_file(const std::string& name, Bytes size) {
-  DYRS_CHECK_MSG(!datanodes_.empty(), "no datanodes registered");
+  DYRS_CHECK_MSG(datanode_count_ > 0, "no datanodes registered");
   const FileMeta& meta = ns_.create_file(name, size);
-  std::vector<NodeId> candidates;
-  for (const auto& [id, dn] : datanodes_) {
-    if (available(id) && dn->serving()) candidates.push_back(id);
+  std::vector<NodeId> candidates;  // ascending, so placement is seed-reproducible
+  for (std::size_t i = 0; i < members_.size(); ++i) {
+    const NodeId id(static_cast<std::int64_t>(i));
+    if (serving(id)) candidates.push_back(id);
   }
   DYRS_CHECK_MSG(!candidates.empty(), "no available datanodes for " << name);
-  // map iteration order over pointers is nondeterministic across runs in
-  // principle; NodeId ordering keeps placement reproducible for a seed.
-  std::sort(candidates.begin(), candidates.end());
   for (BlockId block : meta.blocks) {
     auto nodes = placement_->place(candidates, opts_.replication, placement_rng_);
     DYRS_CHECK(static_cast<std::size_t>(block.value()) == replicas_.size());
-    replicas_.push_back(nodes);
-    for (NodeId n : nodes) datanodes_[n]->add_block(block);
+    for (NodeId n : nodes) datanode(n)->add_block(block);
+    replicas_.push_back(nodes);  // a copy: `nodes` may keep every candidate's capacity
+    memory_.emplace_back();
   }
   return meta;
 }
@@ -79,13 +90,13 @@ const FileMeta& NameNode::create_file(const std::string& name, Bytes size) {
 std::vector<BlockId> NameNode::delete_file(const std::string& name) {
   auto blocks = ns_.delete_file(name);
   for (BlockId block : blocks) {
-    auto& replicas = replicas_[static_cast<std::size_t>(block.value())];
-    for (NodeId n : replicas) {
-      auto it = datanodes_.find(n);
-      if (it != datanodes_.end()) it->second->remove_block(block);
+    const auto b = static_cast<std::size_t>(block.value());
+    for (NodeId n : replicas_[b]) {
+      if (const Member* m = member(n)) m->dn->remove_block(block);
     }
-    replicas.clear();
-    memory_.erase(block);
+    replicas_[b].clear();
+    memory_count_ -= memory_[b].size();
+    memory_[b].clear();
   }
   return blocks;
 }
@@ -105,43 +116,55 @@ const std::vector<NodeId>& NameNode::raw_replicas(BlockId block) const {
 }
 
 void NameNode::register_memory_replica(BlockId block, NodeId node) {
-  memory_[block].insert(node);
+  DYRS_CHECK_MSG(block.valid() && static_cast<std::size_t>(block.value()) < memory_.size(),
+                 "unknown block " << block);
+  auto& holders = memory_[static_cast<std::size_t>(block.value())];
+  auto it = std::lower_bound(holders.begin(), holders.end(), node);
+  if (it != holders.end() && *it == node) return;
+  holders.insert(it, node);
+  ++memory_count_;
 }
 
 void NameNode::unregister_memory_replica(BlockId block, NodeId node) {
-  auto it = memory_.find(block);
-  if (it == memory_.end()) return;
-  it->second.erase(node);
-  if (it->second.empty()) memory_.erase(it);
+  const auto b = static_cast<std::size_t>(block.value());
+  if (!block.valid() || b >= memory_.size()) return;
+  auto& holders = memory_[b];
+  auto it = std::lower_bound(holders.begin(), holders.end(), node);
+  if (it == holders.end() || *it != node) return;
+  holders.erase(it);
+  --memory_count_;
 }
 
 void NameNode::drop_memory_replicas_on(NodeId node) {
-  for (auto it = memory_.begin(); it != memory_.end();) {
-    it->second.erase(node);
-    if (it->second.empty()) {
-      it = memory_.erase(it);
-    } else {
-      ++it;
-    }
+  for (auto& holders : memory_) {
+    if (memory_count_ == 0) return;
+    auto it = std::lower_bound(holders.begin(), holders.end(), node);
+    if (it == holders.end() || *it != node) continue;
+    holders.erase(it);
+    --memory_count_;
   }
+}
+
+void NameNode::clear_memory_replicas() {
+  for (auto& holders : memory_) holders.clear();
+  memory_count_ = 0;
 }
 
 std::vector<NodeId> NameNode::memory_locations(BlockId block) const {
   std::vector<NodeId> out;
-  auto it = memory_.find(block);
-  if (it == memory_.end()) return out;
-  for (NodeId n : it->second) {
+  const auto b = static_cast<std::size_t>(block.value());
+  if (!block.valid() || b >= memory_.size()) return out;
+  for (NodeId n : memory_[b]) {
     if (serving(n)) out.push_back(n);
   }
-  std::sort(out.begin(), out.end());  // deterministic order
-  return out;
+  return out;  // ascending: each holder list is sorted
 }
 
 bool NameNode::has_replica_on(BlockId block, NodeId node) const {
   const auto& disk = raw_replicas(block);
   if (std::find(disk.begin(), disk.end(), node) != disk.end()) return true;
-  auto it = memory_.find(block);
-  return it != memory_.end() && it->second.count(node) > 0;
+  const auto& memory = memory_[static_cast<std::size_t>(block.value())];
+  return std::binary_search(memory.begin(), memory.end(), node);
 }
 
 std::vector<BlockId> NameNode::under_replicated_blocks() const {
@@ -167,14 +190,14 @@ int NameNode::rereplicate_once() {
     // Destination: an available datanode not already holding the block.
     const auto& raw = raw_replicas(block);
     NodeId dest = NodeId::invalid();
-    std::vector<NodeId> candidates;
-    for (const auto& [id, dn] : datanodes_) {
-      if (!available(id) || !dn->serving()) continue;
+    std::vector<NodeId> candidates;  // ascending
+    for (std::size_t i = 0; i < members_.size(); ++i) {
+      const NodeId id(static_cast<std::int64_t>(i));
+      if (!serving(id)) continue;
       if (std::find(raw.begin(), raw.end(), id) != raw.end()) continue;
       candidates.push_back(id);
     }
     if (candidates.empty()) continue;
-    std::sort(candidates.begin(), candidates.end());
     dest = candidates[static_cast<std::size_t>(placement_rng_.uniform_int(
         0, static_cast<std::int64_t>(candidates.size()) - 1))];
 
@@ -183,20 +206,20 @@ int NameNode::rereplicate_once() {
     rereplicating_.insert(block);
     ++started;
     // Pipeline: read from the source disk, then write on the destination.
-    datanodes_[source]->node().disk().start_io(
+    datanode(source)->node().disk().start_io(
         cluster::IoClass::TaskRead, size, [this, block, dest, size](SimTime) {
-          auto dit = datanodes_.find(dest);
-          if (dit == datanodes_.end() || !dit->second->serving()) {
+          const Member* d = member(dest);
+          if (d == nullptr || !d->dn->serving()) {
             rereplicating_.erase(block);
             return;  // destination died mid-copy; retried next pass
           }
-          dit->second->node().disk().start_io(
+          d->dn->node().disk().start_io(
               cluster::IoClass::Write, size, [this, block, dest](SimTime) {
                 rereplicating_.erase(block);
                 if (ns_.block_deleted(block)) return;
-                auto dit2 = datanodes_.find(dest);
-                if (dit2 == datanodes_.end() || !dit2->second->serving()) return;
-                dit2->second->add_block(block);
+                const Member* d2 = member(dest);
+                if (d2 == nullptr || !d2->dn->serving()) return;
+                d2->dn->add_block(block);
                 replicas_[static_cast<std::size_t>(block.value())].push_back(dest);
                 ++rereplications_completed_;
               });
@@ -205,20 +228,13 @@ int NameNode::rereplicate_once() {
   return started;
 }
 
-std::size_t NameNode::memory_replica_count() const {
-  std::size_t n = 0;
-  for (const auto& [block, nodes] : memory_) n += nodes.size();
-  return n;
-}
-
 std::vector<std::pair<BlockId, NodeId>> NameNode::memory_replica_entries() const {
   std::vector<std::pair<BlockId, NodeId>> out;
-  out.reserve(memory_replica_count());
-  for (const auto& [block, nodes] : memory_) {
-    for (NodeId n : nodes) out.emplace_back(block, n);
+  out.reserve(memory_count_);
+  for (std::size_t b = 0; b < memory_.size(); ++b) {
+    for (NodeId n : memory_[b]) out.emplace_back(BlockId(static_cast<std::int64_t>(b)), n);
   }
-  std::sort(out.begin(), out.end());
-  return out;
+  return out;  // sorted: blocks ascend, and each holder list is sorted
 }
 
 }  // namespace dyrs::dfs

@@ -5,10 +5,13 @@
 // updates so reads can be redirected to buffered copies (paper §III: "once
 // a block has been migrated, reads will be directed to the in-memory
 // replica whether it is local or remote").
+//
+// Node ids run 0..N-1 (cluster::Cluster numbers its nodes) and the
+// namespace numbers block ids 0..B-1, so the tables that reads, pulls and
+// migration completions consult are vectors indexed by id, not hash tables.
 #pragma once
 
 #include <memory>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -40,7 +43,7 @@ class NameNode {
   // --- datanode membership & liveness ---------------------------------
   void register_datanode(DataNode* dn);
   DataNode* datanode(NodeId id);
-  int datanode_count() const { return static_cast<int>(datanodes_.size()); }
+  int datanode_count() const { return datanode_count_; }
 
   /// Receives a heartbeat from a datanode (called by heartbeat drivers).
   void heartbeat(NodeId from);
@@ -77,6 +80,9 @@ class NameNode {
   void unregister_memory_replica(BlockId block, NodeId node);
   /// Drops every in-memory location on `node` (slave crash cleanup).
   void drop_memory_replicas_on(NodeId node);
+  /// Drops every in-memory location (master failover: the registry lives
+  /// logically in the master).
+  void clear_memory_replicas();
 
   // --- re-replication ----------------------------------------------------
   /// Blocks whose available replica count is below the target.
@@ -95,7 +101,7 @@ class NameNode {
   /// in block_locations or memory_locations, without building either.
   bool has_replica_on(BlockId block, NodeId node) const;
   bool in_memory(BlockId block) const { return !memory_locations(block).empty(); }
-  std::size_t memory_replica_count() const;
+  std::size_t memory_replica_count() const { return memory_count_; }
   /// Every registered (block, node) in-memory replica pair, unfiltered and
   /// in deterministic order — the invariant checker cross-checks each entry
   /// against the slave that supposedly buffers it.
@@ -111,10 +117,24 @@ class NameNode {
   std::unique_ptr<PlacementPolicy> placement_;
   Rng placement_rng_;
 
-  std::unordered_map<NodeId, DataNode*> datanodes_;
-  std::unordered_map<NodeId, SimTime> last_heartbeat_;
+  /// One slot per node id: the datanode (null while unregistered) and the
+  /// time of its last heartbeat.
+  struct Member {
+    DataNode* dn = nullptr;
+    SimTime last_heartbeat = 0;
+  };
+  /// `id`'s slot, or null when no datanode is registered under `id`.
+  const Member* member(NodeId id) const;
+  /// Heard from within heartbeat_miss_limit intervals.
+  bool heard_recently(const Member& m) const;
+
+  std::vector<Member> members_;  // indexed by NodeId
+  int datanode_count_ = 0;
   std::vector<std::vector<NodeId>> replicas_;  // indexed by BlockId
-  std::unordered_map<BlockId, std::unordered_set<NodeId>> memory_;
+  /// In-memory replica holders, indexed by BlockId like replicas_, each
+  /// list sorted by NodeId; memory_count_ is the sum of their sizes.
+  std::vector<std::vector<NodeId>> memory_;
+  std::size_t memory_count_ = 0;
   std::unordered_set<BlockId> rereplicating_;  // copies in flight
   long rereplications_completed_ = 0;
   sim::EventHandle rereplication_timer_;

@@ -45,8 +45,8 @@ MigrationMaster::MigrationMaster(cluster::Cluster& cluster, dfs::NameNode& namen
   }
   for (auto& [id, slave] : slaves_) {
     const auto i = static_cast<std::size_t>(id.value());
-    if (i >= position_.size()) position_.resize(i + 1);
-    position_[i] = pulse_order_.size();
+    if (i >= by_node_.size()) by_node_.resize(i + 1);
+    by_node_[i] = {.slave = slave.get(), .position = pulse_order_.size()};
     pulse_order_.push_back(slave.get());
   }
   heartbeat_timer_ =
@@ -71,16 +71,21 @@ std::string MigrationMaster::name() const {
   return "?";
 }
 
+MigrationSlave* MigrationMaster::find_slave(NodeId id) const {
+  const auto i = static_cast<std::size_t>(id.value());
+  return id.valid() && i < by_node_.size() ? by_node_[i].slave : nullptr;
+}
+
 MigrationSlave& MigrationMaster::slave(NodeId id) {
-  auto it = slaves_.find(id);
-  DYRS_CHECK_MSG(it != slaves_.end(), "no slave on node " << id);
-  return *it->second;
+  MigrationSlave* s = find_slave(id);
+  DYRS_CHECK_MSG(s != nullptr, "no slave on node " << id);
+  return *s;
 }
 
 const MigrationSlave& MigrationMaster::slave(NodeId id) const {
-  auto it = slaves_.find(id);
-  DYRS_CHECK_MSG(it != slaves_.end(), "no slave on node " << id);
-  return *it->second;
+  const MigrationSlave* s = find_slave(id);
+  DYRS_CHECK_MSG(s != nullptr, "no slave on node " << id);
+  return *s;
 }
 
 void MigrationMaster::set_job_active_query(std::function<bool(JobId)> q) {
@@ -174,8 +179,8 @@ void MigrationMaster::eager_bind_all() {
     bool unreachable = false;
     for (NodeId n : it->replicas) {
       if (std::find(it->avoid.begin(), it->avoid.end(), n) != it->avoid.end()) continue;
-      auto sit = slaves_.find(n);
-      if (sit != slaves_.end() && reachable(n, *sit->second)) {
+      const MigrationSlave* s = find_slave(n);
+      if (s != nullptr && reachable(n, *s)) {
         candidates.push_back(n);
       } else {
         unreachable = true;
@@ -211,12 +216,11 @@ void MigrationMaster::retarget_now() {
   }
   plane_.retarget(
       [this](NodeId id, SlaveSnapshot& out) {
-        auto it = slaves_.find(id);
-        if (it == slaves_.end() || !reachable(id, *it->second)) return false;
-        const MigrationSlave& s = *it->second;
+        const MigrationSlave* s = find_slave(id);
+        if (s == nullptr || !reachable(id, *s)) return false;
         out = {.node = id,
-               .sec_per_byte = s.estimator().per_byte_estimate(),
-               .queued_bytes = s.bound_bytes()};
+               .sec_per_byte = s->estimator().per_byte_estimate(),
+               .queued_bytes = s->bound_bytes()};
         return true;
       },
       cluster_.simulator().now());
@@ -274,7 +278,7 @@ void MigrationMaster::pull_for(MigrationSlave& slave) {
 void MigrationMaster::note_handed(JobId job, const MigrationSlave& slave) {
   std::vector<std::uint64_t>& mask = handed_[job];
   if (mask.empty()) mask.resize((pulse_order_.size() + 63) / 64);
-  const std::size_t pos = position_[static_cast<std::size_t>(slave.id().value())];
+  const std::size_t pos = by_node_[static_cast<std::size_t>(slave.id().value())].position;
   mask[pos / 64] |= std::uint64_t{1} << (pos % 64);
 }
 
@@ -319,9 +323,9 @@ void MigrationMaster::handle_evicted(NodeId node, const std::vector<BlockId>& bl
 }
 
 void MigrationMaster::handle_slave_crash(NodeId node) {
-  auto it = slaves_.find(node);
-  if (it == slaves_.end()) return;
-  auto report = it->second->crash();
+  MigrationSlave* s = find_slave(node);
+  if (s == nullptr) return;
+  auto report = s->crash();
   // The new slave process directs the master to drop state about blocks
   // previously buffered on that server (§III-C2).
   namenode_.drop_memory_replicas_on(node);
@@ -357,8 +361,8 @@ void MigrationMaster::handle_migration_failed(NodeId node, BoundMigration m) {
 }
 
 void MigrationMaster::reclaim_bound_on(NodeId node, CancelReason reason) {
-  auto sit = slaves_.find(node);
-  if (sit == slaves_.end()) return;
+  const MigrationSlave* s = find_slave(node);
+  if (s == nullptr) return;
   std::vector<BoundMigration> lost;
   for (auto bit = bound_.begin(); bit != bound_.end();) {
     if (bit->second != node) {
@@ -369,7 +373,7 @@ void MigrationMaster::reclaim_bound_on(NodeId node, CancelReason reason) {
     // keeps working. If it is merely partitioned and later completes, the
     // duplicate migration is benign (handle_migration_complete tolerates a
     // rebound block).
-    if (const BoundMigration* m = sit->second->local_migration(bit->first)) {
+    if (const BoundMigration* m = s->local_migration(bit->first)) {
       lost.push_back(*m);
     }
     record_cancel({.block = bit->first,
@@ -493,9 +497,7 @@ void MigrationMaster::on_read_started(BlockId block, JobId job) {
 
 void MigrationMaster::on_read_completed(BlockId block, JobId job, const dfs::ReadInfo& info) {
   if (!dfs::is_memory(info.medium)) return;
-  auto it = slaves_.find(info.source);
-  if (it == slaves_.end()) return;
-  it->second->on_block_read(block, job);
+  if (MigrationSlave* s = find_slave(info.source)) s->on_block_read(block, job);
 }
 
 std::vector<std::pair<BlockId, NodeId>> MigrationMaster::bound_migrations() const {
@@ -532,7 +534,7 @@ void MigrationMaster::master_failover() {
   plane_.queue().clear();
   bound_.clear();
   // The registry lives logically in the master.
-  for (NodeId id : cluster_.node_ids()) namenode_.drop_memory_replicas_on(id);
+  namenode_.clear_memory_replicas();
   rebuilding_ = true;
   if (tracing()) obs_.emit(obs::TraceEvent(cluster_.simulator().now(), "master_failover"));
 }

@@ -160,10 +160,17 @@ class MigrationMaster final : public MigrationService {
 
   std::unordered_map<NodeId, std::unique_ptr<MigrationSlave>> slaves_;
   /// The slaves in `slaves_`'s iteration order, which pulse and evict_job
-  /// keep (the set is fixed at construction, so the order never changes),
-  /// and each slave's position in it by node id.
+  /// keep (the set is fixed at construction, so the order never changes).
   std::vector<MigrationSlave*> pulse_order_;
-  std::vector<std::size_t> position_;
+  /// Per node id (dense, 0..N-1): its slave, null where there is none, and
+  /// that slave's position in pulse_order_. Every lookup by node goes here.
+  struct SlaveSlot {
+    MigrationSlave* slave = nullptr;
+    std::size_t position = 0;
+  };
+  std::vector<SlaveSlot> by_node_;
+  /// The slave on `id`, or null.
+  MigrationSlave* find_slave(NodeId id) const;
   /// Per job, a bitmask over pulse_order_ positions of the slaves handed
   /// one of its references (a binding, or refs added to a buffered or
   /// bound block). evict_job releases the job only there, and drops it.
