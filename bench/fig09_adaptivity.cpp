@@ -148,11 +148,9 @@ TrackingResult run_tracking(SimDuration period, bool overdue) {
       sim, {.num_nodes = 1,
             .node = {.disk = {.name = "d", .bandwidth = mib_per_sec(160), .seek_alpha = 0.15},
                      .memory = {.capacity = gib(64), .read_bandwidth = gib_per_sec(25)},
-                     .nic_bandwidth = gbit_per_sec(10)},
-            .per_node = nullptr});
+                     .nic_bandwidth = gbit_per_sec(10)}});
   dfs::NameNode namenode(sim, {.block_size = mib(256), .replication = 1,
-                               .heartbeat_interval = seconds(3), .heartbeat_miss_limit = 3,
-                               .placement_seed = 1});
+                               .heartbeat_interval = seconds(3), .placement_seed = 1});
   dfs::DataNode datanode(cluster.node(NodeId(0)));
   namenode.register_datanode(&datanode);
   const auto& file = namenode.create_file("/stream", mib(256) * 120);

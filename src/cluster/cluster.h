@@ -1,12 +1,11 @@
 // The cluster: a set of nodes sharing one simulator.
 //
 // Mirrors the paper's testbed shape: one master host (not modeled as a
-// storage node) plus N datanodes, each with a 1TB HDD, 128GB RAM and 10GbE.
-// Per-node overrides let experiments create fixed heterogeneity (e.g. a
-// slower disk model on one server).
+// storage node) plus N identical datanodes, each with a 1TB HDD, 128GB RAM
+// and 10GbE. Experiments make nodes differ at run time (disk interference,
+// degraded disks).
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -20,17 +19,13 @@ class Cluster {
   struct Options {
     int num_nodes = 7;  // datanodes; the paper uses 7 workers + 1 master
     Node::Options node;
-    /// Optional per-node tweak applied before construction, keyed by index.
-    std::function<void(int index, Node::Options&)> per_node;
   };
 
   Cluster(sim::Simulator& sim, Options opts) : sim_(sim) {
     DYRS_CHECK(opts.num_nodes > 0);
     nodes_.reserve(static_cast<std::size_t>(opts.num_nodes));
     for (int i = 0; i < opts.num_nodes; ++i) {
-      Node::Options node_opts = opts.node;
-      if (opts.per_node) opts.per_node(i, node_opts);
-      nodes_.push_back(std::make_unique<Node>(sim, NodeId(i), node_opts));
+      nodes_.push_back(std::make_unique<Node>(sim, NodeId(i), opts.node));
     }
   }
 

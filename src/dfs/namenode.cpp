@@ -16,15 +16,7 @@ NameNode::NameNode(sim::Simulator& sim, Options opts,
       placement_rng_(opts.placement_seed) {
   DYRS_CHECK(opts_.replication > 0);
   DYRS_CHECK(opts_.heartbeat_interval > 0);
-  DYRS_CHECK(opts_.heartbeat_miss_limit > 0);
-  if (opts_.auto_rereplicate) {
-    DYRS_CHECK(opts_.rereplication_interval > 0);
-    rereplication_timer_ =
-        sim_.every(opts_.rereplication_interval, [this]() { rereplicate_once(); });
-  }
 }
-
-NameNode::~NameNode() { rereplication_timer_.cancel(); }
 
 const NameNode::Member* NameNode::member(NodeId id) const {
   const auto i = static_cast<std::size_t>(id.value());
@@ -33,7 +25,7 @@ const NameNode::Member* NameNode::member(NodeId id) const {
 }
 
 bool NameNode::heard_recently(const Member& m) const {
-  return sim_.now() - m.last_heartbeat <= opts_.heartbeat_interval * opts_.heartbeat_miss_limit;
+  return sim_.now() - m.last_heartbeat <= opts_.heartbeat_interval * kHeartbeatMissLimit;
 }
 
 void NameNode::register_datanode(DataNode* dn) {
@@ -165,67 +157,6 @@ bool NameNode::has_replica_on(BlockId block, NodeId node) const {
   if (std::find(disk.begin(), disk.end(), node) != disk.end()) return true;
   const auto& memory = memory_[static_cast<std::size_t>(block.value())];
   return std::binary_search(memory.begin(), memory.end(), node);
-}
-
-std::vector<BlockId> NameNode::under_replicated_blocks() const {
-  std::vector<BlockId> out;
-  for (std::size_t i = 0; i < replicas_.size(); ++i) {
-    const BlockId block(static_cast<std::int64_t>(i));
-    if (ns_.block_deleted(block)) continue;
-    if (replicas_[i].empty()) continue;  // deleted or never placed
-    const auto live = block_locations(block);
-    if (static_cast<int>(live.size()) < opts_.replication && !live.empty()) {
-      out.push_back(block);
-    }
-  }
-  return out;
-}
-
-int NameNode::rereplicate_once() {
-  int started = 0;
-  for (BlockId block : under_replicated_blocks()) {
-    if (rereplicating_.count(block)) continue;
-    const auto sources = block_locations(block);
-    if (sources.empty()) continue;
-    // Destination: an available datanode not already holding the block.
-    const auto& raw = raw_replicas(block);
-    NodeId dest = NodeId::invalid();
-    std::vector<NodeId> candidates;  // ascending
-    for (std::size_t i = 0; i < members_.size(); ++i) {
-      const NodeId id(static_cast<std::int64_t>(i));
-      if (!serving(id)) continue;
-      if (std::find(raw.begin(), raw.end(), id) != raw.end()) continue;
-      candidates.push_back(id);
-    }
-    if (candidates.empty()) continue;
-    dest = candidates[static_cast<std::size_t>(placement_rng_.uniform_int(
-        0, static_cast<std::int64_t>(candidates.size()) - 1))];
-
-    const NodeId source = sources.front();
-    const Bytes size = ns_.block(block).size;
-    rereplicating_.insert(block);
-    ++started;
-    // Pipeline: read from the source disk, then write on the destination.
-    datanode(source)->node().disk().start_io(
-        cluster::IoClass::TaskRead, size, [this, block, dest, size](SimTime) {
-          const Member* d = member(dest);
-          if (d == nullptr || !d->dn->serving()) {
-            rereplicating_.erase(block);
-            return;  // destination died mid-copy; retried next pass
-          }
-          d->dn->node().disk().start_io(
-              cluster::IoClass::Write, size, [this, block, dest](SimTime) {
-                rereplicating_.erase(block);
-                if (ns_.block_deleted(block)) return;
-                const Member* d2 = member(dest);
-                if (d2 == nullptr || !d2->dn->serving()) return;
-                d2->dn->add_block(block);
-                replicas_[static_cast<std::size_t>(block.value())].push_back(dest);
-                ++rereplications_completed_;
-              });
-        });
-  }
-  return started;
 }
 
 std::vector<std::pair<BlockId, NodeId>> NameNode::memory_replica_entries() const {

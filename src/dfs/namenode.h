@@ -12,7 +12,6 @@
 #pragma once
 
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "common/random.h"
@@ -29,13 +28,10 @@ class NameNode {
     Bytes block_size = kDefaultBlockSize;
     int replication = kDefaultReplication;
     SimDuration heartbeat_interval = seconds(3);  // HDFS default
-    int heartbeat_miss_limit = 3;  // consecutive misses before marked dead
     std::uint64_t placement_seed = 1;
-    /// HDFS-style recovery: periodically scan for under-replicated blocks
-    /// (a holder died) and copy them to healthy nodes.
-    bool auto_rereplicate = false;
-    SimDuration rereplication_interval = seconds(10);
   };
+  /// Consecutive missed heartbeats before a datanode counts as dead.
+  static constexpr int kHeartbeatMissLimit = 3;
 
   NameNode(sim::Simulator& sim, Options opts,
            std::unique_ptr<PlacementPolicy> placement = nullptr);
@@ -48,7 +44,7 @@ class NameNode {
   /// Receives a heartbeat from a datanode (called by heartbeat drivers).
   void heartbeat(NodeId from);
 
-  /// True while the datanode has not missed heartbeat_miss_limit beats.
+  /// True while the datanode has not missed kHeartbeatMissLimit beats.
   /// A just-registered node is considered available.
   bool available(NodeId id) const;
 
@@ -72,7 +68,7 @@ class NameNode {
   /// Disk replica holders of a block, filtered to available datanodes.
   std::vector<NodeId> block_locations(BlockId block) const;
 
-  /// All placed replicas, including on dead nodes (for recovery tests).
+  /// All placed replicas, including on dead nodes.
   const std::vector<NodeId>& raw_replicas(BlockId block) const;
 
   // --- in-memory replica registry --------------------------------------
@@ -83,16 +79,6 @@ class NameNode {
   /// Drops every in-memory location (master failover: the registry lives
   /// logically in the master).
   void clear_memory_replicas();
-
-  // --- re-replication ----------------------------------------------------
-  /// Blocks whose available replica count is below the target.
-  std::vector<BlockId> under_replicated_blocks() const;
-  /// One recovery pass: for each under-replicated block, start one copy
-  /// (source disk read, then destination disk write) to a healthy node
-  /// not already holding it. Returns copies started. Runs automatically
-  /// every rereplication_interval when auto_rereplicate is set.
-  int rereplicate_once();
-  long rereplications_completed() const { return rereplications_completed_; }
 
   /// Available nodes currently holding `block` in memory.
   std::vector<NodeId> memory_locations(BlockId block) const;
@@ -125,7 +111,7 @@ class NameNode {
   };
   /// `id`'s slot, or null when no datanode is registered under `id`.
   const Member* member(NodeId id) const;
-  /// Heard from within heartbeat_miss_limit intervals.
+  /// Heard from within kHeartbeatMissLimit intervals.
   bool heard_recently(const Member& m) const;
 
   std::vector<Member> members_;  // indexed by NodeId
@@ -135,12 +121,6 @@ class NameNode {
   /// list sorted by NodeId; memory_count_ is the sum of their sizes.
   std::vector<std::vector<NodeId>> memory_;
   std::size_t memory_count_ = 0;
-  std::unordered_set<BlockId> rereplicating_;  // copies in flight
-  long rereplications_completed_ = 0;
-  sim::EventHandle rereplication_timer_;
-
- public:
-  ~NameNode();
 };
 
 }  // namespace dyrs::dfs

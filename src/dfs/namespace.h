@@ -42,7 +42,7 @@ class Namespace {
   Bytes block_size() const { return block_size_; }
 
   /// Flattens a list of file names into their blocks, in file order — the
-  /// master's first step when a migration request arrives.
+  /// engine resolves a job's input with it once, at submission.
   std::vector<BlockId> blocks_of(const std::vector<std::string>& names) const;
 
  private:

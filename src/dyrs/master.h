@@ -60,9 +60,11 @@ class MigrationMaster final : public MigrationService {
   MigrationMaster(cluster::Cluster& cluster, dfs::NameNode& namenode, MasterConfig config);
   ~MigrationMaster() override;
 
+  /// Resolves `files` to their blocks and migrates those, for callers that
+  /// hold file names rather than blocks (benches, tests).
+  void migrate_files(JobId job, const std::vector<std::string>& files, EvictionMode mode);
+
   // --- MigrationService --------------------------------------------------
-  void migrate_files(JobId job, const std::vector<std::string>& files,
-                     EvictionMode mode) override;
   void migrate_blocks(JobId job, const std::vector<BlockId>& blocks,
                       EvictionMode mode) override;
   void evict_job(JobId job) override;

@@ -10,13 +10,7 @@ void OracleInRam::migrate_blocks(JobId job, const std::vector<BlockId>& blocks,
                                  EvictionMode /*mode*/) {
   for (BlockId block : blocks) {
     const Bytes size = namenode_.ns().block(block).size;
-    const auto& replicas = namenode_.raw_replicas(block);
-    if (replicas.empty()) continue;
-    if (opts_.pin_all_replicas) {
-      for (NodeId node : replicas) pin_replica(job, block, node, size);
-    } else {
-      pin_replica(job, block, replicas.front(), size);
-    }
+    for (NodeId node : namenode_.raw_replicas(block)) pin_replica(job, block, node, size);
   }
 }
 

@@ -3,9 +3,9 @@
 // Models vmtouch locking every replica of the input files in the buffer
 // cache of its holder before the workload starts: migration is free and
 // instantaneous, every read is a memory read. Memory accounting is real
-// (pages are pinned on each replica holder), so the footprint comparisons
-// of Fig 7 remain meaningful. Data stays locked until explicitly released,
-// exactly like vmtouch with a held lock.
+// (pages are pinned on each replica holder). Data stays locked until
+// explicitly released (evict_job), exactly like vmtouch with a held lock:
+// a finished job releases nothing.
 #pragma once
 
 #include <set>
@@ -19,23 +19,8 @@ namespace dyrs::core {
 
 class OracleInRam final : public MigrationService {
  public:
-  struct Options {
-    /// Pin every replica (vmtouch on each holder) vs just one per block.
-    bool pin_all_replicas = true;
-    /// Release a job's blocks when it finishes (the "hypothetical" instant
-    /// scheme of Fig 7) instead of holding them for the whole run.
-    bool evict_on_finish = false;
-  };
-
-  OracleInRam(cluster::Cluster& cluster, dfs::NameNode& namenode, Options opts)
-      : cluster_(cluster), namenode_(namenode), opts_(opts) {}
   OracleInRam(cluster::Cluster& cluster, dfs::NameNode& namenode)
-      : OracleInRam(cluster, namenode, Options{}) {}
-
-  void migrate_files(JobId job, const std::vector<std::string>& files,
-                     EvictionMode mode) override {
-    migrate_blocks(job, namenode_.ns().blocks_of(files), mode);
-  }
+      : cluster_(cluster), namenode_(namenode) {}
 
   void migrate_blocks(JobId job, const std::vector<BlockId>& blocks,
                       EvictionMode /*mode*/) override;
@@ -44,9 +29,7 @@ class OracleInRam final : public MigrationService {
 
   void on_blocks_deleted(const std::vector<BlockId>& blocks) override;
 
-  void on_job_finished(JobId job) override {
-    if (opts_.evict_on_finish) evict_job(job);
-  }
+  void on_job_finished(JobId /*job*/) override {}
 
   std::string name() const override { return "HDFS-Inputs-in-RAM"; }
 
@@ -57,7 +40,6 @@ class OracleInRam final : public MigrationService {
 
   cluster::Cluster& cluster_;
   dfs::NameNode& namenode_;
-  Options opts_;
   // (block, node) -> set of jobs holding it; pinned once, refcounted.
   std::map<std::pair<BlockId, NodeId>, std::set<JobId>> pinned_;
 };

@@ -18,13 +18,8 @@ class MigrationService : public dfs::ReadHooks {
  public:
   ~MigrationService() override = default;
 
-  /// Client entry point (the job submitter calls this at submission, the
-  /// Hive hook right after query compilation): migrate the blocks of the
-  /// named files for `job`.
-  virtual void migrate_files(JobId job, const std::vector<std::string>& files,
-                             EvictionMode mode) = 0;
-
-  /// Lower-level variant used by frameworks that already resolved blocks.
+  /// Client entry point (the job submitter calls this at submission, with
+  /// the input files it resolved to blocks): migrate `blocks` for `job`.
   virtual void migrate_blocks(JobId job, const std::vector<BlockId>& blocks,
                               EvictionMode mode) = 0;
 
@@ -49,7 +44,6 @@ class MigrationService : public dfs::ReadHooks {
 /// Plain HDFS: no migration at all. The experiments' baseline.
 class NoMigration final : public MigrationService {
  public:
-  void migrate_files(JobId, const std::vector<std::string>&, EvictionMode) override {}
   void migrate_blocks(JobId, const std::vector<BlockId>&, EvictionMode) override {}
   void evict_job(JobId) override {}
   std::string name() const override { return "HDFS"; }

@@ -16,8 +16,7 @@ MigrationSlave::MigrationSlave(sim::Simulator& sim, dfs::DataNode& datanode,
       config_(config),
       policy_(policy),
       callbacks_(std::move(callbacks)),
-      estimator_({.ewma_alpha = config.ewma_alpha,
-                  .reference_block = config.reference_block,
+      estimator_({.reference_block = config.reference_block,
                   .fallback_rate = datanode.node().disk().bandwidth(),
                   .overdue_correction = config.overdue_correction}),
       buffers_(&datanode.node().memory(), policy.tier, config.memory_limit) {

@@ -34,7 +34,6 @@ struct SlaveConfig {
   bool serialize_migrations = true;   // DYRS: true; Ignem: false
   /// Concurrency cap when serialize_migrations is false; 0 = unlimited.
   int max_concurrent_migrations = 0;
-  double ewma_alpha = 0.3;
   bool overdue_correction = true;
   Bytes reference_block = 256 * kMiB;
   Bytes memory_limit = 0;             // cap for migrated data; 0 = node RAM

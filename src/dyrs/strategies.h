@@ -47,9 +47,8 @@ inline std::unique_ptr<MigrationMaster> make_naive_balancer(cluster::Cluster& cl
 }
 
 inline std::unique_ptr<OracleInRam> make_inputs_in_ram(cluster::Cluster& cluster,
-                                                       dfs::NameNode& namenode,
-                                                       OracleInRam::Options opts = {}) {
-  return std::make_unique<OracleInRam>(cluster, namenode, opts);
+                                                       dfs::NameNode& namenode) {
+  return std::make_unique<OracleInRam>(cluster, namenode);
 }
 
 inline std::unique_ptr<NoMigration> make_no_migration() {

@@ -20,14 +20,7 @@ Engine::Engine(cluster::Cluster& cluster, dfs::NameNode& namenode, dfs::DFSClien
   DYRS_CHECK(options_.output_replication >= 1);
   slots_.assign(static_cast<std::size_t>(cluster_.size()),
                 {options_.map_slots_per_node, options_.reduce_slots_per_node});
-  if (options_.speculative_execution) {
-    DYRS_CHECK(options_.speculation_slowdown > 1.0);
-    speculation_timer_ = cluster_.simulator().every(options_.speculation_check_interval,
-                                                    [this]() { speculation_pass(); });
-  }
 }
-
-Engine::~Engine() { speculation_timer_.cancel(); }
 
 void Engine::set_migration_service(core::MigrationService* service) {
   service_ = service;
@@ -75,11 +68,12 @@ void Engine::begin_submission(JobId id, JobSpec spec) {
 
   // The job submitter issues the migration call first thing (§IV-B), so
   // the whole lead-time is available for migration.
+  const std::vector<BlockId> blocks = namenode_.ns().blocks_of(spec.input_files);
   if (spec.request_migration && service_) {
-    service_->migrate_files(id, spec.input_files, spec.eviction);
+    service_->migrate_blocks(id, blocks, spec.eviction);
   }
 
-  for (BlockId block : namenode_.ns().blocks_of(spec.input_files)) {
+  for (BlockId block : blocks) {
     MapTask task;
     task.id = TaskId(next_task_++);
     task.block = block;
@@ -175,7 +169,7 @@ bool Engine::schedule_map_on(NodeId node) {
   *link = task.next_unscheduled;
   if (job.next_map == job.maps.size()) map_queue_.erase(pick);
   --slots(node).map_free;
-  run_map(job, task, node, /*speculative=*/false);
+  run_map(job, task, node);
   return true;
 }
 
@@ -190,7 +184,7 @@ bool Engine::schedule_reduce_on(NodeId node) {
   return true;
 }
 
-void Engine::run_map(Job& job, MapTask& task, NodeId node, bool speculative) {
+void Engine::run_map(Job& job, const MapTask& task, NodeId node) {
   auto& sim = cluster_.simulator();
   auto record = std::make_shared<TaskRecord>();
   record->id = task.id;
@@ -200,13 +194,9 @@ void Engine::run_map(Job& job, MapTask& task, NodeId node, bool speculative) {
   record->block = task.block;
   record->input = task.size;
   record->started = sim.now();
-  if (job.record.first_task_start == 0) job.record.first_task_start = sim.now();
-
-  if (!task.done) task.done = std::make_shared<bool>(false);
-  ++task.attempts;
-  if (!speculative) {
-    task.first_started = sim.now();
-    task.first_node = node;
+  if (!job.map_placed) {
+    job.map_placed = true;
+    job.record.first_task_start = sim.now();
   }
 
   const JobId jid = job.id;
@@ -214,29 +204,20 @@ void Engine::run_map(Job& job, MapTask& task, NodeId node, bool speculative) {
   const Bytes size = task.size;
   const Rate compute_rate = job.spec.map_compute_rate;
   const SimDuration overhead = job.spec.task_overhead;
-  auto done_flag = task.done;
 
   // Container launch, then input read, then compute.
-  sim.schedule_after(overhead, [this, jid, block, node, size, compute_rate, record,
-                                done_flag, speculative]() {
+  sim.schedule_after(overhead, [this, jid, block, node, size, compute_rate, record]() {
     record->read_started = cluster_.simulator().now();
-    client_.read_block(block, node, jid, [this, jid, node, size, compute_rate, record,
-                                          done_flag, speculative](const dfs::ReadInfo& info) {
+    client_.read_block(block, node, jid, [this, jid, node, size, compute_rate,
+                                          record](const dfs::ReadInfo& info) {
       record->read_done = info.end;
       record->medium = info.medium;
       record->read_source = info.source;
       const auto compute = static_cast<SimDuration>(
           static_cast<double>(size) / compute_rate * 1e6);
       cluster_.simulator().schedule_after(
-          compute, [this, jid, node, record, done_flag, speculative]() {
+          compute, [this, jid, node, record]() {
             ++slots(node).map_free;
-            if (*done_flag) {
-              // The other attempt won; this one just releases its slot.
-              try_schedule();
-              return;
-            }
-            *done_flag = true;
-            if (speculative) ++speculative_wins_;
             record->finished = cluster_.simulator().now();
             metrics_.add_task(*record);
             if (ctr_maps_done_ != nullptr) ctr_maps_done_->inc();
@@ -249,43 +230,13 @@ void Engine::run_map(Job& job, MapTask& task, NodeId node, bool speculative) {
                                 .with("medium", dfs::to_string(record->medium)));
             }
             auto it = active_.find(jid);
-            if (it != active_.end()) {
-              Job& j = it->second;
-              j.completed_map_durations_s.push_back(record->duration_s());
-              if (--j.maps_remaining == 0) on_maps_complete(j);
+            if (it != active_.end() && --it->second.maps_remaining == 0) {
+              on_maps_complete(it->second);
             }
             try_schedule();
           });
     });
   });
-}
-
-void Engine::speculation_pass() {
-  for (auto& [jid, job] : active_) {
-    if (static_cast<int>(job.completed_map_durations_s.size()) <
-        options_.speculation_min_completed) {
-      continue;
-    }
-    std::vector<double> durations = job.completed_map_durations_s;
-    const auto mid = durations.begin() + static_cast<std::ptrdiff_t>(durations.size() / 2);
-    std::nth_element(durations.begin(), mid, durations.end());
-    const double median = *mid;
-    const double threshold = median * options_.speculation_slowdown;
-    for (MapTask& task : job.maps) {
-      if (task.attempts != 1 || (task.done && *task.done)) continue;
-      const double elapsed = to_seconds(cluster_.simulator().now() - task.first_started);
-      if (elapsed < threshold) continue;
-      // Find a free slot on a different node.
-      for (NodeId node : cluster_.node_ids()) {
-        if (node == task.first_node || !cluster_.node(node).alive()) continue;
-        if (slots(node).map_free <= 0) continue;
-        --slots(node).map_free;
-        ++speculative_launches_;
-        run_map(job, task, node, /*speculative=*/true);
-        break;
-      }
-    }
-  }
 }
 
 Bytes Engine::shuffle_total(const Job& job) const {

@@ -7,8 +7,9 @@
 // Fig 8), and migrated blocks accelerate exactly the read portion of maps.
 //
 // Integration points with the migration framework:
-//  * job submission triggers MigrationService::migrate_files (the paper's
-//    job-submitter hook, §IV-B);
+//  * job submission resolves the input files to blocks once and hands them
+//    to MigrationService::migrate_blocks (the paper's job-submitter hook,
+//    §IV-B);
 //  * job completion triggers on_job_finished (pro-active eviction);
 //  * the DFSClient's read hooks deliver missed-read cancellation and
 //    implicit eviction signals.
@@ -40,15 +41,6 @@ class Engine {
     /// write load minimal (useful when the experiment only studies reads).
     int output_replication = 1;
     std::uint64_t seed = 21;
-
-    /// Hadoop-style speculative execution for map tasks: once a job has
-    /// enough completed maps to estimate a median, a running map that
-    /// exceeds `speculation_slowdown` x median gets a duplicate attempt on
-    /// another node; the first attempt to finish wins.
-    bool speculative_execution = false;
-    double speculation_slowdown = 2.0;
-    int speculation_min_completed = 5;
-    SimDuration speculation_check_interval = seconds(1);
   };
 
   Engine(cluster::Cluster& cluster, dfs::NameNode& namenode, dfs::DFSClient& client,
@@ -85,11 +77,6 @@ class Engine {
     /// Index of the job's next unscheduled map while this one is unscheduled
     /// (maps.size() ends the list).
     std::size_t next_unscheduled = 0;
-    int attempts = 0;  // 0 until placed
-    SimTime first_started = 0;
-    NodeId first_node;
-    /// Shared by all attempts of this task; the first finisher sets it.
-    std::shared_ptr<bool> done;
   };
   struct Job {
     JobId id;
@@ -101,13 +88,13 @@ class Engine {
     std::size_t next_map = 0;
     std::size_t next_reduce = 0;
     std::int64_t eligible_seq = 0;  // eligibility order; keys the queues
+    bool map_placed = false;  // record.first_task_start is set with it, once
     int maps_remaining = 0;
     int reduces_remaining = 0;
     /// Shuffle-phase span accounting: NIC fetches still in flight and when
     /// the phase opened (maps done), for `shuffle_start`/`shuffle_done`.
     int shuffle_fetches_remaining = 0;
     SimTime shuffle_started_at = 0;
-    std::vector<double> completed_map_durations_s;  // for speculation medians
   };
   struct Slots {
     int map_free = 0;
@@ -119,8 +106,7 @@ class Engine {
   void try_schedule();
   bool schedule_map_on(NodeId node);
   bool schedule_reduce_on(NodeId node);
-  void run_map(Job& job, MapTask& task, NodeId node, bool speculative);
-  void speculation_pass();
+  void run_map(Job& job, const MapTask& task, NodeId node);
   void run_reduce(Job& job, TaskId task, NodeId node);
   void on_maps_complete(Job& job);
   void on_shuffle_fetch_done(JobId id);
@@ -151,9 +137,6 @@ class Engine {
   std::int64_t next_job_ = 0;
   std::int64_t next_task_ = 0;
   int pending_submissions_ = 0;
-  sim::EventHandle speculation_timer_;
-  long speculative_launches_ = 0;
-  long speculative_wins_ = 0;
 
   obs::ObsContext obs_;
   obs::Counter* ctr_jobs_submitted_ = nullptr;
@@ -162,11 +145,6 @@ class Engine {
   obs::Counter* ctr_tasks_scanned_ = nullptr;
   obs::Counter* ctr_reduces_done_ = nullptr;
   obs::Histogram* hist_job_duration_s_ = nullptr;
-
- public:
-  ~Engine();
-  long speculative_launches() const { return speculative_launches_; }
-  long speculative_wins() const { return speculative_wins_; }
 };
 
 }  // namespace dyrs::exec

@@ -22,16 +22,13 @@ Testbed::Testbed(TestbedConfig config) : config_(config) {
                 .node = {.disk = {.name = "disk",
                                   .bandwidth = config_.disk_bandwidth,
                                   .seek_alpha = config_.seek_alpha},
-                         .memory = {.capacity = config_.node_memory,
-                                    .read_bandwidth = config_.memory_bandwidth},
-                         .nic_bandwidth = config_.nic_bandwidth},
-                .per_node = nullptr});
+                         .memory = {.capacity = config_.node_memory},
+                         .nic_bandwidth = config_.nic_bandwidth}});
 
   namenode_ = std::make_unique<dfs::NameNode>(
       sim_, dfs::NameNode::Options{.block_size = config_.block_size,
                                    .replication = config_.replication,
                                    .heartbeat_interval = config_.dfs_heartbeat,
-                                   .heartbeat_miss_limit = 3,
                                    .placement_seed = config_.placement_seed});
   for (NodeId id : cluster_->node_ids()) {
     datanodes_.push_back(std::make_unique<dfs::DataNode>(cluster_->node(id)));
@@ -69,7 +66,6 @@ Testbed::Testbed(TestbedConfig config) : config_(config) {
   engine_opts.map_slots_per_node = config_.map_slots_per_node;
   engine_opts.reduce_slots_per_node = config_.reduce_slots_per_node;
   engine_opts.output_replication = config_.output_replication;
-  engine_opts.speculative_execution = config_.speculative_execution;
   engine_opts.seed = config_.placement_seed + 31;
   engine_ = std::make_unique<Engine>(*cluster_, *namenode_, *client_, engine_opts);
   engine_->set_migration_service(service_);
@@ -150,21 +146,10 @@ faults::FaultInjector& Testbed::install_fault_plan(const faults::FaultPlan& plan
   return *injector_;
 }
 
-faults::ClusterInvariantChecker& Testbed::enable_invariant_checks(
-    faults::ClusterInvariantChecker::Options opts) {
+faults::ClusterInvariantChecker& Testbed::enable_invariant_checks() {
   DYRS_CHECK_MSG(invariants_ == nullptr, "invariant checks already enabled");
-  if (opts.period <= 0) opts.period = config_.invariant_check_period;
-  if (opts.detection_grace <= 0) {
-    // Namenode detection (miss limit 3, plus the in-flight interval) and
-    // one master pulse, with a pulse of slack.
-    opts.detection_grace = config_.dfs_heartbeat * 4 +
-                           config_.master.slave.heartbeat_interval * 2 + seconds(1);
-  }
-  if (opts.rebuild_grace <= 0) {
-    opts.rebuild_grace = config_.master.slave.heartbeat_interval * 2 + seconds(1);
-  }
   invariants_ = std::make_unique<faults::ClusterInvariantChecker>(sim_, *cluster_, *namenode_,
-                                                                 master_.get(), opts);
+                                                                 master_.get());
   if (injector_ != nullptr) {
     injector_->after_event = [this]() { invariants_->check_now("after-fault"); };
   }

@@ -44,7 +44,6 @@ struct TestbedConfig {
   Rate disk_bandwidth = mib_per_sec(160);
   double seek_alpha = 0.15;
   Bytes node_memory = gib(128);
-  Rate memory_bandwidth = gib_per_sec(25);
   Rate nic_bandwidth = gbit_per_sec(10);
 
   // MiniDFS.
@@ -57,7 +56,6 @@ struct TestbedConfig {
   int map_slots_per_node = 8;
   int reduce_slots_per_node = 4;
   int output_replication = 1;  // HDFS uses 3; 1 isolates read effects
-  bool speculative_execution = false;
 
   // Migration scheme.
   Scheme scheme = Scheme::Dyrs;
@@ -65,7 +63,6 @@ struct TestbedConfig {
 
   // Fault injection.
   std::uint64_t fault_seed = 1;  // I/O-error rolls in the injector
-  SimDuration invariant_check_period = seconds(1);
 
   // Observability.
   SimDuration sample_interval = seconds(1);  // enable_sampling() cadence
@@ -105,9 +102,8 @@ class Testbed {
   faults::FaultInjector& install_fault_plan(const faults::FaultPlan& plan);
   /// Starts periodic cross-layer invariant checking; when a fault plan is
   /// (or later gets) installed, checks also run after every fault event.
-  /// Grace windows left at 0 are derived from the heartbeat configuration.
-  faults::ClusterInvariantChecker& enable_invariant_checks(
-      faults::ClusterInvariantChecker::Options opts = {});
+  /// The grace windows are derived from the heartbeat configuration.
+  faults::ClusterInvariantChecker& enable_invariant_checks();
 
   // --- observability ----------------------------------------------------
   /// Every layer is wired to this bundle at construction; tracing is off

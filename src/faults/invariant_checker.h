@@ -19,9 +19,9 @@
 //  5. Every bound migration targets a node holding a disk replica.
 //  6. The post-failover `rebuilding` flag clears within one master pulse.
 //
-// Violations are recorded (and optionally fatal); the chaos soak asserts
-// the list stays empty. Checks run periodically and, via
-// FaultInjector::after_event, immediately after every fault transition.
+// Violations are recorded; the chaos soak asserts the list stays empty.
+// Checks run every second and, via FaultInjector::after_event, immediately
+// after every fault transition.
 #pragma once
 
 #include <string>
@@ -43,30 +43,11 @@ struct InvariantViolation {
 
 class ClusterInvariantChecker {
  public:
-  struct Options {
-    SimDuration period = seconds(1);
-    /// How long a bound migration may keep targeting a node that stopped
-    /// heartbeating before it counts as a violation. Must cover namenode
-    /// detection (heartbeat_interval * miss_limit) plus one master pulse;
-    /// Testbed::enable_invariant_checks derives it from its config when
-    /// left at 0.
-    SimDuration detection_grace = 0;
-    /// How long `rebuilding` may stay set after a master failover (one
-    /// master pulse, i.e. one slave heartbeat interval, plus slack).
-    /// Derived by the Testbed when left at 0.
-    SimDuration rebuild_grace = 0;
-    /// Abort the run on the first violation (tests prefer collecting).
-    bool fatal = false;
-  };
-
   /// `master` may be null (HDFS / inputs-in-RAM schemes): only the
-  /// master-independent invariants are checked then.
+  /// master-independent invariants are checked then. The grace windows
+  /// come from the namenode's and the master's heartbeat intervals.
   ClusterInvariantChecker(sim::Simulator& sim, cluster::Cluster& cluster,
-                          dfs::NameNode& namenode, core::MigrationMaster* master,
-                          Options options);
-  ClusterInvariantChecker(sim::Simulator& sim, cluster::Cluster& cluster,
-                          dfs::NameNode& namenode, core::MigrationMaster* master)
-      : ClusterInvariantChecker(sim, cluster, namenode, master, Options{}) {}
+                          dfs::NameNode& namenode, core::MigrationMaster* master);
   ~ClusterInvariantChecker();
   ClusterInvariantChecker(const ClusterInvariantChecker&) = delete;
   ClusterInvariantChecker& operator=(const ClusterInvariantChecker&) = delete;
@@ -84,7 +65,13 @@ class ClusterInvariantChecker {
   cluster::Cluster& cluster_;
   dfs::NameNode& namenode_;
   core::MigrationMaster* master_;
-  Options options_;
+  /// How long a bound migration may keep targeting a node that stopped
+  /// heartbeating: namenode detection (miss limit plus the in-flight
+  /// interval) and one master pulse, with a pulse and a second of slack.
+  SimDuration detection_grace_ = 0;
+  /// How long `rebuilding` may stay set after a master failover: one
+  /// master pulse, with a pulse and a second of slack.
+  SimDuration rebuild_grace_ = 0;
 
   // First time a (block, node) binding was seen targeting an unavailable
   // node / first time `rebuilding` was seen set — for the grace windows.

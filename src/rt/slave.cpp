@@ -42,8 +42,7 @@ RtSlave::RtSlave(Options options, const core::ControlPlaneConfig& policy,
       gauge_memory_used_(options_.obs.gauge(
           "node" + std::to_string(options_.node.value()) + ".tier.memory.used_bytes")),
       ctr_demotions_(options_.obs.counter("dyrs.migrations.demoted")),
-      estimator_({.ewma_alpha = options_.ewma_alpha,
-                  .reference_block = options_.reference_block,
+      estimator_({.reference_block = options_.reference_block,
                   .fallback_rate = options_.disk_bandwidth,
                   .overdue_correction = true}),
       buffers_(nullptr, policy_.tier, options_.memory_capacity),
@@ -161,8 +160,7 @@ void RtSlave::restart() {
     crashed_ = false;
     // A restarted daemon has no history: estimate from the unloaded-disk
     // fallback until migrations complete again.
-    estimator_ = core::MigrationEstimator({.ewma_alpha = options_.ewma_alpha,
-                                           .reference_block = options_.reference_block,
+    estimator_ = core::MigrationEstimator({.reference_block = options_.reference_block,
                                            .fallback_rate = options_.disk_bandwidth,
                                            .overdue_correction = true});
     poked_ = false;

@@ -101,7 +101,6 @@ class RtSlave {
     /// How often the worker publishes a wall-clock heartbeat (also the
     /// pull cadence the derived queue depth assumes).
     std::chrono::milliseconds heartbeat_interval{25};
-    double ewma_alpha = 0.3;
     Bytes reference_block = mib(8);
     /// Observability handle shared with the master. Counter bumps are safe
     /// from the worker thread; tracing additionally requires a thread-safe

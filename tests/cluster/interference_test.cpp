@@ -69,7 +69,7 @@ TEST(AlternatingInterference, AntiPhasePairKeepsExactlyOneActive) {
   // Fig 9d/9e setup: when interference is active on node 1 it is inactive
   // on node 2 and vice versa.
   sim::Simulator sim;
-  Cluster cluster(sim, {.num_nodes = 2, .node = {}, .per_node = {}});
+  Cluster cluster(sim, {.num_nodes = 2, .node = {}});
   AlternatingInterference a(sim, cluster.node(NodeId(0)).disk(), seconds(10), true);
   AlternatingInterference b(sim, cluster.node(NodeId(1)).disk(), seconds(10), false);
   for (int step = 0; step < 6; ++step) {

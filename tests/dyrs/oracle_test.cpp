@@ -13,7 +13,7 @@ TEST(OracleInRam, PinsAllReplicasInstantly) {
   MiniDfs dfs({.num_nodes = 4, .replication = 3, .block_size = mib(64)});
   OracleInRam oracle(*dfs.cluster, *dfs.namenode);
   const auto& f = dfs.namenode->create_file("/input", mib(128));
-  oracle.migrate_files(JobId(1), {"/input"}, EvictionMode::Explicit);
+  oracle.migrate_blocks(JobId(1), f.blocks, EvictionMode::Explicit);
   // No simulated time passed; everything is already in memory.
   for (BlockId b : f.blocks) {
     EXPECT_EQ(dfs.namenode->memory_locations(b).size(), 3u);
@@ -25,14 +25,6 @@ TEST(OracleInRam, PinsAllReplicasInstantly) {
   EXPECT_EQ(pinned, 3 * mib(128));
 }
 
-TEST(OracleInRam, SingleReplicaMode) {
-  MiniDfs dfs({.num_nodes = 4, .replication = 3, .block_size = mib(64)});
-  OracleInRam oracle(*dfs.cluster, *dfs.namenode, {.pin_all_replicas = false});
-  const auto& f = dfs.namenode->create_file("/input", mib(64));
-  oracle.migrate_blocks(JobId(1), f.blocks, EvictionMode::Explicit);
-  EXPECT_EQ(dfs.namenode->memory_locations(f.blocks[0]).size(), 1u);
-}
-
 TEST(OracleInRam, KeepsDataAcrossJobFinishByDefault) {
   MiniDfs dfs;
   OracleInRam oracle(*dfs.cluster, *dfs.namenode);
@@ -42,21 +34,9 @@ TEST(OracleInRam, KeepsDataAcrossJobFinishByDefault) {
   EXPECT_TRUE(dfs.namenode->in_memory(f.blocks[0]));  // vmtouch holds the lock
 }
 
-TEST(OracleInRam, EvictOnFinishMode) {
-  MiniDfs dfs;
-  OracleInRam oracle(*dfs.cluster, *dfs.namenode, {.evict_on_finish = true});
-  const auto& f = dfs.namenode->create_file("/input", mib(64));
-  oracle.migrate_blocks(JobId(1), f.blocks, EvictionMode::Explicit);
-  oracle.on_job_finished(JobId(1));
-  EXPECT_FALSE(dfs.namenode->in_memory(f.blocks[0]));
-  Bytes pinned = 0;
-  for (NodeId id : dfs.cluster->node_ids()) pinned += dfs.cluster->node(id).memory().pinned();
-  EXPECT_EQ(pinned, 0);
-}
-
 TEST(OracleInRam, SharedBlocksRefcounted) {
   MiniDfs dfs;
-  OracleInRam oracle(*dfs.cluster, *dfs.namenode, {.evict_on_finish = true});
+  OracleInRam oracle(*dfs.cluster, *dfs.namenode);
   const auto& f = dfs.namenode->create_file("/input", mib(64));
   oracle.migrate_blocks(JobId(1), f.blocks, EvictionMode::Explicit);
   oracle.migrate_blocks(JobId(2), f.blocks, EvictionMode::Explicit);

@@ -51,7 +51,6 @@ TEST(Strategies, NoMigrationIsInert) {
   auto none = make_no_migration();
   EXPECT_EQ(none->name(), "HDFS");
   // All entry points are harmless no-ops.
-  none->migrate_files(JobId(1), {"/x"}, EvictionMode::Implicit);
   none->migrate_blocks(JobId(1), {BlockId(0)}, EvictionMode::Implicit);
   none->evict_job(JobId(1));
   none->on_job_finished(JobId(1));

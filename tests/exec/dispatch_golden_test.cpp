@@ -1,5 +1,5 @@
 // Golden dispatch digests: pin every placement decision of the exec slot
-// scheduler (which task ran where and when, and what its read hit) on four
+// scheduler (which task ran where and when, and what its read hit) on three
 // small scenarios, so a rewrite of the dispatch loop must reproduce the
 // decisions exactly. Each scenario also asserts that it reaches the path
 // it exists to cover; a digest that stops exercising its path pins nothing.
@@ -114,18 +114,6 @@ TEST(DispatchGolden, DatanodeCrash) {
     return t.node == kCrashNode && t.started >= seconds(5) && t.started < seconds(15);
   }));
   EXPECT_EQ(dispatch_digest(tb.metrics()), 0xfe079f14aab6c7faULL);
-}
-
-TEST(DispatchGolden, Speculation) {
-  TestbedConfig c = saturated_config();
-  c.speculative_execution = true;
-  Testbed tb(c);
-  tb.add_persistent_interference(NodeId(0), 8);
-  submit_jobs(tb);
-  tb.run();
-  ASSERT_EQ(tb.metrics().jobs().size(), kJobs);
-  EXPECT_GT(tb.engine().speculative_launches(), 0);
-  EXPECT_EQ(dispatch_digest(tb.metrics()), 0x1f2c05f47006292fULL);
 }
 
 }  // namespace

@@ -61,6 +61,28 @@ TEST(Engine, PlatformOverheadCreatesLeadTime) {
   EXPECT_NEAR(job.lead_time_s(), 5.0, 0.1);
 }
 
+TEST(Engine, FirstMapStartingAtTimeZeroKeepsItsLeadTime) {
+  // Submitted at t = 0 with no overhead, the first wave starts at t = 0;
+  // six maps on two one-slot nodes take three waves, and the later waves
+  // must not overwrite the job's first task start.
+  TestbedConfig c = small_config();
+  c.num_nodes = 2;
+  c.map_slots_per_node = 1;
+  Testbed tb(c);
+  tb.load_file("/in", mib(64) * 6);
+  auto spec = simple_job("/in");
+  spec.platform_overhead = 0;
+  tb.submit(spec);
+  tb.run();
+  const auto& job = tb.metrics().jobs()[0];
+  SimTime first_map = job.finished;
+  for (const auto& t : tb.metrics().tasks()) first_map = std::min(first_map, t.started);
+  EXPECT_EQ(first_map, 0);
+  EXPECT_EQ(job.first_task_start, 0);
+  EXPECT_EQ(job.lead_time_s(), 0.0);
+  EXPECT_GT(job.map_phase_s(), 3.0);  // three waves of one-second reads
+}
+
 TEST(Engine, ExtraLeadTimeDelaysTasksNotMigration) {
   Testbed tb(small_config(Scheme::Dyrs));
   tb.load_file("/in", mib(256));

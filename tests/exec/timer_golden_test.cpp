@@ -1,13 +1,12 @@
 // Timer-heavy golden digest: one DYRS testbed runs every kind of recurring
 // or delayed simulator event the library creates (master pulses and
-// Algorithm 1 retarget passes, DFS heartbeats and re-replication,
-// speculation checks, anti-phase alternating interference, the telemetry
-// sampler, periodic invariant checks, and a fault plan's crash, restart and
-// disk degradation) and pins the trace, the job and task records and the
-// per-node disk bytes by I/O class. A change to the event core must keep
-// every same-time tie in its order, so the digest must not move. The run
-// also asserts that it exercised each timer kind: a digest that stops
-// reaching a path pins nothing.
+// Algorithm 1 retarget passes, DFS heartbeats, anti-phase alternating
+// interference, the telemetry sampler, periodic invariant checks, and a
+// fault plan's crash, restart and disk degradation) and pins the trace,
+// the job and task records and the per-node disk bytes by I/O class. A
+// change to the event core must keep every same-time tie in its order, so
+// the digest must not move. The run also asserts that it exercised each
+// timer kind: a digest that stops reaching a path pins nothing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -58,7 +57,6 @@ TEST(TimerGolden, EveryTimerKindKeepsItsDigest) {
   c.block_size = mib(64);
   c.master.slave.heartbeat_interval = seconds(1);
   c.master.slave.reference_block = mib(64);
-  c.speculative_execution = true;
   c.scheme = Scheme::Dyrs;
   Testbed tb(c);
   obs::MemorySink& sink = tb.trace_to_memory();
@@ -69,10 +67,6 @@ TEST(TimerGolden, EveryTimerKindKeepsItsDigest) {
   tb.install_fault_plan(faults::FaultPlan()
                             .crash_process(kCrashNode, seconds(6), seconds(30))
                             .degrade_disk(kDegradedNode, seconds(4), seconds(20), 0.25));
-  // The testbed's namenode does not re-replicate on its own; drive it at
-  // the namenode's default interval so the copies share the disks.
-  sim::EventHandle rereplication =
-      tb.simulator().every(seconds(10), [&tb] { tb.namenode().rereplicate_once(); });
 
   for (std::size_t i = 0; i < kJobs; ++i) {
     const std::string file = "/in" + std::to_string(i);
@@ -88,7 +82,6 @@ TEST(TimerGolden, EveryTimerKindKeepsItsDigest) {
     tb.submit_at(spec, seconds(2) * static_cast<SimDuration>(i));
   }
   tb.run();
-  rereplication.cancel();
   ASSERT_EQ(tb.metrics().jobs().size(), kJobs);
 
   // Each timer kind ran.
@@ -101,8 +94,6 @@ TEST(TimerGolden, EveryTimerKindKeepsItsDigest) {
   }
   EXPECT_GT(bind_times.size(), 10u);                                // master pulses
   EXPECT_GT(targets, 0u);                                           // retarget passes
-  EXPECT_GT(tb.namenode().rereplications_completed(), 0);           // heartbeat loss
-  EXPECT_GT(tb.engine().speculative_launches(), 0);
   // Anti-phase toggling: each activation starts two interference flows.
   EXPECT_NE(alt0.active(), alt1.active());
   for (NodeId id : {NodeId(0), NodeId(1)}) {
@@ -116,7 +107,8 @@ TEST(TimerGolden, EveryTimerKindKeepsItsDigest) {
   ASSERT_NE(tb.injector(), nullptr);
   EXPECT_EQ(tb.injector()->events_applied(), 4);
 
-  // Captured before the event core was rebuilt on the slot table.
+  // Captured on the engine and namenode that still carried speculative
+  // maps and re-replication, with both left off.
   Fnv trace;
   for (const obs::TraceEvent& e : sink.events()) trace.add_text(obs::to_json(e));
   Fnv records;
@@ -148,11 +140,11 @@ TEST(TimerGolden, EveryTimerKindKeepsItsDigest) {
       disks.add(static_cast<std::uint64_t>(disk.ios_by_class(io)));
     }
   }
-  EXPECT_EQ(sink.events().size(), 5527u);
-  EXPECT_EQ(trace.value(), 0x3e4e4cbc79154044ULL);
-  EXPECT_EQ(records.value(), 0xfa2068e89c24cf28ULL);
-  EXPECT_EQ(disks.value(), 0x95a211e1e7532333ULL);
-  EXPECT_EQ(tb.simulator().now(), 161565648);
+  EXPECT_EQ(sink.events().size(), 2436u);
+  EXPECT_EQ(trace.value(), 0x08848bbc6e3dd00cULL);
+  EXPECT_EQ(records.value(), 0x2440501d08e01c74ULL);
+  EXPECT_EQ(disks.value(), 0xbe401acc740cbb08ULL);
+  EXPECT_EQ(tb.simulator().now(), 52835127);
 }
 
 }  // namespace

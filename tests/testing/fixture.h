@@ -34,14 +34,12 @@ struct MiniDfs {
                                    .seek_alpha = o.seek_alpha},
                           .memory = {.capacity = o.memory,
                                      .read_bandwidth = gib_per_sec(25)},
-                          .nic_bandwidth = gbit_per_sec(10)},
-                 .per_node = nullptr});
+                          .nic_bandwidth = gbit_per_sec(10)}});
     namenode = std::make_unique<dfs::NameNode>(
         sim,
         dfs::NameNode::Options{.block_size = o.block_size,
                                .replication = o.replication,
                                .heartbeat_interval = seconds(1),
-                               .heartbeat_miss_limit = 3,
                                .placement_seed = o.placement_seed},
         std::move(o.placement));
     for (NodeId id : cluster->node_ids()) {
