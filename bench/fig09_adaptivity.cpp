@@ -147,7 +147,7 @@ TrackingResult run_tracking(SimDuration period, bool overdue) {
   cluster::Cluster cluster(
       sim, {.num_nodes = 1,
             .node = {.disk = {.name = "d", .bandwidth = mib_per_sec(160), .seek_alpha = 0.15},
-                     .memory = {.capacity = gib(64), .read_bandwidth = gib_per_sec(25)},
+                     .memory = {.capacity = gib(64)},
                      .nic_bandwidth = gbit_per_sec(10)}});
   dfs::NameNode namenode(sim, {.block_size = mib(256), .replication = 1,
                                .heartbeat_interval = seconds(3), .placement_seed = 1});

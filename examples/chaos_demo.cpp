@@ -25,7 +25,6 @@ struct SchemeResult {
   long requeued = 0;
   long permanent = 0;
   std::size_t violations = 0;
-  std::size_t fault_events = 0;
 };
 
 SchemeResult run_scheme(exec::Scheme scheme, const faults::FaultPlan& plan,
@@ -51,7 +50,6 @@ SchemeResult run_scheme(exec::Scheme scheme, const faults::FaultPlan& plan,
   r.makespan_s = to_seconds(end);
   r.jobs = tb.metrics().jobs().size();
   r.io_errors = injector.io_errors_injected();
-  r.fault_events = injector.trace().size();
   r.violations = checker.violations().size();
   if (core::MigrationMaster* m = tb.master()) {
     r.retries = m->migration_retries();

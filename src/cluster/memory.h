@@ -18,9 +18,11 @@ namespace dyrs::cluster {
 
 class Memory {
  public:
+  /// Buffer-cache read rate: a single-socket stream rate.
+  static constexpr Rate kReadBandwidth = gib_per_sec(25);
+
   struct Options {
     Bytes capacity = gib(128);
-    Rate read_bandwidth = gib_per_sec(25);  // a single-socket stream rate
   };
 
   Memory(sim::Simulator& sim, Options opts) : sim_(sim), opts_(opts) {}
@@ -47,7 +49,7 @@ class Memory {
 
   /// Time to read `bytes` from the buffer cache.
   SimDuration read_time(Bytes bytes) const {
-    return static_cast<SimDuration>(static_cast<double>(bytes) / opts_.read_bandwidth * 1e6);
+    return static_cast<SimDuration>(static_cast<double>(bytes) / kReadBandwidth * 1e6);
   }
 
   /// Schedules a memory read and invokes `done` at completion.

@@ -12,12 +12,8 @@ Logger& Logger::instance() {
 namespace {
 const char* level_name(LogLevel level) {
   switch (level) {
-    case LogLevel::Trace: return "TRACE";
-    case LogLevel::Debug: return "DEBUG";
-    case LogLevel::Info: return "INFO";
     case LogLevel::Warn: return "WARN";
     case LogLevel::Error: return "ERROR";
-    case LogLevel::Off: return "OFF";
   }
   return "?";
 }

@@ -1,8 +1,9 @@
-// Minimal leveled logger.
+// Minimal logger for the conditions worth a line on stderr.
 //
 // The simulator is single-threaded; the real-time runtime (src/rt) logs from
-// multiple threads, so emission takes a lock. Logging defaults to Warn so
-// tests and benchmarks stay quiet; examples turn on Info.
+// multiple threads, so emission takes a lock. There are two levels and no
+// threshold: every Warn and Error line prints. Routine progress goes to the
+// trace and the metrics registry, not here.
 #pragma once
 
 #include <mutex>
@@ -11,22 +12,17 @@
 
 namespace dyrs {
 
-enum class LogLevel { Trace = 0, Debug = 1, Info = 2, Warn = 3, Error = 4, Off = 5 };
+enum class LogLevel { Warn, Error };
 
 class Logger {
  public:
   static Logger& instance();
-
-  void set_level(LogLevel level) { level_ = level; }
-  LogLevel level() const { return level_; }
-  bool enabled(LogLevel level) const { return level >= level_; }
 
   /// Writes one formatted line to stderr. Thread-safe.
   void write(LogLevel level, const std::string& component, const std::string& message);
 
  private:
   Logger() = default;
-  LogLevel level_ = LogLevel::Warn;
   std::mutex mu_;
 };
 
@@ -50,9 +46,5 @@ class LogLine {
 
 }  // namespace dyrs
 
-// Usage: DYRS_LOG(Info, "master") << "bound block " << id << " to node " << n;
-#define DYRS_LOG(level, component)                                   \
-  if (!::dyrs::Logger::instance().enabled(::dyrs::LogLevel::level)) \
-    ;                                                                \
-  else                                                               \
-    ::dyrs::detail::LogLine(::dyrs::LogLevel::level, component)
+// Usage: DYRS_LOG(Warn, "oracle") << "node " << n << " out of memory";
+#define DYRS_LOG(level, component) ::dyrs::detail::LogLine(::dyrs::LogLevel::level, component)

@@ -16,9 +16,6 @@
 namespace dyrs::core {
 
 struct QueueDepthPolicy {
-  /// Added on top of the computed depth, head-room for bursty pulls.
-  int extra_depth = 0;
-
   /// Queue depth for a slave pulled every `heartbeat` whose reference
   /// block takes `block_read_time` to read from an unloaded disk. A slave
   /// always accepts at least one migration.
@@ -28,7 +25,7 @@ struct QueueDepthPolicy {
             ? static_cast<int>(std::ceil(static_cast<double>(heartbeat) /
                                          static_cast<double>(block_read_time)))
             : 1;
-    return std::max(1, depth) + extra_depth;
+    return std::max(1, depth);
   }
 
   /// The same §III-B depth: the rt slave drains its whole queue per cycle,

@@ -25,23 +25,14 @@ const FileMeta& Namespace::create_file(const std::string& name, Bytes size) {
   }
   by_name_.emplace(name, meta.id);
   files_.push_back(std::move(meta));
-  file_deleted_.push_back(false);
   return files_.back();
 }
 
 std::vector<BlockId> Namespace::delete_file(const std::string& name) {
   const FileMeta& meta = file(name);  // throws for unknown names
-  file_deleted_[static_cast<std::size_t>(meta.id.value())] = true;
   by_name_.erase(name);
   return meta.blocks;
 }
-
-bool Namespace::deleted(FileId id) const {
-  DYRS_CHECK(id.valid() && static_cast<std::size_t>(id.value()) < files_.size());
-  return file_deleted_[static_cast<std::size_t>(id.value())];
-}
-
-bool Namespace::block_deleted(BlockId id) const { return deleted(block(id).file); }
 
 const FileMeta& Namespace::file(const std::string& name) const {
   auto it = by_name_.find(name);

@@ -24,12 +24,9 @@ class Namespace {
   bool exists(const std::string& name) const { return by_name_.count(name) > 0; }
 
   /// Removes a file from the namespace. Its BlockIds remain allocated
-  /// (ids are never reused) but resolve as deleted. Returns the file's
-  /// blocks so storage layers can drop replicas. Throws for unknown names.
+  /// and resolvable (ids are never reused). Returns the file's blocks so
+  /// storage layers can drop replicas. Throws for unknown names.
   std::vector<BlockId> delete_file(const std::string& name);
-
-  bool deleted(FileId id) const;
-  bool block_deleted(BlockId id) const;
 
   /// Throws CheckError for unknown names/ids — callers resolve existence
   /// with exists() first; an unknown id is a logic error.
@@ -50,7 +47,6 @@ class Namespace {
   std::vector<FileMeta> files_;
   std::vector<BlockMeta> blocks_;
   std::unordered_map<std::string, FileId> by_name_;
-  std::vector<bool> file_deleted_;  // parallel to files_
 };
 
 }  // namespace dyrs::dfs

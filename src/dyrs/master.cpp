@@ -62,15 +62,6 @@ MigrationMaster::~MigrationMaster() {
   retarget_timer_.cancel();
 }
 
-std::string MigrationMaster::name() const {
-  switch (config_.binding) {
-    case MasterConfig::Binding::LateTargeted: return "DYRS";
-    case MasterConfig::Binding::LateAnyReplica: return "NaiveBalancer";
-    case MasterConfig::Binding::EagerRandom: return "Ignem";
-  }
-  return "?";
-}
-
 MigrationSlave* MigrationMaster::find_slave(NodeId id) const {
   const auto i = static_cast<std::size_t>(id.value());
   return id.valid() && i < by_node_.size() ? by_node_[i].slave : nullptr;

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <utility>
 
@@ -69,7 +70,6 @@ class MigrationMaster final : public MigrationService {
                       EvictionMode mode) override;
   void evict_job(JobId job) override;
   void on_blocks_deleted(const std::vector<BlockId>& blocks) override;
-  std::string name() const override;
 
   // --- ReadHooks -----------------------------------------------------------
   void on_read_started(BlockId block, JobId job) override;

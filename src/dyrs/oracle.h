@@ -31,8 +31,6 @@ class OracleInRam final : public MigrationService {
 
   void on_job_finished(JobId /*job*/) override {}
 
-  std::string name() const override { return "HDFS-Inputs-in-RAM"; }
-
   std::size_t pinned_replica_count() const { return pinned_.size(); }
 
  private:

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "common/log.h"
 
 namespace dyrs::core {
 
@@ -21,6 +20,8 @@ MigrationSlave::MigrationSlave(sim::Simulator& sim, dfs::DataNode& datanode,
                   .overdue_correction = config.overdue_correction}),
       buffers_(&datanode.node().memory(), policy.tier, config.memory_limit) {
   DYRS_CHECK(config_.heartbeat_interval > 0);
+  DYRS_CHECK_MSG(config_.max_concurrent_migrations >= 1,
+                 "max_concurrent_migrations must be at least 1");
 }
 
 int MigrationSlave::queue_capacity() const {
@@ -118,21 +119,12 @@ bool MigrationSlave::cancel_for_job(BlockId block, JobId job) {
 
 void MigrationSlave::maybe_start() {
   if (!datanode_.serving()) return;
-  if (config_.serialize_migrations) {
-    while (active_.empty() && !queue_.empty()) {
-      BoundMigration next = std::move(queue_.front());
-      queue_.pop_front();
-      if (!start_migration(std::move(next))) break;  // stalled: requeued at front
-    }
-  } else {
-    // Ignem-style: launch queued work concurrently, up to the cap.
-    while (!queue_.empty() &&
-           (config_.max_concurrent_migrations <= 0 ||
-            static_cast<int>(active_.size()) < config_.max_concurrent_migrations)) {
-      BoundMigration next = std::move(queue_.front());
-      queue_.pop_front();
-      if (!start_migration(std::move(next))) break;
-    }
+  // DYRS runs one migration at a time (cap 1); Ignem launches queued work
+  // concurrently, up to its cap.
+  while (!queue_.empty() && in_flight_count() < config_.max_concurrent_migrations) {
+    BoundMigration next = std::move(queue_.front());
+    queue_.pop_front();
+    if (!start_migration(std::move(next))) break;  // stalled: requeued at front
   }
 }
 
@@ -200,8 +192,6 @@ void MigrationSlave::fail_migration(BlockId block) {
   ++m.attempts;
   if (policy_.retry.exhausted(m.attempts)) {
     ++permanent_failures_;
-    DYRS_LOG(Debug, "slave") << "node " << id() << " giving up on block " << block << " after "
-                             << m.attempts << " attempts";
     emitter_.transfer_failed(sim_.now(), block, id(), m.attempts);
     if (callbacks_.on_failed) callbacks_.on_failed(id(), std::move(m));
   } else {
@@ -259,20 +249,18 @@ void MigrationSlave::heartbeat() {
     estimator_.on_overdue(a.m.size, to_seconds(sim_.now() - a.started_at));
   }
   // Threshold-triggered scavenge of references held by dead jobs.
-  if (job_active_query && buffers_.over_threshold(config_.scavenge_threshold)) {
+  if (job_active_query && buffers_.over_threshold(kScavengeThreshold)) {
     report_evicted(buffers_.scavenge(job_active_query));
   }
   if (gauge_memory_used_ != nullptr) {
     gauge_memory_used_->set(static_cast<double>(buffers_.used()));
   }
-  if (stalled_ || (!queue_.empty() && (!config_.serialize_migrations || active_.empty()))) {
-    maybe_start();
-  }
+  maybe_start();  // retries a stalled head; a no-op when no slot is free
 }
 
 bool MigrationSlave::idle() const {
   return active_.empty() && queue_.empty() && !stalled_ &&
-         !(job_active_query && buffers_.over_threshold(config_.scavenge_threshold)) &&
+         !(job_active_query && buffers_.over_threshold(kScavengeThreshold)) &&
          (gauge_memory_used_ == nullptr ||
           gauge_memory_used_->value() == static_cast<double>(buffers_.used()));
 }

@@ -4,8 +4,8 @@
 //  * keep a bounded local FIFO queue of bound migrations, deep enough that
 //    the disk never idles between master pulls, shallow enough that binding
 //    stays late (depth = ceil(heartbeat / unloaded block read time), §III-B);
-//  * execute migrations — serialized by default, to avoid seek-thrashing
-//    the disk (Ignem-style concurrent execution is a config switch);
+//  * execute migrations — one at a time by default, to avoid
+//    seek-thrashing the disk (Ignem raises the concurrency cap);
 //  * maintain the per-node migration-time estimate, with the overdue
 //    correction applied every heartbeat (§IV-A);
 //  * manage the memory buffer: reference lists, implicit/explicit eviction,
@@ -31,17 +31,19 @@ namespace dyrs::core {
 
 struct SlaveConfig {
   SimDuration heartbeat_interval = seconds(1);
-  bool serialize_migrations = true;   // DYRS: true; Ignem: false
-  /// Concurrency cap when serialize_migrations is false; 0 = unlimited.
-  int max_concurrent_migrations = 0;
+  /// Migrations in flight at once, at least 1. DYRS serializes (1); Ignem
+  /// copies concurrently.
+  int max_concurrent_migrations = 1;
   bool overdue_correction = true;
   Bytes reference_block = 256 * kMiB;
   Bytes memory_limit = 0;             // cap for migrated data; 0 = node RAM
-  double scavenge_threshold = 0.9;    // buffer fraction that triggers scavenge
 };
 
 class MigrationSlave {
  public:
+  /// Buffer fraction at which a heartbeat scavenges dead jobs' references.
+  static constexpr double kScavengeThreshold = 0.9;
+
   struct Callbacks {
     /// A migration finished; the master registers the in-memory replica.
     std::function<void(const MigrationRecord&)> on_complete;

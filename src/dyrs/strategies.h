@@ -1,12 +1,12 @@
-// Factory helpers for the four evaluated configurations (paper §V-A) plus
-// the naive late-binder used as the straggler-avoidance foil (Fig 10).
+// Factory helpers for the migrating configurations of the evaluation
+// (paper §V-A) plus the naive late-binder used as the straggler-avoidance
+// foil (Fig 10). Plain HDFS migrates nothing and needs no service.
 #pragma once
 
 #include <memory>
 
 #include "dyrs/master.h"
 #include "dyrs/oracle.h"
-#include "dyrs/service.h"
 
 namespace dyrs::core {
 
@@ -27,7 +27,6 @@ inline std::unique_ptr<MigrationMaster> make_ignem(cluster::Cluster& cluster,
                                                    MasterConfig config = {}) {
   config.binding = MasterConfig::Binding::EagerRandom;
   config.cancel_missed_reads = false;
-  config.slave.serialize_migrations = false;
   // Ignem copies eagerly but a real datanode still bounds its copy
   // threads; without a cap the seek penalty makes the slowdown far more
   // extreme than the 2x the paper measured.
@@ -49,10 +48,6 @@ inline std::unique_ptr<MigrationMaster> make_naive_balancer(cluster::Cluster& cl
 inline std::unique_ptr<OracleInRam> make_inputs_in_ram(cluster::Cluster& cluster,
                                                        dfs::NameNode& namenode) {
   return std::make_unique<OracleInRam>(cluster, namenode);
-}
-
-inline std::unique_ptr<NoMigration> make_no_migration() {
-  return std::make_unique<NoMigration>();
 }
 
 }  // namespace dyrs::core

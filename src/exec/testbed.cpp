@@ -28,7 +28,6 @@ Testbed::Testbed(TestbedConfig config) : config_(config) {
   namenode_ = std::make_unique<dfs::NameNode>(
       sim_, dfs::NameNode::Options{.block_size = config_.block_size,
                                    .replication = config_.replication,
-                                   .heartbeat_interval = config_.dfs_heartbeat,
                                    .placement_seed = config_.placement_seed});
   for (NodeId id : cluster_->node_ids()) {
     datanodes_.push_back(std::make_unique<dfs::DataNode>(cluster_->node(id)));
@@ -41,9 +40,7 @@ Testbed::Testbed(TestbedConfig config) : config_(config) {
 
   switch (config_.scheme) {
     case Scheme::Hdfs:
-      none_ = core::make_no_migration();
-      service_ = none_.get();
-      break;
+      break;  // plain HDFS: no migration service at all
     case Scheme::InputsInRam:
       oracle_ = core::make_inputs_in_ram(*cluster_, *namenode_);
       service_ = oracle_.get();
@@ -70,57 +67,12 @@ Testbed::Testbed(TestbedConfig config) : config_(config) {
   engine_ = std::make_unique<Engine>(*cluster_, *namenode_, *client_, engine_opts);
   engine_->set_migration_service(service_);
 
-  // Every layer shares one ObsContext view of the testbed's Observability;
-  // tracing stays off (and near-free) until a sink is attached.
-  const obs::ObsContext ctx = obs_.context();
+  // Every layer shares one ObsContext view of the testbed's registry and
+  // tracer; tracing stays off (and near-free) until a sink is attached.
+  const obs::ObsContext ctx = obs_context();
   client_->set_observability(ctx);
   engine_->set_observability(ctx);
   if (master_ != nullptr) master_->set_observability(ctx);
-  register_probes(ctx);
-}
-
-void Testbed::register_probes(const obs::ObsContext& ctx) {
-  // Registrations land in the context's ProbeBook; they only start ticking
-  // if enable_sampling() later constructs a sampler (which adopts the book).
-  const double interval_s = to_seconds(config_.sample_interval);
-  for (NodeId id : cluster_->node_ids()) {
-    const std::string prefix = "node" + std::to_string(id.value());
-    cluster::Node& node = cluster_->node(id);
-    // Utilization probes report the busy fraction of the elapsed interval
-    // (cumulative busy-seconds deltas), like iostat %util.
-    auto disk_prev = std::make_shared<double>(0.0);
-    ctx.add_probe(prefix + ".disk.util", [&node, disk_prev, interval_s]() {
-      const double busy = node.disk().busy_seconds();
-      const double util = (busy - *disk_prev) / interval_s;
-      *disk_prev = busy;
-      return util;
-    });
-    auto nic_prev = std::make_shared<double>(0.0);
-    ctx.add_probe(prefix + ".nic.util", [&node, nic_prev, interval_s]() {
-      const double busy = node.nic().busy_seconds();
-      const double util = (busy - *nic_prev) / interval_s;
-      *nic_prev = busy;
-      return util;
-    });
-    ctx.add_probe(prefix + ".mem.pinned_bytes",
-                  [&node]() { return static_cast<double>(node.memory().pinned()); });
-    if (master_ != nullptr) {
-      // Fig 9's quantity: the master's per-node migration-time estimate,
-      // sampled post-pulse (the master's heartbeat timer was created first,
-      // so it fires before the sampler at equal timestamps).
-      core::MigrationMaster* master = master_.get();
-      ctx.add_probe(prefix + ".dyrs.est_s_per_block", [master, id]() {
-        return master->slave(id).estimator().seconds_per_block();
-      });
-    }
-  }
-  if (master_ != nullptr) {
-    core::MigrationMaster* master = master_.get();
-    ctx.add_probe("dyrs.pending_depth",
-                  [master]() { return static_cast<double>(master->pending_count()); });
-    ctx.add_probe("dyrs.bound_depth",
-                  [master]() { return static_cast<double>(master->bound_count()); });
-  }
 }
 
 Testbed::~Testbed() = default;
@@ -138,7 +90,7 @@ faults::FaultInjector& Testbed::install_fault_plan(const faults::FaultPlan& plan
   DYRS_CHECK_MSG(injector_ == nullptr, "a fault plan is already installed");
   injector_ =
       std::make_unique<faults::FaultInjector>(sim_, *cluster_, *namenode_, config_.fault_seed);
-  injector_->set_obs(obs_.context());
+  injector_->set_obs(obs_context());
   if (invariants_ != nullptr) {
     injector_->after_event = [this]() { invariants_->check_now("after-fault"); };
   }
@@ -156,15 +108,67 @@ faults::ClusterInvariantChecker& Testbed::enable_invariant_checks() {
   return *invariants_;
 }
 
+obs::MemorySink& Testbed::trace_to_memory() {
+  auto sink = std::make_unique<obs::MemorySink>();
+  obs::MemorySink& ref = *sink;
+  sink_ = std::move(sink);
+  tracer_.set_sink(sink_.get());
+  return ref;
+}
+
+void Testbed::trace_to_jsonl(const std::string& path) {
+  sink_ = std::make_unique<obs::JsonlFileSink>(path);
+  tracer_.set_sink(sink_.get());
+}
+
+void Testbed::stop_tracing() {
+  tracer_.set_sink(nullptr);
+  sink_.reset();
+}
+
 obs::PeriodicSampler& Testbed::enable_sampling() {
   DYRS_CHECK_MSG(sampler_ == nullptr, "sampling already enabled");
-  // The sampler adopts every probe the testbed registered into the
-  // ProbeBook at construction (same registration order, so coinciding
-  // ticks keep their deterministic emission order).
-  sampler_ =
-      std::make_unique<obs::PeriodicSampler>(sim_, obs_.context(), config_.sample_interval);
-  sampler_->start();
-  return *sampler_;
+  sampler_ = std::make_unique<obs::PeriodicSampler>(sim_, obs_context(), kSampleInterval);
+  obs::PeriodicSampler& sampler = *sampler_;
+  // Registration order is the order of each tick's `sample` events.
+  const double interval_s = to_seconds(kSampleInterval);
+  core::MigrationMaster* master = master_.get();
+  for (NodeId id : cluster_->node_ids()) {
+    const std::string prefix = "node" + std::to_string(id.value());
+    cluster::Node& node = cluster_->node(id);
+    // Utilization probes report the busy fraction of the elapsed interval
+    // (cumulative busy-seconds deltas), like iostat %util.
+    sampler.add_probe(prefix + ".disk.util", [&node, prev = 0.0, interval_s]() mutable {
+      const double busy = node.disk().busy_seconds();
+      const double util = (busy - prev) / interval_s;
+      prev = busy;
+      return util;
+    });
+    sampler.add_probe(prefix + ".nic.util", [&node, prev = 0.0, interval_s]() mutable {
+      const double busy = node.nic().busy_seconds();
+      const double util = (busy - prev) / interval_s;
+      prev = busy;
+      return util;
+    });
+    sampler.add_probe(prefix + ".mem.pinned_bytes",
+                      [&node]() { return static_cast<double>(node.memory().pinned()); });
+    if (master != nullptr) {
+      // Fig 9's quantity: the master's per-node migration-time estimate,
+      // sampled post-pulse (the master's heartbeat timer was created first,
+      // so it fires before the sampler at equal timestamps).
+      sampler.add_probe(prefix + ".dyrs.est_s_per_block", [master, id]() {
+        return master->slave(id).estimator().seconds_per_block();
+      });
+    }
+  }
+  if (master != nullptr) {
+    sampler.add_probe("dyrs.pending_depth",
+                      [master]() { return static_cast<double>(master->pending_count()); });
+    sampler.add_probe("dyrs.bound_depth",
+                      [master]() { return static_cast<double>(master->bound_count()); });
+  }
+  sampler.start();
+  return sampler;
 }
 
 cluster::DiskInterference& Testbed::add_persistent_interference(NodeId node, int width) {

@@ -27,8 +27,10 @@
 #include "exec/engine.h"
 #include "faults/fault_injector.h"
 #include "faults/invariant_checker.h"
-#include "obs/observability.h"
+#include "obs/metrics_registry.h"
+#include "obs/obs_context.h"
 #include "obs/sampler.h"
+#include "obs/trace.h"
 
 namespace dyrs::exec {
 
@@ -49,7 +51,6 @@ struct TestbedConfig {
   // MiniDFS.
   Bytes block_size = mib(256);
   int replication = 3;
-  SimDuration dfs_heartbeat = seconds(3);
   std::uint64_t placement_seed = 1;
 
   // Engine.
@@ -63,13 +64,13 @@ struct TestbedConfig {
 
   // Fault injection.
   std::uint64_t fault_seed = 1;  // I/O-error rolls in the injector
-
-  // Observability.
-  SimDuration sample_interval = seconds(1);  // enable_sampling() cadence
 };
 
 class Testbed {
  public:
+  /// enable_sampling()'s cadence: one sample per default master heartbeat.
+  static constexpr SimDuration kSampleInterval = seconds(1);
+
   explicit Testbed(TestbedConfig config);
   Testbed() : Testbed(TestbedConfig{}) {}
   ~Testbed();
@@ -106,15 +107,19 @@ class Testbed {
   faults::ClusterInvariantChecker& enable_invariant_checks();
 
   // --- observability ----------------------------------------------------
-  /// Every layer is wired to this bundle at construction; tracing is off
-  /// until a sink is attached (near-zero cost while disabled).
-  obs::Observability& observability() { return obs_; }
-  obs::MetricsRegistry& registry() { return obs_.registry(); }
-  obs::MemorySink& trace_to_memory() { return obs_.trace_to_memory(); }
-  void trace_to_jsonl(const std::string& path) { obs_.trace_to_jsonl(path); }
-  void stop_tracing() { obs_.stop_tracing(); }
+  /// Every layer is wired to this registry and tracer at construction;
+  /// tracing is off until a sink is attached (near-zero cost while
+  /// disabled).
+  obs::ObsContext obs_context() { return obs::ObsContext(&registry_, &tracer_); }
+  obs::MetricsRegistry& registry() { return registry_; }
+  /// Routes trace events to an in-memory buffer; returns it for assertions.
+  obs::MemorySink& trace_to_memory();
+  /// Routes trace events to a JSONL file (truncates existing content).
+  void trace_to_jsonl(const std::string& path);
+  /// Disables tracing and releases the sink (flushing a file sink).
+  void stop_tracing();
   /// Starts per-node telemetry sampling (disk/NIC utilization, pinned
-  /// memory bytes, master queue depths) on config().sample_interval.
+  /// memory bytes, master estimates and queue depths) on kSampleInterval.
   obs::PeriodicSampler& enable_sampling();
   /// Null until enable_sampling() is called.
   obs::PeriodicSampler* sampler() { return sampler_.get(); }
@@ -138,19 +143,19 @@ class Testbed {
   core::MigrationMaster* master() { return master_.get(); }
   /// The oracle, for the InputsInRam scheme only.
   core::OracleInRam* oracle() { return oracle_.get(); }
+  /// Null for plain HDFS, which migrates nothing.
   core::MigrationService* service() { return service_; }
   /// Null until install_fault_plan / enable_invariant_checks are called.
   faults::FaultInjector* injector() { return injector_.get(); }
   faults::ClusterInvariantChecker* invariants() { return invariants_.get(); }
 
  private:
-  /// Registers the per-node telemetry probes into the context's ProbeBook;
-  /// they start ticking only if enable_sampling() adopts them.
-  void register_probes(const obs::ObsContext& ctx);
-
   TestbedConfig config_;
   sim::Simulator sim_;
-  obs::Observability obs_;  // outlives every instrumented component below
+  // Declared before every instrumented component below, so they outlive it.
+  obs::MetricsRegistry registry_;
+  obs::Tracer tracer_;
+  std::unique_ptr<obs::TraceSink> sink_;
   std::unique_ptr<cluster::Cluster> cluster_;
   std::unique_ptr<dfs::NameNode> namenode_;
   std::vector<std::unique_ptr<dfs::DataNode>> datanodes_;
@@ -158,8 +163,7 @@ class Testbed {
   std::unique_ptr<dfs::DFSClient> client_;
   std::unique_ptr<core::MigrationMaster> master_;
   std::unique_ptr<core::OracleInRam> oracle_;
-  std::unique_ptr<core::NoMigration> none_;
-  core::MigrationService* service_ = nullptr;
+  core::MigrationService* service_ = nullptr;  // null for plain HDFS
   std::unique_ptr<Engine> engine_;
   std::vector<std::unique_ptr<cluster::DiskInterference>> persistent_;
   std::vector<std::unique_ptr<cluster::AlternatingInterference>> alternating_;

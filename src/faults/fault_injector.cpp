@@ -1,11 +1,10 @@
 #include "faults/fault_injector.h"
 
 #include <algorithm>
-#include <sstream>
 
 #include "common/check.h"
-#include "common/log.h"
 #include "dfs/datanode.h"
+#include "obs/trace.h"
 
 namespace dyrs::faults {
 
@@ -37,14 +36,8 @@ void FaultInjector::install(const FaultPlan& plan) {
   }
 }
 
-void FaultInjector::record(const std::string& line) {
-  std::ostringstream os;
-  os << "t=" << to_seconds(sim_.now()) << "s " << line;
-  trace_.push_back(os.str());
-  DYRS_LOG(Info, "faults") << trace_.back();
-}
-
 void FaultInjector::trace_transition(const FaultEvent& e, const char* phase) {
+  ++events_applied_;
   if (!obs_.tracing()) return;
   obs::TraceEvent ev(sim_.now(), "fault");
   ev.with("kind", to_string(e.kind));
@@ -62,25 +55,20 @@ void FaultInjector::apply_start(const FaultEvent& e) {
   dfs::DataNode* dn = namenode_.datanode(e.node);
   switch (e.kind) {
     case FaultKind::ProcessCrash:
-      record("inject " + e.describe());
       if (dn->process_alive()) dn->crash_process();
       break;
     case FaultKind::ServerDeath:
-      record("inject " + e.describe());
       dn->node().set_alive(false);
       if (dn->process_alive()) dn->crash_process();  // the daemon dies with the machine
       break;
     case FaultKind::Partition:
-      record("inject " + e.describe());
       ++partitions_[e.node];
       dn->set_partitioned(true);
       break;
     case FaultKind::IoErrors:
       // Window registered at install time; this timer only marks the trace.
-      record("open " + e.describe());
       break;
     case FaultKind::DiskDegradation:
-      record("inject " + e.describe());
       degradations_[e.node].push_back(e.factor);
       refresh_degradation(e.node);
       break;
@@ -93,26 +81,21 @@ void FaultInjector::apply_end(const FaultEvent& e) {
   dfs::DataNode* dn = namenode_.datanode(e.node);
   switch (e.kind) {
     case FaultKind::ProcessCrash:
-      record("restore " + e.describe());
       if (dn->node().alive() && !dn->process_alive()) dn->restart_process();
       break;
     case FaultKind::ServerDeath:
-      record("restore " + e.describe());
       dn->node().set_alive(true);
       if (!dn->process_alive()) dn->restart_process();
       break;
     case FaultKind::Partition: {
-      record("heal " + e.describe());
       auto it = partitions_.find(e.node);
       DYRS_CHECK(it != partitions_.end() && it->second > 0);
       if (--it->second == 0) dn->set_partitioned(false);
       break;
     }
     case FaultKind::IoErrors:
-      record("close " + e.describe());
-      break;
+      break;  // roll_io_error checks the window's bounds itself
     case FaultKind::DiskDegradation: {
-      record("restore " + e.describe());
       auto& active = degradations_[e.node];
       auto fit = std::find(active.begin(), active.end(), e.factor);
       DYRS_CHECK(fit != active.end());

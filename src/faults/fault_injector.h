@@ -20,10 +20,10 @@
 //  * DiskDegradation — Disk::set_degradation(factor) for the window;
 //                      overlapping windows multiply.
 //
-// Every applied event is appended to a human-readable trace; two runs with
-// the same plan and seed yield identical traces (the chaos soak asserts
-// this). An `after_event` hook lets the invariant checker run immediately
-// after every fault transition.
+// The record of each applied transition is its `fault` trace event; two
+// runs with the same plan and seed yield identical traces (the chaos soak
+// asserts this). An `after_event` hook lets the invariant checker run
+// immediately after every fault transition.
 #pragma once
 
 #include <functional>
@@ -34,41 +34,42 @@
 #include "common/random.h"
 #include "dfs/namenode.h"
 #include "faults/fault_plan.h"
-#include "faults/fault_surface.h"
 #include "obs/obs_context.h"
-#include "obs/trace.h"
 #include "sim/simulator.h"
 
 namespace dyrs::faults {
 
-class FaultInjector final : public FaultSurface {
+class FaultInjector {
  public:
   FaultInjector(sim::Simulator& sim, cluster::Cluster& cluster, dfs::NameNode& namenode,
                 std::uint64_t seed = 1);
-  ~FaultInjector() override;
+  ~FaultInjector();
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
   /// Schedules every event of `plan` (start and end transitions) and
   /// installs the migration-read fault hooks. Call once, before running.
-  void install(const FaultPlan& plan) override;
+  void install(const FaultPlan& plan);
 
   /// Emits `fault` trace events (kind/node/phase start|end) alongside each
   /// transition, so trace tooling can reconstruct node-liveness windows —
   /// the live-bind invariant needs them. The default no-op context
   /// disables emission.
-  void set_obs(const obs::ObsContext& obs) override { obs_ = obs; }
+  void set_obs(const obs::ObsContext& obs) { obs_ = obs; }
 
-  /// Chronological, human-readable record of applied transitions.
-  const std::vector<std::string>& trace() const override { return trace_; }
+  /// Migration reads failed by an active IoErrors window so far.
+  long io_errors_injected() const { return io_errors_injected_; }
+  /// Fault transitions applied so far.
+  int events_applied() const { return events_applied_; }
 
-  long io_errors_injected() const override { return io_errors_injected_; }
-  int events_applied() const override { return static_cast<int>(trace_.size()); }
+  /// Invoked after every applied fault transition (the invariant checker
+  /// registers itself here to check right after each fault).
+  std::function<void()> after_event;
 
  private:
   void apply_start(const FaultEvent& e);
   void apply_end(const FaultEvent& e);
-  void record(const std::string& line);
+  /// Emits the transition's `fault` event and counts it.
   void trace_transition(const FaultEvent& e, const char* phase);
   bool roll_io_error(NodeId node);
   void refresh_degradation(NodeId node);
@@ -88,8 +89,8 @@ class FaultInjector final : public FaultSurface {
   std::unordered_map<NodeId, int> partitions_;                    // nesting count
 
   std::vector<sim::EventHandle> timers_;
-  std::vector<std::string> trace_;
   obs::ObsContext obs_;
+  int events_applied_ = 0;
   long io_errors_injected_ = 0;
 };
 

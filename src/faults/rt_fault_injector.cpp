@@ -1,11 +1,9 @@
 #include "faults/rt_fault_injector.h"
 
 #include <algorithm>
-#include <sstream>
 #include <utility>
 
 #include "common/check.h"
-#include "common/log.h"
 #include "obs/trace.h"
 
 namespace dyrs::faults {
@@ -20,14 +18,9 @@ void RtFaultInjector::set_obs(const obs::ObsContext& obs) {
   obs_ = obs;
 }
 
-const std::vector<std::string>& RtFaultInjector::trace() const {
-  // Safe to read once the timeline quiesced (wait_done / stop).
-  return trace_;
-}
-
 int RtFaultInjector::events_applied() const {
   std::lock_guard lock(mu_);
-  return static_cast<int>(trace_.size());
+  return events_applied_;
 }
 
 long RtFaultInjector::io_errors_injected() const {
@@ -113,18 +106,9 @@ void RtFaultInjector::timeline(std::stop_token st) {
   done_cv_.notify_all();
 }
 
-void RtFaultInjector::record(SimTime planned_at, const std::string& line) {
-  // Keyed by the *planned* offset, not the wall clock: same plan and seed
-  // must yield a bit-identical trace across runs.
-  std::ostringstream os;
-  os << "t=" << to_seconds(planned_at) << "s " << line;
-  std::lock_guard lock(mu_);
-  trace_.push_back(os.str());
-  DYRS_LOG(Info, "faults") << trace_.back();
-}
-
 void RtFaultInjector::trace_transition(const FaultEvent& e, const char* phase) {
   std::lock_guard lock(mu_);
+  ++events_applied_;
   if (!obs_.tracing()) return;
   obs::TraceEvent ev(master_.now_us(), "fault");
   ev.with("kind", to_string(e.kind));
@@ -134,7 +118,7 @@ void RtFaultInjector::trace_transition(const FaultEvent& e, const char* phase) {
   if (e.kind == FaultKind::DiskDegradation) ev.with("factor", e.factor);
   // Injector lane of the rt merge key: blockless (sorts ahead of every
   // lifecycle), own tid, chronological tseq.
-  ev.with("lseq", 0).with("tid", kInjectorTid).with("tseq", ++tseq_);
+  ev.with("lseq", 0).with("tid", kInjectorTid).with("tseq", events_applied_);
   obs_.emit(ev);
 }
 
@@ -150,34 +134,27 @@ void RtFaultInjector::apply(const Transition& t) {
       // takes it down with the machine. On-"disk" replicas survive either
       // way (block placement is the master's static replica map).
       if (t.start) {
-        record(t.at, "inject " + e.describe());
         master_.slave(e.node).crash();
       } else {
-        record(t.at, "restore " + e.describe());
         master_.slave(e.node).restart();
       }
       break;
     case FaultKind::Partition:
       if (t.start) {
-        record(t.at, "inject " + e.describe());
         if (partitions_[e.node]++ == 0) master_.slave(e.node).set_partitioned(true);
       } else {
-        record(t.at, "heal " + e.describe());
         if (--partitions_[e.node] == 0) master_.slave(e.node).set_partitioned(false);
       }
       break;
     case FaultKind::IoErrors:
       // The hook evaluates the window against the wall clock; transitions
       // only mark the boundaries in the trace.
-      record(t.at, (t.start ? "open " : "close ") + e.describe());
       break;
     case FaultKind::DiskDegradation: {
       auto& factors = degradations_[e.node];
       if (t.start) {
-        record(t.at, "inject " + e.describe());
         factors.push_back(e.factor);
       } else {
-        record(t.at, "restore " + e.describe());
         auto it = std::find(factors.begin(), factors.end(), e.factor);
         if (it != factors.end()) factors.erase(it);
       }
@@ -190,7 +167,6 @@ void RtFaultInjector::apply(const Transition& t) {
       break;
     }
   }
-  if (after_event) after_event();
 }
 
 bool RtFaultInjector::wait_done(std::chrono::milliseconds timeout) {

@@ -1,5 +1,5 @@
 // Executes a FaultPlan against the real-threaded runtime on wall-clock
-// time — the rt implementation of FaultSurface.
+// time.
 //
 // Where the sim FaultInjector schedules plan events on the simulator
 // clock, this driver replays the same declarative plan with a timeline
@@ -24,10 +24,11 @@
 //                      device's nominal rate is untouched, so fault
 //                      windows compose with runtime reconfiguration.
 //
-// Applied transitions are recorded with their *planned* offsets, so two
-// runs of the same plan and seed yield identical traces even though wall
-// clocks differ. `fault` trace markers ride the rt merge-key scheme on a
-// dedicated injector lane (blockless lseq 0, tid kInjectorTid).
+// The record of each applied transition is its `fault` trace marker. The
+// markers ride the rt merge-key scheme on a dedicated injector lane
+// (blockless lseq 0, tid kInjectorTid, tseq = the transition's ordinal), so
+// two runs of the same plan and seed merge identically even though wall
+// clocks differ.
 #pragma once
 
 #include <atomic>
@@ -35,39 +36,40 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "common/random.h"
 #include "faults/fault_plan.h"
-#include "faults/fault_surface.h"
 #include "obs/obs_context.h"
 #include "rt/master.h"
 
 namespace dyrs::faults {
 
-class RtFaultInjector final : public FaultSurface {
+class RtFaultInjector {
  public:
   /// Trace-lane thread id for fault markers: far above any slave lane
   /// (node + 1) so merged traces keep injector events in their own group.
   static constexpr int kInjectorTid = 1'000'000;
 
   explicit RtFaultInjector(rt::RtMaster& master, std::uint64_t seed = 1);
-  ~RtFaultInjector() override;
+  ~RtFaultInjector();
   RtFaultInjector(const RtFaultInjector&) = delete;
   RtFaultInjector& operator=(const RtFaultInjector&) = delete;
 
   /// Installs the read-fault hooks and starts the timeline thread; the
   /// moment of the call is the plan's t=0. Call once, before the workload.
-  void install(const FaultPlan& plan) override;
+  void install(const FaultPlan& plan);
 
-  void set_obs(const obs::ObsContext& obs) override;
+  /// Emits a `fault` trace marker (kind/node/phase start|end) with each
+  /// transition; the default no-op context disables emission.
+  void set_obs(const obs::ObsContext& obs);
 
-  const std::vector<std::string>& trace() const override;
-  int events_applied() const override;
-  long io_errors_injected() const override;
+  /// Fault transitions applied so far.
+  int events_applied() const;
+  /// Migration reads failed by an active IoErrors window so far.
+  long io_errors_injected() const;
 
   /// Blocks until every scheduled transition was applied, or `timeout`
   /// elapsed. Returns true when the timeline ran to completion.
@@ -96,7 +98,7 @@ class RtFaultInjector final : public FaultSurface {
 
   void timeline(std::stop_token st);
   void apply(const Transition& t);
-  void record(SimTime planned_at, const std::string& line);
+  /// Counts the transition and emits its `fault` marker.
   void trace_transition(const FaultEvent& e, const char* phase);
   /// Wall-clock offset from install time, in microseconds.
   SimTime since_install() const;
@@ -111,10 +113,9 @@ class RtFaultInjector final : public FaultSurface {
   std::unordered_map<NodeId, int> partitions_;            // nesting; timeline thread only
   std::atomic<long> io_errors_injected_{0};
 
-  mutable std::mutex mu_;  // guards trace_, obs_, tseq_, done_
-  std::vector<std::string> trace_;
+  mutable std::mutex mu_;  // guards obs_, events_applied_, done_
   obs::ObsContext obs_;
-  std::int64_t tseq_ = 0;
+  int events_applied_ = 0;
   bool done_ = false;
   std::condition_variable done_cv_;
 

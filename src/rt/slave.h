@@ -8,8 +8,8 @@
 // — the late-binding protocol of §III-A1 with real threads and condition
 // variables.
 //
-// Transient read failures (injected through the FaultSurface read-fault
-// hook, see set_read_fault_hook) are retried in place with the shared
+// Transient read failures (injected through the read-fault hook, see
+// set_read_fault_hook) are retried in place with the shared
 // core::RetryPolicy — capped exponential backoff on the worker thread,
 // interruptible by cancel/stop. Exhausting the budget reports the
 // migration back to the master via `on_failed`, which requeues it with
@@ -154,7 +154,7 @@ class RtSlave {
   /// from. Returns true if anything was cancelled. Thread-safe.
   bool cancel(BlockId block);
 
-  /// Read-fault hook (the FaultSurface; tests and RtFaultInjector):
+  /// Read-fault hook (tests and RtFaultInjector):
   /// consulted after every finished read; returning true fails the read as
   /// if the device surfaced an I/O error, exercising the local retry path.
   /// Thread-safe; pass nullptr to clear.

@@ -102,9 +102,6 @@ class Simulator {
   /// Runs all events with time <= t, then advances now() to exactly t.
   std::size_t run_until(SimTime t);
 
-  /// Runs events for `d` more microseconds of simulated time.
-  std::size_t run_for(SimDuration d) { return run_until(now_ + d); }
-
   /// Executes the single next event, if any. Returns false when idle.
   bool step();
 

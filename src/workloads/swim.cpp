@@ -119,7 +119,7 @@ SimTime SwimWorkload::last_submission() const {
 
 std::vector<JobId> SwimWorkload::install(exec::Testbed& testbed, const exec::JobSpec& base,
                                          SimTime offset) const {
-  const obs::ObsContext obs = testbed.observability().context();
+  const obs::ObsContext obs = testbed.obs_context();
   std::vector<JobId> ids;
   ids.reserve(jobs_.size());
   for (const auto& job : jobs_) {

@@ -115,7 +115,7 @@ void QueryRunner::submit_stage(std::size_t index) {
   } else {
     id = testbed_.submit(spec);
   }
-  const obs::ObsContext obs = testbed_.observability().context();
+  const obs::ObsContext obs = testbed_.obs_context();
   if (obs.tracing()) {
     obs.emit(obs::TraceEvent(now, "wl_job")
                  .with("job", id.value())

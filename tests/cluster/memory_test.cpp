@@ -9,7 +9,7 @@ namespace {
 
 TEST(Memory, PinWithinCapacity) {
   sim::Simulator sim;
-  Memory mem(sim, {.capacity = gib(1), .read_bandwidth = gib_per_sec(25)});
+  Memory mem(sim, {.capacity = gib(1)});
   EXPECT_TRUE(mem.pin(mib(512)));
   EXPECT_EQ(mem.pinned(), mib(512));
   // The rest of the capacity stays pinnable, and not a byte more.
@@ -19,7 +19,7 @@ TEST(Memory, PinWithinCapacity) {
 
 TEST(Memory, PinBeyondCapacityFails) {
   sim::Simulator sim;
-  Memory mem(sim, {.capacity = mib(512), .read_bandwidth = gib_per_sec(25)});
+  Memory mem(sim, {.capacity = mib(512)});
   EXPECT_TRUE(mem.pin(mib(512)));
   EXPECT_FALSE(mem.pin(1));
   EXPECT_EQ(mem.pinned(), mib(512));
@@ -27,7 +27,7 @@ TEST(Memory, PinBeyondCapacityFails) {
 
 TEST(Memory, UnpinReleases) {
   sim::Simulator sim;
-  Memory mem(sim, {.capacity = mib(512), .read_bandwidth = gib_per_sec(25)});
+  Memory mem(sim, {.capacity = mib(512)});
   ASSERT_TRUE(mem.pin(mib(512)));
   mem.unpin(mib(256));
   EXPECT_EQ(mem.pinned(), mib(256));
@@ -43,7 +43,7 @@ TEST(Memory, UnpinMoreThanPinnedThrows) {
 
 TEST(Memory, ReadTimeMatchesBandwidth) {
   sim::Simulator sim;
-  Memory mem(sim, {.capacity = gib(128), .read_bandwidth = gib_per_sec(25)});
+  Memory mem(sim, {.capacity = gib(128)});
   // 256MiB at 25GiB/s = 10ms — the RAM-vs-disk gap the paper leans on.
   EXPECT_NEAR(to_seconds(mem.read_time(mib(256))), 0.01, 1e-4);
 }

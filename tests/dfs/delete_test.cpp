@@ -17,18 +17,18 @@ TEST(NamespaceDelete, RemovesNameKeepsBlockIds) {
   auto blocks = ns.delete_file("/a");
   EXPECT_EQ(blocks.size(), 2u);
   EXPECT_FALSE(ns.exists("/a"));
-  EXPECT_TRUE(ns.deleted(id));
-  EXPECT_TRUE(ns.block_deleted(blocks[0]));
   // Block metadata remains resolvable (ids are never reused).
   EXPECT_EQ(ns.block(blocks[0]).file, id);
 }
 
 TEST(NamespaceDelete, NameCanBeReused) {
   Namespace ns(mib(64));
-  ns.create_file("/a", mib(64));
+  const FileId first = ns.create_file("/a", mib(64)).id;
   ns.delete_file("/a");
   const auto& again = ns.create_file("/a", mib(64));
-  EXPECT_FALSE(ns.deleted(again.id));
+  EXPECT_TRUE(ns.exists("/a"));
+  EXPECT_NE(again.id, first);  // a fresh id: ids are never reused
+  EXPECT_EQ(ns.file("/a").id, again.id);
 }
 
 TEST(NamespaceDelete, UnknownNameThrows) {

@@ -20,7 +20,7 @@ std::map<JobId, EvictionMode> refs(std::initializer_list<std::pair<int, Eviction
 
 struct BufferFixture : ::testing::Test {
   sim::Simulator sim;
-  cluster::Memory memory{sim, {.capacity = gib(1), .read_bandwidth = gib_per_sec(25)}};
+  cluster::Memory memory{sim, {.capacity = gib(1)}};
 };
 
 TEST_F(BufferFixture, AddPinsMemory) {
@@ -365,7 +365,7 @@ class BufferInvariantTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(BufferInvariantTest, AccountingStaysConsistent) {
   sim::Simulator sim;
-  cluster::Memory memory(sim, {.capacity = gib(4), .read_bandwidth = gib_per_sec(25)});
+  cluster::Memory memory(sim, {.capacity = gib(4)});
   BufferManager bm(&memory, {}, gib(2));
   Rng rng(GetParam());
   std::vector<BlockId> live;

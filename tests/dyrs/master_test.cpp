@@ -437,9 +437,9 @@ TEST_F(MasterFixture, RejectsRtFailureDetection) {
 
 TEST_F(MasterFixture, MasterQueueDepthReachesEverySlave) {
   MasterConfig c = config();
-  c.queue_depth.extra_depth = 2;
+  c.slave.heartbeat_interval = seconds(3);
   auto master = make_dyrs(*dfs.cluster, *dfs.namenode, c);
-  // §III-B depth: one 64 MiB read at 64 MiB/s per 1 s heartbeat, plus 2.
+  // §III-B depth: three 64 MiB reads at 64 MiB/s per 3 s heartbeat.
   for (NodeId id : dfs.cluster->node_ids()) {
     EXPECT_EQ(master->slave(id).queue_capacity(), 3) << "node " << id;
   }

@@ -81,7 +81,7 @@ TEST_F(SlaveFixture, SerializesMigrations) {
 
 TEST_F(SlaveFixture, ConcurrentModeRunsAllAtOnce) {
   SlaveConfig config;
-  config.serialize_migrations = false;
+  config.max_concurrent_migrations = 4;  // Ignem's cap
   config.reference_block = mib(64);
   MigrationSlave ignem(dfs.sim, *dfs.datanodes[1], config, ControlPlaneConfig{}, {});
   // Blocks are replicated on all 3 nodes, so datanode 1 hosts them too.
@@ -91,6 +91,10 @@ TEST_F(SlaveFixture, ConcurrentModeRunsAllAtOnce) {
   }
   EXPECT_EQ(ignem.in_flight_count(), 3);
   EXPECT_EQ(ignem.queued_count(), 0);
+
+  config.max_concurrent_migrations = 0;  // a slave runs at least one migration
+  EXPECT_THROW(MigrationSlave(dfs.sim, *dfs.datanodes[2], config, ControlPlaneConfig{}, {}),
+               CheckError);
 }
 
 TEST_F(SlaveFixture, QueueCapacityFromHeartbeatAndBlockTime) {
@@ -110,10 +114,9 @@ TEST_F(SlaveFixture, QueueCapacityFromHeartbeatAndBlockTime) {
 
 TEST_F(SlaveFixture, FreeSlotsShrinkWithQueue) {
   SlaveConfig config;
+  config.heartbeat_interval = seconds(3);  // three 1 s block reads: capacity 3
   config.reference_block = mib(64);
-  ControlPlaneConfig policy;
-  policy.queue_depth.extra_depth = 2;  // capacity 3
-  MigrationSlave s(dfs.sim, *dfs.datanodes[1], config, policy, {});
+  MigrationSlave s(dfs.sim, *dfs.datanodes[1], config, ControlPlaneConfig{}, {});
   EXPECT_EQ(s.free_slots(), 3);
   s.enqueue(bound(file->blocks[0]));  // starts immediately -> in flight
   EXPECT_EQ(s.free_slots(), 3);
@@ -232,8 +235,7 @@ TEST_F(SlaveFixture, ImplicitEvictionViaOnBlockRead) {
 TEST_F(SlaveFixture, ScavengeOnHeartbeatUnderPressure) {
   SlaveConfig config;
   config.reference_block = mib(64);
-  config.memory_limit = mib(128);
-  config.scavenge_threshold = 0.5;
+  config.memory_limit = mib(70);  // one 64 MiB block fills 91%
   std::vector<BlockId> gone;
   MigrationSlave::Callbacks cb;
   cb.on_evicted = [&](NodeId, const std::vector<BlockId>& blocks) {
@@ -244,7 +246,7 @@ TEST_F(SlaveFixture, ScavengeOnHeartbeatUnderPressure) {
   s.enqueue(bound(file->blocks[0], 7, EvictionMode::Explicit));
   dfs.sim.run_until(seconds(2));
   ASSERT_TRUE(s.buffers().contains(file->blocks[0]) || !gone.empty());
-  s.heartbeat();  // over threshold (64/128 = 0.5) -> scavenges dead job 7
+  s.heartbeat();  // over the 0.9 threshold (64/70) -> scavenges dead job 7
   EXPECT_FALSE(s.buffers().contains(file->blocks[0]));
   ASSERT_EQ(gone.size(), 1u);
 }

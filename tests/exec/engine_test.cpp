@@ -8,7 +8,8 @@
 #include <vector>
 
 #include "exec/testbed.h"
-#include "obs/observability.h"
+#include "obs/metrics_registry.h"
+#include "obs/obs_context.h"
 #include "testing/fixture.h"
 
 namespace dyrs::exec {
@@ -328,15 +329,15 @@ TEST(EngineDispatch, MemoryReplicaAloneMakesMapLocal) {
 
 TEST(EngineDispatch, ScanCounterAbsentWithoutObservability) {
   testing::MiniDfs dfs;
-  obs::Observability obs;
-  dfs.client->set_observability(obs.context());  // the registry is live
+  obs::MetricsRegistry registry;
+  dfs.client->set_observability(obs::ObsContext(&registry, nullptr));  // the registry is live
   Engine engine(*dfs.cluster, *dfs.namenode, *dfs.client, Engine::Options{});
   dfs.namenode->create_file("/in", mib(64) * 4);
   engine.submit(simple_job("/in", /*reducers=*/1));
   dfs.sim.run_until(seconds(60));
   EXPECT_TRUE(engine.all_done());
   EXPECT_EQ(engine.metrics().tasks().size(), 5u);
-  EXPECT_EQ(obs.registry().find_counter("exec.sched.tasks_scanned"), nullptr);
+  EXPECT_EQ(registry.find_counter("exec.sched.tasks_scanned"), nullptr);
 }
 
 TEST(Engine, EmptyInputFilesThrow) {

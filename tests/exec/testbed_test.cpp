@@ -28,33 +28,39 @@ TEST(Testbed, SchemeNames) {
 }
 
 TEST(Testbed, ServiceWiringPerScheme) {
+  using core::MasterConfig;
   {
     Testbed tb(tiny(Scheme::Hdfs));
+    EXPECT_STREQ(to_string(tb.scheme()), "HDFS");
     EXPECT_EQ(tb.master(), nullptr);
     EXPECT_EQ(tb.oracle(), nullptr);
-    EXPECT_NE(tb.service(), nullptr);
-    EXPECT_EQ(tb.service()->name(), "HDFS");
+    EXPECT_EQ(tb.service(), nullptr);  // plain HDFS migrates nothing
   }
   {
     Testbed tb(tiny(Scheme::Dyrs));
+    EXPECT_STREQ(to_string(tb.scheme()), "DYRS");
     ASSERT_NE(tb.master(), nullptr);
-    EXPECT_EQ(tb.master()->name(), "DYRS");
+    EXPECT_EQ(tb.service(), tb.master());
+    EXPECT_EQ(tb.master()->config().binding, MasterConfig::Binding::LateTargeted);
   }
   {
     Testbed tb(tiny(Scheme::Ignem));
+    EXPECT_STREQ(to_string(tb.scheme()), "Ignem");
     ASSERT_NE(tb.master(), nullptr);
-    EXPECT_EQ(tb.master()->name(), "Ignem");
+    EXPECT_EQ(tb.master()->config().binding, MasterConfig::Binding::EagerRandom);
   }
   {
     Testbed tb(tiny(Scheme::InputsInRam));
+    EXPECT_STREQ(to_string(tb.scheme()), "HDFS-Inputs-in-RAM");
     EXPECT_EQ(tb.master(), nullptr);
     ASSERT_NE(tb.oracle(), nullptr);
-    EXPECT_EQ(tb.oracle()->name(), "HDFS-Inputs-in-RAM");
+    EXPECT_EQ(tb.service(), tb.oracle());
   }
   {
     Testbed tb(tiny(Scheme::NaiveBalancer));
+    EXPECT_STREQ(to_string(tb.scheme()), "NaiveBalancer");
     ASSERT_NE(tb.master(), nullptr);
-    EXPECT_EQ(tb.master()->name(), "NaiveBalancer");
+    EXPECT_EQ(tb.master()->config().binding, MasterConfig::Binding::LateAnyReplica);
   }
 }
 
@@ -111,7 +117,7 @@ TEST(Testbed, EstimateProbeSamplesEachPulse) {
   TestbedConfig c = tiny(Scheme::Dyrs);
   c.disk_bandwidth = mib_per_sec(64);
   c.seek_alpha = 0.0;
-  ASSERT_EQ(c.sample_interval, c.master.slave.heartbeat_interval);
+  ASSERT_EQ(Testbed::kSampleInterval, c.master.slave.heartbeat_interval);
   Testbed tb(c);
   tb.add_alternating_interference(NodeId(0), seconds(3), /*initially_active=*/true);
   const obs::PeriodicSampler& sampler = tb.enable_sampling();

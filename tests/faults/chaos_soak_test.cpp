@@ -1,13 +1,15 @@
 // Chaos soak: randomized seeded fault plans replayed against every scheme.
 // Under any combination of crashes, server deaths, partitions, I/O-error
 // windows and disk degradation, all jobs must complete and the cross-layer
-// invariants must hold; the same seed must reproduce the same fault trace.
+// invariants must hold; the same seed must reproduce the same trace.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "exec/testbed.h"
 #include "faults/fault_plan.h"
+#include "obs/trace.h"
 #include "workloads/sort.h"
 
 namespace dyrs::faults {
@@ -16,7 +18,8 @@ namespace {
 struct SoakResult {
   std::size_t jobs_completed = 0;
   std::size_t violations = 0;
-  std::vector<std::string> trace;
+  int fault_events = 0;
+  std::vector<std::string> trace;  // every traced event, as JSON lines
   double makespan_s = 0;
 };
 
@@ -33,6 +36,8 @@ SoakResult run_soak(exec::Scheme scheme, std::uint64_t seed) {
   config.master.slave.reference_block = mib(128);
   config.master.retry.backoff = milliseconds(250);
   exec::Testbed tb(config);
+  const obs::MemorySink& sink = tb.trace_to_memory();
+  tb.enable_sampling();
 
   auto& checker = tb.enable_invariant_checks();
   RandomPlanOptions opts;
@@ -63,7 +68,8 @@ SoakResult run_soak(exec::Scheme scheme, std::uint64_t seed) {
   SoakResult r;
   r.jobs_completed = tb.metrics().jobs().size();
   r.violations = checker.violations().size();
-  r.trace = injector.trace();
+  r.fault_events = injector.events_applied();
+  for (const obs::TraceEvent& e : sink.events()) r.trace.push_back(obs::to_json(e));
   r.makespan_s = to_seconds(end);
   for (const auto& v : checker.violations()) {
     ADD_FAILURE() << to_string(scheme) << " seed " << seed << ": invariant " << v.invariant
@@ -79,13 +85,15 @@ TEST_P(ChaosSoakTest, JobsCompleteAndInvariantsHoldUnderRandomFaults) {
     const SoakResult r = run_soak(GetParam(), seed);
     EXPECT_EQ(r.jobs_completed, 2u) << "seed " << seed;
     EXPECT_EQ(r.violations, 0u) << "seed " << seed;
-    EXPECT_FALSE(r.trace.empty()) << "seed " << seed;
+    EXPECT_GT(r.fault_events, 0) << "seed " << seed;
   }
 }
 
 TEST_P(ChaosSoakTest, SameSeedSameFaultTraceAndOutcome) {
   const SoakResult a = run_soak(GetParam(), 5);
   const SoakResult b = run_soak(GetParam(), 5);
+  // Lifecycle, read, sample and fault events alike, byte for byte.
+  ASSERT_FALSE(a.trace.empty());
   EXPECT_EQ(a.trace, b.trace);
   EXPECT_EQ(a.jobs_completed, b.jobs_completed);
   EXPECT_DOUBLE_EQ(a.makespan_s, b.makespan_s);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "obs/trace.h"
 #include "testing/fixture.h"
 
 namespace dyrs::faults {
@@ -141,15 +145,26 @@ TEST(FaultPlan, RandomDownIncidentsNeverOverlap) {
 TEST(FaultInjector, TraceIsReproducible) {
   auto run_once = []() {
     MiniDfs dfs;
+    obs::Tracer tracer;
+    obs::MemorySink sink;
+    tracer.set_sink(&sink);
     FaultInjector injector(dfs.sim, *dfs.cluster, *dfs.namenode, /*seed=*/5);
+    injector.set_obs(obs::ObsContext(nullptr, &tracer));
     RandomPlanOptions opts;
     opts.num_nodes = 4;
     opts.horizon = seconds(60);
     injector.install(FaultPlan::random(opts, 21));
     dfs.sim.run_until(seconds(70));
-    return injector.trace();
+    std::vector<std::string> faults;
+    for (const obs::TraceEvent& e : sink.events()) {
+      if (e.type == "fault") faults.push_back(obs::to_json(e));
+    }
+    EXPECT_EQ(static_cast<int>(faults.size()), injector.events_applied());
+    return faults;
   };
-  EXPECT_EQ(run_once(), run_once());
+  const std::vector<std::string> first = run_once();
+  EXPECT_FALSE(first.empty());
+  EXPECT_EQ(first, run_once());
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "faults/fault_surface.h"
 #include "obs/metrics_registry.h"
 #include "obs/thread_buffer_sink.h"
 #include "obs/trace.h"
@@ -97,13 +96,12 @@ TEST(RtFaults, SlaveCrashMidMigrationRequeuesToSurvivors) {
   }
 
   faults::RtFaultInjector injector(master, /*seed=*/7);
-  faults::FaultSurface& surface = injector;  // exercised via the shared interface
   // Restart only after the survivors have drained everything (~1.5s), so
   // no still-pending block can retarget back to the rejoined node and
   // perturb the per-node counts below.
   faults::FaultPlan plan;
   plan.crash_process(NodeId(2), milliseconds(70), milliseconds(2500));
-  surface.install(plan);
+  injector.install(plan);
 
   master.migrate(blocks);
   ASSERT_TRUE(wait_state(master, NodeId(2), RtMaster::NodeState::Dead, 5000ms));
@@ -128,7 +126,7 @@ TEST(RtFaults, SlaveCrashMidMigrationRequeuesToSurvivors) {
   master.migrate({{BlockId(300), mib(1), {NodeId(2)}, JobId(3)}});
   ASSERT_TRUE(master.wait_idle(30s));
   EXPECT_EQ(master.completed_per_node()[NodeId(2)], 1);
-  EXPECT_EQ(surface.events_applied(), 2);
+  EXPECT_EQ(injector.events_applied(), 2);
 
   // The merged trace of the whole episode satisfies the rt-faults
   // invariant profile: heartbeat-loss aborts, requeue spans and zombie

@@ -572,7 +572,7 @@ TEST(RtMaster, RetryExhaustionRetargetsAwayFromBadReplica) {
       master_opts({slave_opts(0, mib_per_sec(400)), slave_opts(1, mib_per_sec(50))});
   options.retry = {.max_attempts = 3, .backoff = milliseconds(1), .backoff_cap = milliseconds(4)};
   RtMaster master(std::move(options));
-  // FaultSurface-style read-fault hook: the first 3 reads of block 7 fail.
+  // Read-fault hook, as RtFaultInjector installs it: the first 3 reads of block 7 fail.
   master.slave(NodeId(0)).set_read_fault_hook(
       [count = std::make_shared<std::atomic<int>>(3)](BlockId b) {
         return b == BlockId(7) && count->fetch_sub(1) > 0;
@@ -639,7 +639,7 @@ TEST(RtMaster, UntargetableMigrationIsDroppedNotHung) {
   RtMaster::Options options = master_opts({slave_opts(0, mib_per_sec(400))});
   options.retry = {.max_attempts = 2, .backoff = milliseconds(1), .backoff_cap = milliseconds(2)};
   RtMaster master(std::move(options));
-  // FaultSurface-style read-fault hook: the first 2 reads of block 3 fail.
+  // Read-fault hook, as RtFaultInjector installs it: the first 2 reads of block 3 fail.
   master.slave(NodeId(0)).set_read_fault_hook(
       [count = std::make_shared<std::atomic<int>>(2)](BlockId b) {
         return b == BlockId(3) && count->fetch_sub(1) > 0;

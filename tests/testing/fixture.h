@@ -32,8 +32,7 @@ struct MiniDfs {
                  .num_nodes = o.num_nodes,
                  .node = {.disk = {.name = "disk", .bandwidth = o.disk_bw,
                                    .seek_alpha = o.seek_alpha},
-                          .memory = {.capacity = o.memory,
-                                     .read_bandwidth = gib_per_sec(25)},
+                          .memory = {.capacity = o.memory},
                           .nic_bandwidth = gbit_per_sec(10)}});
     namenode = std::make_unique<dfs::NameNode>(
         sim,
