@@ -8,8 +8,7 @@ ControlPlane::Enqueued ControlPlane::enqueue(JobId job, EvictionMode mode, Block
                                              Bytes size, std::vector<NodeId> replicas,
                                              const std::vector<NodeId>& avoid, SimTime now) {
   if (PendingMigration* pm = queue_.lookup(block)) {
-    pm->jobs[job] = mode;
-    merge_avoid(pm->avoid, avoid);
+    queue_.merge(*pm, job, mode, avoid);
     emitter_.enqueue_merged(now, block, job);
     return {pm, false};
   }
@@ -27,14 +26,25 @@ ControlPlane::Enqueued ControlPlane::enqueue(JobId job, EvictionMode mode, Block
 
 TargetingStats ControlPlane::retarget(const std::vector<SlaveSnapshot>& snapshots, SimTime now) {
   if (queue_.empty() || snapshots.empty()) return {};
+  scored_version_.reset();
   scorer_.start(snapshots);
   return run_pass(now);
 }
 
 TargetingStats ControlPlane::retarget(const TargetScorer::Fetch& fetch, SimTime now) {
   if (queue_.empty()) return {};
-  scorer_.start(fetch);
-  return run_pass(now);
+  if (scored_version_ != queue_.version()) {
+    scorer_.start(fetch);
+  } else if (scorer_.restart(fetch)) {
+    if (ctr_skipped_ != nullptr) {
+      ctr_skipped_->inc();
+      ctr_snapshot_nodes_->add(static_cast<std::int64_t>(scorer_.stats().snapshot_nodes));
+    }
+    return scored_stats_;
+  }
+  scored_stats_ = run_pass(now);
+  scored_version_ = queue_.version();
+  return scored_stats_;
 }
 
 TargetingStats ControlPlane::run_pass(SimTime now) {
@@ -53,6 +63,7 @@ TargetingStats ControlPlane::run_pass(SimTime now) {
   });
   const TargetingStats& stats = scorer_.stats();
   if (ctr_scored_ != nullptr) {
+    ctr_passes_->inc();
     ctr_scored_->add(static_cast<std::int64_t>(stats.assigned + stats.untargetable));
     ctr_snapshot_nodes_->add(static_cast<std::int64_t>(stats.snapshot_nodes));
   }

@@ -18,7 +18,9 @@
 // master mutex); the core itself is single-threaded by design.
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -83,13 +85,18 @@ class ControlPlane {
   /// Wires lifecycle tracing (with the backend's merge-key stamper, if any)
   /// and the work counters: `ctrl.bind.entries_scanned` (entries bind_for
   /// visited), `ctrl.retarget.entries_scored` (entries Algorithm 1 passes
-  /// scored) and `ctrl.retarget.snapshot_nodes` (node snapshots they read).
+  /// scored), `ctrl.retarget.snapshot_nodes` (node snapshots they read,
+  /// re-reads of skipped passes included), `ctrl.retarget.passes` (passes
+  /// run) and `ctrl.retarget.passes_skipped` (fetch passes skipped because
+  /// nothing they read moved).
   void set_observability(const obs::ObsContext& obs,
                          LifecycleEmitter::Stamper stamper = nullptr) {
     emitter_ = LifecycleEmitter(obs, std::move(stamper));
     ctr_bind_scanned_ = obs.counter("ctrl.bind.entries_scanned");
     ctr_scored_ = obs.counter("ctrl.retarget.entries_scored");
     ctr_snapshot_nodes_ = obs.counter("ctrl.retarget.snapshot_nodes");
+    ctr_passes_ = obs.counter("ctrl.retarget.passes");
+    ctr_skipped_ = obs.counter("ctrl.retarget.passes_skipped");
   }
   LifecycleEmitter& emitter() { return emitter_; }
   PendingQueue& queue() { return queue_; }
@@ -117,6 +124,14 @@ class ControlPlane {
   /// per pass; `fetch` returns false for a node that is not reporting. Both
   /// masters use this form, so a pass costs the nodes the queue names, not
   /// the cluster.
+  ///
+  /// A pass whose inputs did not move is skipped. When the queue's version
+  /// is the one the last fetch pass scored, the nodes that pass read are
+  /// re-read in its order; if each reads the same, the pass returns that
+  /// pass's stats and scores, re-files and emits nothing. That is exactly
+  /// what running it would do: Algorithm 1's targets are a function of the
+  /// queue and those snapshots alone, only passes write targets, and a
+  /// pass that leaves every target as it was relinks nothing.
   TargetingStats retarget(const TargetScorer::Fetch& fetch, SimTime now);
 
   /// Binds up to `free_slots` pending entries eligible for `node` under
@@ -151,10 +166,16 @@ class ControlPlane {
   ControlPlaneConfig config_;
   PendingQueue queue_;
   TargetScorer scorer_;  // reused pass to pass, so a pass allocates nothing
+  /// The queue version the last fetch pass scored and that pass's stats;
+  /// empty when the last pass took its snapshots up front.
+  std::optional<std::uint64_t> scored_version_;
+  TargetingStats scored_stats_;
   LifecycleEmitter emitter_;
   obs::Counter* ctr_bind_scanned_ = nullptr;
   obs::Counter* ctr_scored_ = nullptr;
   obs::Counter* ctr_snapshot_nodes_ = nullptr;
+  obs::Counter* ctr_passes_ = nullptr;
+  obs::Counter* ctr_skipped_ = nullptr;
 };
 
 }  // namespace dyrs::core

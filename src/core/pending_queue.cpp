@@ -22,12 +22,14 @@ PendingMigration& PendingQueue::push(PendingMigration pm) {
   Entry& e = list_.emplace_back(std::move(pm));
   e.self_ = std::prev(list_.end());
   index_[e.block] = e.self_;
+  ++version_;
   return e;
 }
 
 PendingQueue::iterator PendingQueue::erase(iterator it) {
   unlink(*it);
   index_.erase(it->block);
+  ++version_;
   return list_.erase(it);
 }
 
@@ -37,6 +39,7 @@ bool PendingQueue::erase(BlockId block) {
   unlink(*it->second);
   list_.erase(it->second);
   index_.erase(it);
+  ++version_;
   return true;
 }
 
@@ -44,6 +47,20 @@ void PendingQueue::clear() {
   list_.clear();
   index_.clear();
   std::fill(heads_.begin(), heads_.end(), nullptr);
+  ++version_;
+}
+
+void PendingQueue::merge(PendingMigration& pm, JobId job, EvictionMode mode,
+                         const std::vector<NodeId>& avoid) {
+  pm.jobs[job] = mode;
+  merge_avoid(pm.avoid, avoid);
+  ++version_;
+}
+
+bool PendingQueue::drop_job(iterator it, JobId job) {
+  if (it->jobs.erase(job) == 0) return false;
+  ++version_;
+  return true;
 }
 
 void PendingQueue::unlink(Entry& e) {

@@ -17,9 +17,17 @@
 // FIFO pass each list holds its entries in FIFO order, and erases keep
 // that order; after a SmallestJobFirst pass the lists hold the right
 // entries in pass order.
+//
+// Version: every edit of queued state (`push`, both `erase` forms,
+// `clear`, `merge`, `drop_job`) bumps `version()`; a retarget pass does
+// not. An unchanged version means every entry, its order, its jobs, size,
+// replicas and avoid list are as they were, so the control plane can tell
+// when a pass would re-score an unchanged queue. Editing an entry in place
+// through an iterator instead of these calls leaves the version stale.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <list>
 #include <unordered_map>
 #include <vector>
@@ -77,6 +85,16 @@ class PendingQueue {
   /// Erases the entry for `block` if queued. Returns true if one existed.
   bool erase(BlockId block);
   void clear();
+
+  /// Adds `job` (with `mode`) and the `avoid` history to a queued entry.
+  void merge(PendingMigration& pm, JobId job, EvictionMode mode,
+             const std::vector<NodeId>& avoid);
+  /// Drops `job` from the entry at `it`. Returns true if the entry had it;
+  /// the entry stays queued even when no job is left.
+  bool drop_job(iterator it, JobId job);
+
+  /// Bumped by every edit of queued state (see the file comment).
+  std::uint64_t version() const { return version_; }
 
   /// True if some entry is targeted at `node`.
   bool has_targeted(NodeId node) const { return head(node) != nullptr; }
@@ -144,6 +162,7 @@ class PendingQueue {
   std::unordered_map<BlockId, iterator> index_;
   std::vector<Entry*> heads_;       // node id -> first entry targeted there
   std::vector<Entry*> last_filed_;  // node id -> last entry the running pass filed
+  std::uint64_t version_ = 0;
 };
 
 }  // namespace dyrs::core

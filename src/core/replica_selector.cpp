@@ -9,6 +9,7 @@ namespace dyrs::core {
 void TargetScorer::clear() {
   for (std::size_t id : touched_) slot_of_[id] = 0;
   touched_.clear();
+  reads_.clear();
   sec_per_byte_.clear();
   load_seconds_.clear();
   stats_ = {};
@@ -27,6 +28,16 @@ void TargetScorer::start(const std::vector<SlaveSnapshot>& slaves) {
 void TargetScorer::start(const Fetch& fetch) {
   clear();
   fetch_ = &fetch;
+}
+
+bool TargetScorer::restart(const Fetch& fetch) {
+  last_reads_.swap(reads_);
+  start(fetch);
+  for (const Read& last : last_reads_) {
+    slot_of(last.node);
+    if (!(reads_.back() == last)) return false;
+  }
+  return true;
 }
 
 void TargetScorer::set_slot(std::size_t id, std::size_t slot) {
@@ -50,7 +61,13 @@ std::size_t TargetScorer::slot_of(NodeId node) {
   if (fetch_ == nullptr) return kSilent;  // every snapshot came up front
   SlaveSnapshot s;
   ++stats_.snapshot_nodes;
-  set_slot(id, (*fetch_)(node, s) ? add(s) : kSilent);
+  Read& read = reads_.emplace_back(Read{.node = node});
+  read.reported = (*fetch_)(node, s);
+  if (read.reported) {
+    read.sec_per_byte = s.sec_per_byte;
+    read.queued_bytes = s.queued_bytes;
+  }
+  set_slot(id, read.reported ? add(s) : kSilent);
   return slot_of_[id];
 }
 

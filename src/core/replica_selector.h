@@ -39,12 +39,23 @@ struct TargetingStats {
 /// node -> slot table. Snapshots come either all up front (a node listed
 /// twice counts with its last values) or one node at a time from a fetch
 /// callback, called the first time an entry names the node as a candidate
-/// replica and memoized for the rest of the pass.
+/// replica and memoized for the rest of the pass. A fetch pass records
+/// what it read, in read order, so the next one can tell whether its
+/// inputs moved (`restart`).
 class TargetScorer {
  public:
   /// Fills the node's snapshot and returns true, or returns false when the
   /// node is not reporting.
   using Fetch = std::function<bool(NodeId, SlaveSnapshot&)>;
+
+  /// One read through a fetch, as the pass saw it.
+  struct Read {
+    NodeId node;
+    bool reported = false;
+    double sec_per_byte = 0.0;  // 0 when not reporting
+    Bytes queued_bytes = 0;
+    bool operator==(const Read&) const = default;
+  };
 
   TargetScorer() = default;
   explicit TargetScorer(const std::vector<SlaveSnapshot>& slaves) { start(slaves); }
@@ -54,6 +65,13 @@ class TargetScorer {
   /// Starts a pass that reads snapshots through `fetch`, which must
   /// outlive the pass.
   void start(const Fetch& fetch);
+  /// Starts a fetch pass that first re-reads, in order, the nodes the last
+  /// fetch pass read, stopping at the first that reads differently.
+  /// Returns true when every one read the same. A pass over an unchanged
+  /// queue names the same nodes in the same order, so it would then score
+  /// every entry exactly as the last one did; otherwise the pass goes on
+  /// from the nodes already read, and reads each node once as always.
+  bool restart(const Fetch& fetch);
   /// Targets `block` at its earliest-finish replica that is neither
   /// avoided nor silent (ties go to the first listed), or invalid, and
   /// charges the block to that node. Returns its sec_per_byte (0 if none).
@@ -70,6 +88,8 @@ class TargetScorer {
   std::size_t add(const SlaveSnapshot& s);
 
   const Fetch* fetch_ = nullptr;
+  std::vector<Read> reads_;       // this fetch pass's reads, in read order
+  std::vector<Read> last_reads_;  // the previous fetch pass's, while restarting
   std::vector<std::size_t> slot_of_;  // node id -> slot + 1; 0 = not read yet
   std::vector<std::size_t> touched_;  // node ids whose slot_of_ entry is set
   std::vector<double> sec_per_byte_;

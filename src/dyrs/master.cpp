@@ -95,6 +95,7 @@ void MigrationMaster::set_observability(const obs::ObsContext& obs) {
   ctr_requeued_ = obs.counter("dyrs.migrations.requeued");
   ctr_bytes_ = obs.counter("dyrs.migrations.bytes");
   ctr_pulse_visits_ = obs.counter("dyrs.pulse.slave_visits");
+  ctr_retarget_requests_ = obs.counter("dyrs.retarget.requests");
   hist_transfer_s_ = obs.histogram("dyrs.migration.transfer_s");
   hist_pending_wait_s_ = obs.histogram("dyrs.migration.pending_wait_s");
 }
@@ -205,6 +206,7 @@ void MigrationMaster::retarget_now() {
                    [this](const MigrationSlave* s) { return reachable(s->id(), *s); })) {
     return;
   }
+  if (ctr_retarget_requests_ != nullptr) ctr_retarget_requests_->inc();
   plane_.retarget(
       [this](NodeId id, SlaveSnapshot& out) {
         const MigrationSlave* s = find_slave(id);
@@ -397,7 +399,7 @@ void MigrationMaster::evict_job(JobId job) {
   // Drop the job from pending migrations first.
   PendingQueue& queue = plane_.queue();
   for (auto it = queue.begin(); it != queue.end();) {
-    it->jobs.erase(job);
+    queue.drop_job(it, job);
     if (it->jobs.empty()) {
       record_cancel({.block = it->block,
                      .reason = CancelReason::Superseded,
@@ -465,7 +467,7 @@ void MigrationMaster::on_read_started(BlockId block, JobId job) {
   PendingQueue& queue = plane_.queue();
   auto it = queue.find(block);
   if (it != queue.end()) {
-    it->jobs.erase(job);
+    queue.drop_job(it, job);
     if (it->jobs.empty()) {
       record_cancel({.block = block,
                      .reason = CancelReason::MissedRead,

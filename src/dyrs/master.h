@@ -196,6 +196,7 @@ class MigrationMaster final : public MigrationService {
   obs::Counter* ctr_requeued_ = nullptr;
   obs::Counter* ctr_bytes_ = nullptr;
   obs::Counter* ctr_pulse_visits_ = nullptr;
+  obs::Counter* ctr_retarget_requests_ = nullptr;  // passes asked of the plane
   obs::Histogram* hist_transfer_s_ = nullptr;
   obs::Histogram* hist_pending_wait_s_ = nullptr;
 

@@ -48,12 +48,13 @@ JobId Engine::submit(const JobSpec& spec) {
   return id;
 }
 
-JobId Engine::submit_at(const JobSpec& spec, SimTime at) {
+JobId Engine::submit_at(JobSpec spec, SimTime at) {
   const JobId id(next_job_++);
   ++pending_submissions_;
-  cluster_.simulator().schedule_at(at, [this, id, spec]() {
+  // A one-shot runs once, so its spec moves on instead of being copied.
+  cluster_.simulator().schedule_at(at, [this, id, spec = std::move(spec)]() mutable {
     --pending_submissions_;
-    begin_submission(id, spec);
+    begin_submission(id, std::move(spec));
   });
   return id;
 }

@@ -57,7 +57,7 @@ class Engine {
   /// Submits a job now; returns its id.
   JobId submit(const JobSpec& spec);
   /// Schedules a submission at absolute simulated time `at` (trace replay).
-  JobId submit_at(const JobSpec& spec, SimTime at);
+  JobId submit_at(JobSpec spec, SimTime at);
 
   bool job_active(JobId id) const { return active_.count(id) > 0; }
   bool all_done() const { return active_.empty() && pending_submissions_ == 0; }

@@ -192,10 +192,10 @@ SimTime Testbed::run(SimTime max_time) {
   // so "run to completion" means "run until the engine drains". Never
   // steps past max_time: events beyond the horizon stay queued.
   while (!engine_->all_done()) {
-    const std::optional<SimTime> next = sim_.next_event_time();
-    DYRS_CHECK_MSG(next.has_value(), "simulation deadlocked with active jobs");
-    if (*next > max_time) break;
-    sim_.step();
+    if (!sim_.step_until(max_time)) {
+      DYRS_CHECK_MSG(!sim_.idle(), "simulation deadlocked with active jobs");
+      break;
+    }
   }
   return sim_.now();
 }

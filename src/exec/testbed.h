@@ -16,6 +16,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -95,7 +96,7 @@ class Testbed {
 
   // --- jobs -------------------------------------------------------------
   JobId submit(const JobSpec& spec) { return engine_->submit(spec); }
-  JobId submit_at(const JobSpec& spec, SimTime at) { return engine_->submit_at(spec, at); }
+  JobId submit_at(JobSpec spec, SimTime at) { return engine_->submit_at(std::move(spec), at); }
 
   // --- fault injection --------------------------------------------------
   /// Schedules `plan` against this testbed (call before run()). At most one

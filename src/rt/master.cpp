@@ -542,7 +542,7 @@ void RtMaster::evict_job(JobId job) {
     std::lock_guard lock(mu_);
     core::PendingQueue& queue = plane_.queue();
     for (auto it = queue.begin(); it != queue.end();) {
-      it->jobs.erase(job);
+      queue.drop_job(it, job);
       if (!it->jobs.empty()) {
         ++it;
         continue;

@@ -4,6 +4,16 @@
 
 namespace dyrs::sim {
 
+Simulator::~Simulator() {
+  // Handles go inert first; the extra count keeps the table alive while
+  // the callbacks (whose captures may hold handles) are destroyed.
+  table_->alive = false;
+  ++table_->handles;
+  std::vector<detail::Slot>().swap(table_->slots);
+  std::vector<std::uint32_t>().swap(table_->free);
+  if (--table_->handles == 0) delete table_;
+}
+
 EventHandle Simulator::arm(SimTime t, SimDuration period, EventFn fn) {
   detail::SlotTable& table = *table_;
   if (table.free.empty()) {
@@ -21,11 +31,23 @@ EventHandle Simulator::arm(SimTime t, SimDuration period, EventFn fn) {
 }
 
 void Simulator::push(SimTime t, std::uint32_t slot) {
-  heap_.push_back({t, next_seq_++, slot});
+  // Seqs only grow, so an entry not earlier than the lane's last one keeps
+  // the lane in (time, seq) order.
+  const Entry e{t, next_seq_++, slot};
+  if (lane_.empty() || t >= lane_.back().time) {
+    lane_.push_back(e);
+    return;
+  }
+  heap_.push_back(e);
   std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 std::uint32_t Simulator::pop() {
+  if (lane_first()) {
+    const std::uint32_t slot = lane_.front().slot;
+    lane_.pop_front();
+    return slot;
+  }
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
   const std::uint32_t slot = heap_.back().slot;
   heap_.pop_back();
@@ -37,19 +59,21 @@ void Simulator::release(std::uint32_t slot) {
   table_->free.push_back(slot);
 }
 
-void Simulator::drop_cancelled_head() {
-  while (!heap_.empty() && table_->slots[heap_.front().slot].cancelled) {
+const Simulator::Entry* Simulator::runnable_head() {
+  for (const Entry* e = head(); e != nullptr; e = head()) {
+    if (!table_->slots[e->slot].cancelled) return e;
     const std::uint32_t slot = pop();
     ++cancelled_skipped_;
     // Captures are destroyed after the slot is consistent again.
     EventFn dead = std::move(table_->slots[slot].fn);
     release(slot);
   }
+  return nullptr;
 }
 
-void Simulator::fire_top() {
-  DYRS_CHECK(heap_.front().time >= now_);
-  now_ = heap_.front().time;
+void Simulator::fire(SimTime t) {
+  DYRS_CHECK(t >= now_);
+  now_ = t;
   const std::uint32_t slot = pop();
   ++executed_;
   // Moved out: the callback may grow the table, and a one-shot's captures
@@ -72,21 +96,18 @@ void Simulator::fire_top() {
   }
 }
 
-bool Simulator::idle() {
-  drop_cancelled_head();
-  return heap_.empty();
-}
+bool Simulator::idle() { return runnable_head() == nullptr; }
 
 std::optional<SimTime> Simulator::next_event_time() {
-  drop_cancelled_head();
-  if (heap_.empty()) return std::nullopt;
-  return heap_.front().time;
+  const Entry* e = runnable_head();
+  if (e == nullptr) return std::nullopt;
+  return e->time;
 }
 
-bool Simulator::step() {
-  drop_cancelled_head();
-  if (heap_.empty()) return false;
-  fire_top();
+bool Simulator::step_until(SimTime horizon) {
+  const Entry* e = runnable_head();
+  if (e == nullptr || e->time > horizon) return false;
+  fire(e->time);
   return true;
 }
 
@@ -99,12 +120,7 @@ std::size_t Simulator::run() {
 std::size_t Simulator::run_until(SimTime t) {
   DYRS_CHECK(t >= now_);
   std::size_t n = 0;
-  for (;;) {
-    drop_cancelled_head();
-    if (heap_.empty() || heap_.front().time > t) break;
-    fire_top();
-    ++n;
-  }
+  while (step_until(t)) ++n;
   now_ = t;
   return n;
 }

@@ -2,18 +2,26 @@
 //
 // Single-threaded event loop over integer-microsecond simulated time.
 // Events are ordered by (time, insertion sequence) so same-time events fire
-// in schedule order, making every run bit-reproducible. The queue is a
-// binary heap of {time, seq, slot} values over a table of callback slots
-// that recycles freed slots, so an event allocates no bookkeeping and a
-// recurrence re-arms in place. Cancellation is lazy: a cancelled entry is
-// dropped (its slot and captures freed) when it reaches the top, which
-// keeps schedule/cancel O(log n) without heap surgery.
+// in schedule order, making every run bit-reproducible. Queued events are
+// {time, seq, slot} values over a table of callback slots that recycles
+// freed slots, so an event allocates no bookkeeping and a recurrence
+// re-arms in place. They wait in one of two places: an in-order lane (a
+// FIFO that takes an event in O(1) when it is not earlier than the lane's
+// last entry, as a workload's pre-loaded arrivals are) or a binary heap
+// (every other event). The next event is the earlier of the two heads by
+// (time, seq), so the firing order is exactly a single heap's, and the
+// heap holds only the short-horizon events the run keeps re-arming.
+// Cancellation is lazy: a cancelled entry is dropped (its slot and
+// captures freed) when it reaches the head, which keeps schedule/cancel
+// O(log n) without heap surgery.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <memory>
+#include <limits>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -30,9 +38,20 @@ struct Slot {
   std::uint64_t gen = 0;   // bumped on release; a handle matches one use
   bool cancelled = false;
 };
+/// Heap-allocated so that it can outlive its Simulator: the Simulator
+/// frees its callbacks when it dies, and the table itself goes with the
+/// last handle. The sim is single-threaded, so the handle count is a plain
+/// integer, not an atomic refcount.
 struct SlotTable {
   std::vector<Slot> slots;  // moves on growth: no reference survives a callback
   std::vector<std::uint32_t> free;
+  std::size_t handles = 0;  // live EventHandles naming this table
+  bool alive = true;        // false once the Simulator is destroyed
+
+  /// The slot `slot` while it still holds use `gen` of a live Simulator.
+  Slot* use(std::uint32_t slot, std::uint64_t gen) {
+    return alive && slots[slot].gen == gen ? &slots[slot] : nullptr;
+  }
 };
 }  // namespace detail
 
@@ -43,25 +62,45 @@ struct SlotTable {
 class EventHandle {
  public:
   EventHandle() = default;
+  EventHandle(const EventHandle& other)
+      : table_(other.table_), slot_(other.slot_), gen_(other.gen_) {
+    if (table_ != nullptr) ++table_->handles;
+  }
+  EventHandle(EventHandle&& other) noexcept
+      : table_(std::exchange(other.table_, nullptr)), slot_(other.slot_), gen_(other.gen_) {}
+  /// Copy-and-swap: self-assignment, copy and move all leave each table's
+  /// count equal to its live handles.
+  EventHandle& operator=(EventHandle other) noexcept {
+    std::swap(table_, other.table_);
+    std::swap(slot_, other.slot_);
+    std::swap(gen_, other.gen_);
+    return *this;
+  }
+  ~EventHandle() {
+    if (table_ != nullptr && --table_->handles == 0 && !table_->alive) delete table_;
+  }
 
   /// Cancels the event if it has not fired yet. Safe to call repeatedly and
   /// after the event has fired.
   void cancel() {
-    if (auto t = table_.lock(); t && t->slots[slot_].gen == gen_) t->slots[slot_].cancelled = true;
+    if (detail::Slot* s = live_slot()) s->cancelled = true;
   }
 
   /// True while the event is still scheduled to fire.
   bool pending() const {
-    auto t = table_.lock();
-    return t && t->slots[slot_].gen == gen_ && !t->slots[slot_].cancelled;
+    const detail::Slot* s = live_slot();
+    return s != nullptr && !s->cancelled;
   }
 
  private:
   friend class Simulator;
-  EventHandle(const std::shared_ptr<detail::SlotTable>& table, std::uint32_t slot,
-              std::uint64_t gen)
-      : table_(table), slot_(slot), gen_(gen) {}
-  std::weak_ptr<detail::SlotTable> table_;
+  /// The slot while it still holds this handle's event, or nullptr.
+  detail::Slot* live_slot() const { return table_ != nullptr ? table_->use(slot_, gen_) : nullptr; }
+  EventHandle(detail::SlotTable* table, std::uint32_t slot, std::uint64_t gen)
+      : table_(table), slot_(slot), gen_(gen) {
+    ++table_->handles;
+  }
+  detail::SlotTable* table_ = nullptr;
   std::uint32_t slot_ = 0;
   std::uint64_t gen_ = 0;
 };
@@ -71,6 +110,8 @@ class Simulator {
   Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
+  /// Frees every queued callback now; handles still alive read as fired.
+  ~Simulator();
 
   SimTime now() const { return now_; }
 
@@ -103,7 +144,11 @@ class Simulator {
   std::size_t run_until(SimTime t);
 
   /// Executes the single next event, if any. Returns false when idle.
-  bool step();
+  bool step() { return step_until(std::numeric_limits<SimTime>::max()); }
+
+  /// Executes the next event if it is due at or before `horizon`. Returns
+  /// false, leaving now() unchanged, when idle or the next event is later.
+  bool step_until(SimTime horizon);
 
   /// True when no runnable (non-cancelled) events remain.
   bool idle();
@@ -131,17 +176,33 @@ class Simulator {
 
   EventHandle arm(SimTime t, SimDuration period, EventFn fn);
   void push(SimTime t, std::uint32_t slot);
+  /// True when the lane's head is the next entry: the earlier head by
+  /// (time, seq).
+  bool lane_first() const {
+    return !lane_.empty() && (heap_.empty() || Later{}(heap_.front(), lane_.front()));
+  }
+  /// The next entry to fire, or nullptr.
+  const Entry* head() const {
+    if (lane_first()) return &lane_.front();
+    return heap_.empty() ? nullptr : &heap_.front();
+  }
+  /// Removes head() (which must exist) and returns its slot.
   std::uint32_t pop();
   void release(std::uint32_t slot);
-  void drop_cancelled_head();
-  void fire_top();
+  /// Drops cancelled entries off the head; returns the runnable head.
+  const Entry* runnable_head();
+  /// Pops the head, due at `t`, and runs it.
+  void fire(SimTime t);
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::size_t executed_ = 0;
   std::size_t cancelled_skipped_ = 0;
   std::vector<Entry> heap_;
-  std::shared_ptr<detail::SlotTable> table_ = std::make_shared<detail::SlotTable>();
+  /// In (time, seq) order; a deque releases consumed storage, so a lane
+  /// that never drains stays as large as what it still holds.
+  std::deque<Entry> lane_;
+  detail::SlotTable* table_ = new detail::SlotTable;
 };
 
 }  // namespace dyrs::sim

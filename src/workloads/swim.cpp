@@ -130,7 +130,7 @@ std::vector<JobId> SwimWorkload::install(exec::Testbed& testbed, const exec::Job
     spec.shuffle_bytes = job.shuffle;
     spec.output_bytes = job.output;
     spec.num_reducers = job.reducers;
-    const JobId id = testbed.submit_at(spec, job.submit_at + offset);
+    const JobId id = testbed.submit_at(std::move(spec), job.submit_at + offset);
     ids.push_back(id);
     if (obs.tracing()) {
       // Stamped at install time (not the future submit_at) so the trace

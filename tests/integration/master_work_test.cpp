@@ -5,6 +5,9 @@
 //   * a pull visits only its node's targeted entries, so every entry a
 //     bind walk visits is bound or skipped for its avoid list;
 //   * a pulse visits only the slaves with something to do.
+// On the unscaled paper testbed under memory pressure, an Algorithm 1 pass
+// whose inputs did not move is skipped, and every pass the master asks
+// for is either run or skipped.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -70,6 +73,51 @@ TEST(MasterWork, BindWalksAndPulsesFollowTheBusyNodes) {
   const std::int64_t pulses = tb.simulator().now() / c.master.slave.heartbeat_interval;
   ASSERT_GT(pulses, 100);
   EXPECT_LT(visits, pulses * c.num_nodes);
+}
+
+// The shape of perfbench's sim_paper_pressure at a twentieth of its jobs:
+// 7 nodes (node 0 slowed by dd-style readers), a 2 GiB cap on migrated
+// memory with cold-first demotion, explicit eviction and 3-way output
+// replication.
+TEST(MasterWork, PaperPressureSkipsPassesWhoseInputsDidNotMove) {
+  exec::TestbedConfig c;
+  c.num_nodes = 7;
+  c.disk_bandwidth = mib_per_sec(160);
+  c.seek_alpha = 0.15;
+  c.block_size = mib(256);
+  c.replication = 3;
+  c.map_slots_per_node = 12;
+  c.reduce_slots_per_node = 6;
+  c.scheme = exec::Scheme::Dyrs;
+  c.output_replication = 3;
+  c.master.slave.heartbeat_interval = seconds(1);
+  c.master.slave.reference_block = c.block_size;
+  c.master.slave.memory_limit = gib(2);
+  c.master.tier.high_watermark = 0.85;
+  c.master.tier.low_watermark = 0.60;
+  c.master.tier.on_pressure = core::TierPolicy::OnPressure::EvictColdFirst;
+  exec::Testbed tb(c);
+  tb.add_persistent_interference(NodeId(0), 2);
+
+  wl::SwimConfig swim;
+  swim.num_jobs = 400;
+  swim.total_input = gib(170) * 2;
+  exec::JobSpec base;
+  base.selectivity = 0.1;
+  base.platform_overhead = seconds(5);
+  base.task_overhead = milliseconds(200);
+  base.eviction = core::EvictionMode::Explicit;
+  const auto jobs = wl::SwimWorkload::generate(swim).install(tb, base);
+  tb.run();
+  ASSERT_EQ(tb.metrics().jobs().size(), jobs.size());
+
+  const std::int64_t requests = counter(tb, "dyrs.retarget.requests");
+  const std::int64_t passes = counter(tb, "ctrl.retarget.passes");
+  const std::int64_t skipped = counter(tb, "ctrl.retarget.passes_skipped");
+  ASSERT_GT(requests, 100);
+  EXPECT_GT(passes, 0);
+  EXPECT_GT(skipped, 0);
+  EXPECT_EQ(passes + skipped, requests);
 }
 
 }  // namespace

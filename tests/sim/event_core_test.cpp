@@ -4,13 +4,19 @@
 // std::set ordered by (time, seq)) through the same operations: one-shots,
 // recurrences, cancels of self and of others from inside callbacks, handles
 // kept after their events fire, bursts that grow the slot table under a
-// running callback, and run_until boundaries. Both must fire the same
-// events in the same order at the same now(), and answer pending() alike.
+// running callback, and run_until boundaries. Half the programs first
+// pre-load sorted arrivals, as a workload does: those fill the Simulator's
+// in-order lane, the events scheduled around them land in its heap (some
+// at the same times, so ties go by seq across the two), some arrivals are
+// cancelled in the lane, and once the lane drains recurrences re-arm into
+// it. Both must fire the same events in the same order at the same now(),
+// and answer pending() alike.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <set>
 #include <string>
 #include <tuple>
@@ -124,7 +130,10 @@ class SimQueue {
 /// program's own generator: schedules 0-2 one-shots at 0-40 µs (0 makes
 /// same-time ties), sometimes a recurrence, cancels self or a random
 /// handle (fired ones too), and logs pending() of a few random handles.
-/// One firing per burst program schedules 1,000 events at once.
+/// One firing per burst program schedules 1,000 events at once. An odd
+/// seed first pre-loads 150 arrivals at non-decreasing times (0-12 µs
+/// apart, so many tie) up to ~900 µs, cancels some of them at once, and
+/// adds a recurrence whose first occurrence follows the last arrival.
 template <typename Q>
 std::vector<std::string> run_program(std::uint64_t seed) {
   Q q;
@@ -138,6 +147,7 @@ std::vector<std::string> run_program(std::uint64_t seed) {
   auto schedule = [&](SimTime t) {
     const std::size_t id = handles++;
     q.schedule_at(t, [&fire, id] { fire(id); });
+    return id;
   };
   auto recur = [&](SimDuration p) {
     const std::size_t id = handles++;
@@ -166,6 +176,15 @@ std::vector<std::string> run_program(std::uint64_t seed) {
     }
   };
 
+  if (seed % 2 == 1) {
+    SimTime t = 0;
+    for (int i = 0; i < 150; ++i) {
+      t += rng.uniform_int(0, 12);
+      const std::size_t id = schedule(t);
+      if (rng.bernoulli(0.1)) q.cancel(id);
+    }
+    recur(t + rng.uniform_int(0, 50));
+  }
   for (int i = 0; i < 20; ++i) schedule(rng.uniform_int(0, 100));
   for (int i = 0; i < 3; ++i) recur(rng.uniform_int(1, 50));
   // run_until boundaries fall between and on event times.
@@ -188,6 +207,82 @@ TEST(EventCore, RandomProgramsMatchReferenceQueue) {
     ASSERT_GT(want.size(), 100u) << "seed " << seed;
     ASSERT_EQ(got, want) << "seed " << seed;
   }
+}
+
+// Copies of a handle share one event; a move leaves the source empty, and
+// self-assignment, by copy or move, keeps the handle naming its event.
+TEST(EventCore, HandleCopiesShareOneEvent) {
+  Simulator sim;
+  bool ran = false;
+  EventHandle h = sim.schedule_after(5, [&] { ran = true; });
+  EventHandle copy = h;
+  EventHandle& alias = h;
+  h = alias;
+  EXPECT_TRUE(h.pending());
+  h = std::move(alias);
+  EXPECT_TRUE(h.pending());
+  EventHandle moved = std::move(copy);
+  EXPECT_FALSE(copy.pending());  // NOLINT(bugprone-use-after-move): moved-from is empty
+  copy.cancel();                 // and inert
+  EXPECT_TRUE(moved.pending());
+  EventHandle assigned;
+  assigned = moved;
+  assigned.cancel();
+  EXPECT_FALSE(h.pending());
+  EXPECT_FALSE(moved.pending());
+  sim.run();
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(sim.cancelled_skipped(), 1u);
+}
+
+// Handles outlive their Simulator: destroying it frees every queued
+// callback at once, and each handle, its copies, moves and
+// self-assignments included, reads as fired and cancels nothing, in any
+// order of destruction. (The sanitizer build checks the table is freed
+// once, by the last handle.)
+TEST(EventCore, HandlesOutliveTheirSimulator) {
+  auto captured = std::make_shared<int>(0);
+  auto sim = std::make_unique<Simulator>();
+  EventHandle one_shot = sim->schedule_after(10, [captured] {});
+  EventHandle timer = sim->every(3, [captured] {});
+  EventHandle fired = sim->schedule_after(1, [] {});
+  sim->run_until(2);
+  EventHandle copy = timer;
+  EXPECT_TRUE(copy.pending());
+  EXPECT_EQ(captured.use_count(), 3);
+
+  sim.reset();
+  EXPECT_EQ(captured.use_count(), 1);  // queued callbacks freed with the Simulator
+  for (EventHandle* h : {&one_shot, &timer, &fired, &copy}) {
+    EXPECT_FALSE(h->pending());
+    h->cancel();
+  }
+  EventHandle& alias = copy;
+  copy = alias;
+  copy = std::move(alias);
+  EXPECT_FALSE(copy.pending());
+  EventHandle late_copy = one_shot;
+  EventHandle late_move = std::move(timer);
+  one_shot = EventHandle();
+  late_copy = late_move;
+  EXPECT_FALSE(late_copy.pending());
+  EXPECT_FALSE(late_move.pending());
+}
+
+// A callback that holds a handle to its own event is freed with the
+// Simulator too: the handle count does not keep it alive.
+TEST(EventCore, SelfReferencingCallbackDiesWithItsSimulator) {
+  auto captured = std::make_shared<int>(0);
+  EventHandle outside;
+  {
+    Simulator sim;
+    auto self = std::make_shared<EventHandle>();
+    *self = sim.every(7, [self, captured] { self->cancel(); });
+    outside = *self;
+    EXPECT_TRUE(outside.pending());
+  }
+  EXPECT_EQ(captured.use_count(), 1);
+  EXPECT_FALSE(outside.pending());
 }
 
 // A released slot is reused by the next event; the old handle's generation
